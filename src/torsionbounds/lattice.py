@@ -10,7 +10,8 @@ Stabilization is tested exactly in rational arithmetic.  Subgroup orders mod
 l^k are computed level by level: a breadth-first scan over the image mod
 l^(k-1) collects Schreier discrepancies in the elementary abelian kernel of
 GL2(Z/l^k) -> GL2(Z/l^(k-1)), whose span gives the kernel intersection.
-This avoids enumerating the (often huge) subgroup mod l^k itself.
+This avoids enumerating the (often huge) subgroup mod l^k itself.  The
+matrix arithmetic mod l^j is the entry-tuple kernel of `modmatrix`.
 """
 from __future__ import annotations
 
@@ -25,6 +26,10 @@ from .modmatrix import (
     EnumerationTooLargeError,
     Mat2,
     SubgroupModN,
+    _closure,
+    _inv,
+    _mul,
+    _reduce,
     gl2_order,
     subgroup_closure,
 )
@@ -119,10 +124,6 @@ class LatticeBasis:
         f = Fraction(factor)
         return LatticeBasis(self.prime, tuple(f * q for q in self.basis))
 
-    def valuation_window(self) -> tuple[int, int]:
-        vals = [v for q in self.basis if (v := valuation(q, self.prime)) is not None]
-        return (min(vals), max(vals))
-
 
 @dataclass(frozen=True)
 class AdicGroup:
@@ -146,15 +147,12 @@ class AdicGroup:
                     f"generator {_fmt_rat(g)} is not invertible mod {self.prime}")
 
 
-def stabilizes(g: RatMat, T: LatticeBasis, precision: int | None = None) -> bool:
+def stabilizes(g: RatMat, T: LatticeBasis) -> bool:
     """Exact test that g maps the lattice into itself with unit determinant.
 
     Conjugates g into the basis of T; membership holds iff every entry has
-    nonnegative l-valuation and the determinant is an l-unit.  `precision`
-    only bounds downstream reporting, the test itself is exact.
+    nonnegative l-valuation and the determinant is an l-unit.
     """
-    if precision is not None and precision < 1:
-        raise LatticeError(f"precision must be >= 1, got {precision}")
     det = rat_det(g)
     if det == 0:
         raise SingularInputError(f"matrix {_fmt_rat(g)} is singular")
@@ -215,11 +213,11 @@ def subgroup_order_prime_power(gens: Sequence[Mat2], l: int, k: int,
         raw.append(g.inverse().entries)
     raw = list(dict.fromkeys(raw))
 
-    order = len(_closure_raw([_reduce_raw(g, l) for g in raw], l, cap))
+    order = len(_closure([_reduce(g, l) for g in raw], l, cap))
     for j in range(2, k + 1):
         m = l ** j
         mp = l ** (j - 1)
-        gens_m = list(dict.fromkeys(_reduce_raw(g, m) for g in raw))
+        gens_m = list(dict.fromkeys(_reduce(g, m) for g in raw))
         ident = (1, 0, 0, 1)
         reps = {ident: ident}
         queue = deque([ident])
@@ -228,8 +226,8 @@ def subgroup_order_prime_power(gens: Sequence[Mat2], l: int, k: int,
             key = queue.popleft()
             rep = reps[key]
             for g in gens_m:
-                prod = _mul_raw(rep, g, m)
-                pk = _reduce_raw(prod, mp)
+                prod = _mul(rep, g, m)
+                pk = _reduce(prod, mp)
                 known = reps.get(pk)
                 if known is None:
                     if len(reps) >= cap:
@@ -239,48 +237,14 @@ def subgroup_order_prime_power(gens: Sequence[Mat2], l: int, k: int,
                 else:
                     # Schreier generator t*g*rep(tg)^-1; the kernel side
                     # matters, conjugation by reps can move the span
-                    disc = _mul_raw(prod, _inv_raw(known, m), m)
+                    disc = _mul(prod, _inv(known, m), m)
                     vec = [((disc[i] - ident[i]) // mp) % l for i in range(4)]
                     _span_add(basis, vec, l)
-        assert len(reps) == order, "kernel filtration lost cosets"
+        if len(reps) != order:
+            raise LatticeError(
+                f"kernel filtration lost cosets mod {mp}: {len(reps)} of {order}")
         order = len(reps) * l ** len(basis)
     return order
-
-
-def _reduce_raw(g, m):
-    return (g[0] % m, g[1] % m, g[2] % m, g[3] % m)
-
-
-def _mul_raw(x, y, m):
-    return ((x[0] * y[0] + x[1] * y[2]) % m, (x[0] * y[1] + x[1] * y[3]) % m,
-            (x[2] * y[0] + x[3] * y[2]) % m, (x[2] * y[1] + x[3] * y[3]) % m)
-
-
-def _inv_raw(x, m):
-    det = (x[0] * x[3] - x[1] * x[2]) % m
-    di = pow(det, -1, m) if m > 1 else 0
-    return ((x[3] * di) % m, (-x[1] * di) % m, (-x[2] * di) % m, (x[0] * di) % m)
-
-
-def _closure_raw(gens, m, cap):
-    ident = (1 % m, 0, 0, 1 % m)
-    full = []
-    for g in gens:
-        full.append(g)
-        full.append(_inv_raw(g, m))
-    full = list(dict.fromkeys(full))
-    seen = {ident}
-    queue = deque([ident])
-    while queue:
-        x = queue.popleft()
-        for g in full:
-            y = _mul_raw(x, g, m)
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise EnumerationTooLargeError(len(seen) + 1, cap)
-                seen.add(y)
-                queue.append(y)
-    return seen
 
 
 def _span_add(basis: list[list[int]], vec: list[int], l: int) -> None:
@@ -300,7 +264,8 @@ def lattice_index(G: AdicGroup, T: LatticeBasis, k: int,
     gens = _checked_conjugates(G, T, k)
     order = subgroup_order_prime_power(gens, G.prime, k, cap)
     total = gl2_order(G.prime ** k)
-    assert total % order == 0
+    if total % order != 0:
+        raise LatticeError(f"order {order} does not divide |GL2(Z/{G.prime ** k})|")
     return total // order
 
 

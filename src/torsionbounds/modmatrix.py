@@ -1,12 +1,18 @@
 """Exact subgroup computations in GL2(Z/nZ).
 
-Matrices are stored with entries reduced to [0, n) and must have unit
-determinant.  Subgroups carry their full element set (breadth-first closure
-of the generators), so orders and indices are exact by Lagrange.  An open
-subgroup of the profinite GL2 is always represented here by its image mod N
-for some multiple N of its level; reduction maps, full preimages and the
-level-within-N computation make the finite-level statements checkable by
-enumeration.
+One integer kernel does the arithmetic: `_mul`, `_inv`, `_reduce` and
+`_closure` act on bare entry tuples (a, b, c, d) reduced to [0, m), and the
+l-adic filtration in `lattice` uses the same helpers.  `Mat2` is the
+validated type at the API boundary (entries reduced, unit determinant);
+its products, inverses and reductions compute through the kernel.
+
+Subgroups carry their full element set as a frozenset of entry tuples
+(breadth-first closure of the generators), so orders and indices are exact
+by Lagrange; `SubgroupModN.elements` yields `Mat2` views made on demand.  An
+open subgroup of the profinite GL2 is always represented here by its image
+mod N for some multiple N of its level; reduction maps, full preimages and
+the level-within-N computation make the finite-level statements checkable
+by enumeration.
 """
 from __future__ import annotations
 
@@ -14,9 +20,11 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ENUMERATION_CAP = 10**7
+
+Entries = tuple[int, int, int, int]
 
 
 class ModMatrixError(ValueError):
@@ -46,6 +54,68 @@ class EnumerationTooLargeError(ModMatrixError):
         self.cap = cap
 
 
+# -- the kernel: entry tuples mod m, no validation ---------------------------
+
+def _reduce(g: Entries, m: int) -> Entries:
+    return (g[0] % m, g[1] % m, g[2] % m, g[3] % m)
+
+
+def _mul(x: Entries, y: Entries, m: int) -> Entries:
+    return ((x[0] * y[0] + x[1] * y[2]) % m, (x[0] * y[1] + x[1] * y[3]) % m,
+            (x[2] * y[0] + x[3] * y[2]) % m, (x[2] * y[1] + x[3] * y[3]) % m)
+
+
+def _inv(x: Entries, m: int) -> Entries:
+    det = (x[0] * x[3] - x[1] * x[2]) % m
+    di = pow(det, -1, m) if m > 1 else 0
+    return ((x[3] * di) % m, (-x[1] * di) % m, (-x[2] * di) % m, (x[0] * di) % m)
+
+
+def _closure(gens: Iterable[Entries], m: int, cap: int) -> set[Entries]:
+    """Element set of the subgroup of GL2(Z/mZ) generated by `gens`."""
+    ident = (1 % m, 0, 0, 1 % m)
+    full = []
+    for g in gens:
+        full.append(g)
+        full.append(_inv(g, m))
+    full = list(dict.fromkeys(full))
+    seen = {ident}
+    queue = deque([ident])
+    while queue:
+        x = queue.popleft()
+        for g in full:
+            y = _mul(x, g, m)
+            if y not in seen:
+                if len(seen) >= cap:
+                    raise EnumerationTooLargeError(len(seen) + 1, cap)
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
+def _lifts(entries: Iterable[Entries], m: int, n: int) -> Iterator[Entries]:
+    """Entry tuples mod n with unit determinant whose reduction mod m (m | n)
+    is in `entries`.  With m = 1 and entries {(0, 0, 0, 0)}: all of GL2(Z/nZ)."""
+    gcd = math.gcd
+    return ((a, b, c, d)
+            for ha, hb, hc, hd in entries
+            for a in range(ha, n, m)
+            for d in range(hd, n, m)
+            for b in range(hb, n, m)
+            for c in range(hc, n, m)
+            if gcd((a * d - b * c) % n, n) == 1)
+
+
+_TRIVIAL_MOD_1 = frozenset({(0, 0, 0, 0)})
+
+
+def _exact_size(elements: frozenset, size: int, what: str) -> frozenset:
+    if len(elements) != size:
+        raise ModMatrixError(
+            f"{what} produced {len(elements)} elements, expected {size}")
+    return elements
+
+
 @dataclass(frozen=True, order=True)
 class Mat2:
     """A 2x2 matrix over Z/nZ with unit determinant."""
@@ -72,7 +142,7 @@ class Mat2:
         return Mat2(n, 1, 0, 0, 1)
 
     @property
-    def entries(self) -> tuple[int, int, int, int]:
+    def entries(self) -> Entries:
         return (self.a, self.b, self.c, self.d)
 
     def det(self) -> int:
@@ -81,25 +151,15 @@ class Mat2:
     def __mul__(self, other: "Mat2") -> "Mat2":
         if self.n != other.n:
             raise ModulusMismatchError(f"moduli {self.n} and {other.n} differ")
-        n = self.n
-        return Mat2(
-            n,
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return Mat2(self.n, *_mul(self.entries, other.entries, self.n))
 
     def inverse(self) -> "Mat2":
-        n = self.n
-        det_inv = pow(self.det(), -1, n) if n > 1 else 0
-        return Mat2(n, self.d * det_inv, -self.b * det_inv,
-                    -self.c * det_inv, self.a * det_inv)
+        return Mat2(self.n, *_inv(self.entries, self.n))
 
     def reduce(self, m: int) -> "Mat2":
         if m < 1 or self.n % m != 0:
             raise NotADivisorError(f"{m} does not divide modulus {self.n}")
-        return Mat2(m, self.a, self.b, self.c, self.d)
+        return Mat2(m, *_reduce(self.entries, m))
 
     def __repr__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]] mod {self.n}"
@@ -107,40 +167,29 @@ class Mat2:
 
 @dataclass(frozen=True)
 class SubgroupModN:
-    """A subgroup of GL2(Z/nZ) with its cached element set."""
+    """A subgroup of GL2(Z/nZ) with its element set as entry tuples."""
 
     n: int
-    generators: tuple[Mat2, ...]
-    elements: frozenset[Mat2]
+    entries: frozenset[Entries]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.entries)
+
+    @property
+    def elements(self) -> Iterator[Mat2]:
+        """The elements as `Mat2`, made on demand."""
+        n = self.n
+        return (Mat2(n, *e) for e in self.entries)
 
     def sorted_elements(self) -> list[Mat2]:
-        return sorted(self.elements)
+        return [Mat2(self.n, *e) for e in sorted(self.entries)]
 
     def __contains__(self, g: Mat2) -> bool:
-        return g in self.elements
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SubgroupModN):
-            return NotImplemented
-        return self.n == other.n and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.elements))
+        return g.n == self.n and g.entries in self.entries
 
     def __repr__(self) -> str:
         return f"SubgroupModN(n={self.n}, order={self.order})"
-
-
-def _from_elements(n: int, elements: Iterable[Mat2],
-                   generators: Sequence[Mat2] | None = None) -> SubgroupModN:
-    """Trusted constructor: `elements` must already be a closed subgroup."""
-    elems = frozenset(elements)
-    gens = tuple(generators) if generators is not None else tuple(sorted(elems))
-    return SubgroupModN(n, gens, elems)
 
 
 def gl2_order(n: int) -> int:
@@ -169,36 +218,14 @@ def enumerate_gl2(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> frozenset[Mat2]
     size = gl2_order(n)
     if size > cap:
         raise EnumerationTooLargeError(size, cap)
-    if n == 1:
-        return frozenset([Mat2.identity(1)])
-    out = []
-    rng = range(n)
-    gcd = math.gcd
-    for a in rng:
-        for d in rng:
-            ad = a * d
-            for b in rng:
-                for c in rng:
-                    if gcd((ad - b * c) % n, n) == 1:
-                        out.append(Mat2(n, a, b, c, d))
-    result = frozenset(out)
-    assert len(result) == size
-    return result
+    # streamed into Mat2, so no second element set is alive at the same time
+    scan = frozenset(Mat2(n, *e) for e in _lifts(_TRIVIAL_MOD_1, 1, n))
+    return _exact_size(scan, size, f"scan of GL2(Z/{n})")
 
 
 def full_gl2(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> SubgroupModN:
-    """GL2(Z/nZ) as a SubgroupModN, with a small standard generating set."""
-    elems = enumerate_gl2(n, cap)
-    gens = []
-    if n > 1:
-        gens.append(Mat2(n, 1, 1, 0, 1))
-        gens.append(Mat2(n, 0, -1, 1, 0))
-        for u in range(2, n):
-            if math.gcd(u, n) == 1:
-                gens.append(Mat2(n, u, 0, 0, 1))
-    else:
-        gens.append(Mat2.identity(1))
-    return _from_elements(n, elems, gens)
+    """GL2(Z/nZ) as a SubgroupModN: the full preimage of the trivial group mod 1."""
+    return full_preimage(SubgroupModN(1, _TRIVIAL_MOD_1), n, cap)
 
 
 def subgroup_closure(gens: Sequence[Mat2], n: int | None = None,
@@ -213,23 +240,7 @@ def subgroup_closure(gens: Sequence[Mat2], n: int | None = None,
         if g.n != n:
             raise ModulusMismatchError(
                 f"generator {g!r} has modulus {g.n}, expected {n}")
-    ident = Mat2.identity(n)
-    step = []
-    for g in gens:
-        step.append(g)
-        step.append(g.inverse())
-    seen = {ident}
-    queue = deque([ident])
-    while queue:
-        x = queue.popleft()
-        for g in step:
-            y = x * g
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise EnumerationTooLargeError(len(seen) + 1, cap)
-                seen.add(y)
-                queue.append(y)
-    return SubgroupModN(n, gens, frozenset(seen))
+    return SubgroupModN(n, frozenset(_closure((g.entries for g in gens), n, cap)))
 
 
 def b1_subgroup(n: int) -> SubgroupModN:
@@ -237,16 +248,14 @@ def b1_subgroup(n: int) -> SubgroupModN:
     if n < 2:
         raise InvalidModulusError(f"B1(n) is defined for n >= 2, got {n}")
     units = [d for d in range(1, n) if math.gcd(d, n) == 1]
-    elems = [Mat2(n, 1, b, 0, d) for b in range(n) for d in units]
-    gens = [Mat2(n, 1, 1, 0, 1)] + [Mat2(n, 1, 0, 0, u) for u in units if u != 1]
-    if not gens:
-        gens = [Mat2.identity(n)]
-    return _from_elements(n, elems, gens)
+    return SubgroupModN(n, frozenset((1, b, 0, d) for b in range(n) for d in units))
 
 
 def subgroup_index(G: SubgroupModN) -> int:
     total = gl2_order(G.n)
-    assert total % G.order == 0
+    if total % G.order != 0:
+        raise ModMatrixError(
+            f"order {G.order} does not divide |GL2(Z/{G.n})| = {total}")
     return total // G.order
 
 
@@ -254,9 +263,7 @@ def reduce_subgroup(G: SubgroupModN, m: int) -> SubgroupModN:
     """Image of G under entrywise reduction mod m (m | n)."""
     if m < 1 or G.n % m != 0:
         raise NotADivisorError(f"{m} does not divide modulus {G.n}")
-    elems = frozenset(g.reduce(m) for g in G.elements)
-    gens = tuple(dict.fromkeys(g.reduce(m) for g in G.generators))
-    return SubgroupModN(m, gens, elems)
+    return SubgroupModN(m, frozenset(_reduce(e, m) for e in G.entries))
 
 
 def full_preimage(H: SubgroupModN, n: int,
@@ -268,25 +275,8 @@ def full_preimage(H: SubgroupModN, n: int,
     size = H.order * (gl2_order(n) // gl2_order(m))
     if size > cap:
         raise EnumerationTooLargeError(size, cap)
-    q = n // m
-    gcd = math.gcd
-    elems = []
-    for h in H.elements:
-        ha, hb, hc, hd = h.entries
-        for xa in range(q):
-            a = ha + m * xa
-            for xd in range(q):
-                d = hd + m * xd
-                ad = a * d
-                for xb in range(q):
-                    b = hb + m * xb
-                    for xc in range(q):
-                        c = hc + m * xc
-                        if gcd((ad - b * c) % n, n) == 1:
-                            elems.append(Mat2(n, a, b, c, d))
-    result = _from_elements(n, elems)
-    assert result.order == size
-    return result
+    elems = frozenset(_lifts(H.entries, m, n))
+    return SubgroupModN(n, _exact_size(elems, size, f"preimage in GL2(Z/{n})"))
 
 
 def is_full_preimage(G: SubgroupModN, m: int) -> bool:
@@ -297,8 +287,8 @@ def is_full_preimage(G: SubgroupModN, m: int) -> bool:
     """
     if m < 1 or G.n % m != 0:
         raise NotADivisorError(f"{m} does not divide modulus {G.n}")
-    image = reduce_subgroup(G, m)
-    return G.order * gl2_order(m) == image.order * gl2_order(G.n)
+    image_order = len({_reduce(e, m) for e in G.entries})
+    return G.order * gl2_order(m) == image_order * gl2_order(G.n)
 
 
 def level_within(G: SubgroupModN) -> int:

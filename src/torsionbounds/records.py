@@ -62,14 +62,14 @@ def parse_curve_records(stream) -> list[CurveRecord]:
         if label in seen:
             raise RecordParseError(
                 lineno, f"duplicate label {label!r} (first seen on line {seen[label]})")
-        try:
-            d0 = int(row[1])
-            index = int(row[2])
-        except ValueError:
-            raise RecordParseError(lineno, f"non-integer degree or index in {row!r}") from None
+        numbers = [row[1].strip(), row[2].strip()]
+        # int() would also take "1_0", "+2" and non-ASCII digits
+        if not all(t.isascii() and t.isdigit() for t in numbers):
+            raise RecordParseError(
+                lineno, f"degree and index must be decimal digits, got {row!r}")
         cls = row[3].strip() or None if has_class else None
         try:
-            rec = CurveRecord(label, d0, index, cls)
+            rec = CurveRecord(label, int(numbers[0]), int(numbers[1]), cls)
         except ValueError as exc:
             raise RecordParseError(lineno, str(exc)) from None
         seen[label] = lineno

@@ -137,13 +137,12 @@ def _check_preimage_suite(report, max_n, cap):
     for n in range(2, top + 1):
         kernels = {m: _reduction_kernel(n, m) for m in divisors(n)}
         for name, G in subgroup_family(n, cap):
-            entry_set = {g.entries for g in G.elements}
             for m in divisors(n):
                 image = reduce_subgroup(G, m)
                 claimed = is_full_preimage(G, m)
                 # independent route: G contains the whole kernel of the
                 # reduction n -> m
-                truth = all(t in entry_set for t in kernels[m])
+                truth = all(t in G.entries for t in kernels[m])
                 if claimed != truth:
                     detect_bad.append((n, name, m))
                 if claimed and subgroup_index(G) != subgroup_index(image):

@@ -1,4 +1,7 @@
 """GL2(Z/nZ) arithmetic: orders, closures, reductions, preimages, levels."""
+import math
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -233,6 +236,86 @@ def test_parse_matrix():
 def test_parse_generators_whitespace_separated():
     gens = parse_generators("1,1;0,1  0,1;1,0", 2)
     assert subgroup_closure(gens, 2).order == 6
+
+
+# -- differential: the entry-tuple kernel against a Mat2-object oracle -----
+#
+# The oracle is a breadth-first closure over validated Mat2 objects with its
+# own product formula, so it shares no code with modmatrix's _mul, _inv,
+# _reduce and _closure (which lattice's filtration also uses).
+
+def _oracle_mul(x, y):
+    return Mat2(x.n, x.a * y.a + x.b * y.c, x.a * y.b + x.b * y.d,
+                x.c * y.a + x.d * y.c, x.c * y.b + x.d * y.d)
+
+
+def _oracle_closure(gens, n):
+    """A finite group is the monoid its generators span: no inverses needed."""
+    ident = Mat2(n, 1, 0, 0, 1)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = _oracle_mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def _oracle_contains_kernel(elements, n, m):
+    """All matrices = I mod m with unit determinant mod n lie in `elements`."""
+    ones, zeros = range(1 % m, n, m), range(0, n, m)
+    return all(Mat2(n, a, b, c, d) in elements
+               for a in ones for b in zeros for c in zeros for d in ones
+               if math.gcd(a * d - b * c, n) == 1)
+
+
+@lru_cache(maxsize=None)
+def _oracle_gl2(n):
+    return [Mat2(n, a, b, c, d) for a in range(n) for b in range(n)
+            for c in range(n) for d in range(n)
+            if math.gcd(a * d - b * c, n) == 1]
+
+
+@st.composite
+def generator_sets(draw, n_max=12):
+    n = draw(st.integers(min_value=1, max_value=n_max))
+    entry = st.integers(min_value=0, max_value=n - 1)
+    unit_det = st.tuples(entry, entry, entry, entry).filter(
+        lambda e: math.gcd(e[0] * e[3] - e[1] * e[2], n) == 1)
+    gens = draw(st.lists(unit_det, min_size=1, max_size=3))
+    return n, [Mat2(n, *e) for e in gens]
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets(), st.data())
+def test_kernel_closure_matches_oracle(case, data):
+    n, gens = case
+    oracle = _oracle_closure(gens, n)
+    G = subgroup_closure(gens, n)
+    assert G.order == len(oracle)
+    assert set(G.elements) == oracle
+    assert G.sorted_elements() == sorted(oracle)
+    assert all(g in G for g in oracle)
+    truths = {m: _oracle_contains_kernel(oracle, n, m) for m in divisors(n)}
+    for m, truth in truths.items():
+        assert is_full_preimage(G, m) == truth, m
+    assert level_within(G) == min(m for m, t in truths.items() if t)
+    m = data.draw(st.sampled_from(divisors(n)))
+    image = {Mat2(m, g.a, g.b, g.c, g.d) for g in oracle}
+    assert set(reduce_subgroup(G, m).elements) == image
+    lifted = {g for g in _oracle_gl2(n) if Mat2(m, g.a, g.b, g.c, g.d) in image}
+    assert set(full_preimage(reduce_subgroup(G, m), n).elements) == lifted
+
+
+def test_membership_needs_matching_modulus():
+    assert Mat2(4, 1, 1, 0, 1) in full_gl2(4)
+    assert Mat2(2, 1, 1, 0, 1) not in full_gl2(4)
+    assert Mat2(4, 0, 1, 1, 0) not in b1_subgroup(4)
 
 
 # -- Lagrange, via hypothesis over random generator picks -------------------

@@ -46,6 +46,20 @@ def test_parse_rejects_non_integer():
     assert info.value.line == 2
 
 
+@pytest.mark.parametrize("degree,index", [
+    ("1_0", "2"), ("+2", "2"), ("1", "\u0663"), ("1", "2.0"), ("1", ""), ("-1", "2"),
+])
+def test_parse_accepts_only_ascii_decimal_digits(degree, index):
+    with pytest.raises(RecordParseError) as info:
+        parse_curve_records(CSV + f"A,1,2,\nB,{degree},{index},\n")
+    assert info.value.line == 3
+
+
+def test_parse_allows_whitespace_around_integers():
+    recs = parse_curve_records(CSV + "A, 1 ,\t12 ,C1\n")
+    assert recs == [CurveRecord("A", 1, 12, "C1")]
+
+
 def test_parse_rejects_missing_header():
     with pytest.raises(RecordParseError, match="missing header"):
         parse_curve_records("")
@@ -176,6 +190,17 @@ def test_bounds_parse_error_exits_1(tmp_path, capsys):
                            "--epsilon", "1/2", "--degree", "1")
     assert code == 1
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("index", ["1_0", "+2", "\u0663"])
+def test_bounds_rejects_non_decimal_index(tmp_path, capsys, index):
+    path = tmp_path / "recs.csv"
+    path.write_text(CSV + f"X,1,{index},\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "bounds", str(path),
+                             "--epsilon", "1/2", "--degree", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("torsionbounds: error: line 2: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_lattice_check_scenario_file(tmp_path, capsys):
