@@ -46,7 +46,7 @@ from .lattice import (
     verify_index_equality,
 )
 from .modmatrix import (
-    DEFAULT_ENUMERATION_CAP,
+    ENUMERATION_CAP,
     EnumerationTooLargeError,
     Mat2,
     ModMatrixError,
@@ -82,7 +82,7 @@ __all__ = [
     "CandidateSet",
     "ClassCheck",
     "CurveRecord",
-    "DEFAULT_ENUMERATION_CAP",
+    "ENUMERATION_CAP",
     "EffectiveConstant",
     "EnumerationTooLargeError",
     "IndexReport",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .exactvalue import PowerProduct
+from .exactvalue import PowerProduct, _factorize
 
 Rational = Union[int, Fraction]
 
@@ -35,20 +35,7 @@ def factorize(n: int) -> Factorization:
         raise ArithError(f"can only factor integers >= 1, got {n}")
     if n > FACTORIZATION_CAP:
         raise ArithError(f"input {n} exceeds factorization cap {FACTORIZATION_CAP}")
-    value = n
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            out.append((p, k))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return Factorization(value, tuple(out))
+    return Factorization(n, _factorize(n))
 
 
 def euler_phi(n: int) -> int:

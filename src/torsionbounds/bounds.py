@@ -23,7 +23,8 @@ Rational = Union[int, Fraction]
 # rational upper bound for zeta(2) = pi**2 / 6, kept exact
 ZETA2_UPPER = Fraction(329, 200)
 
-DEFAULT_CEILING_BUDGET = 10**7
+# the largest sieve ceiling exponent_candidates will scan up to
+CEILING_BUDGET = 10**7
 
 
 class BoundsError(ValueError):
@@ -74,8 +75,7 @@ def sieve_modulus(ctx: BoundContext) -> int:
     return 2 * ctx.I * factorial(ctx.d0 - 1) * ctx.d
 
 
-def exponent_candidates(ctx: BoundContext,
-                        budget: int = DEFAULT_CEILING_BUDGET) -> CandidateSet:
+def exponent_candidates(ctx: BoundContext) -> CandidateSet:
     """All n >= 1 with phi(n)*psi(n) dividing the sieve modulus.
 
     Since phi(n)*psi(n) > (6/pi**2) * n**2, every candidate satisfies
@@ -84,8 +84,8 @@ def exponent_candidates(ctx: BoundContext,
     B = sieve_modulus(ctx)
     scaled = B * ZETA2_UPPER.numerator
     ceiling = math.isqrt(-(-scaled // ZETA2_UPPER.denominator))
-    if ceiling > budget:
-        raise CeilingTooLargeError(ceiling, budget)
+    if ceiling > CEILING_BUDGET:
+        raise CeilingTooLargeError(ceiling, CEILING_BUDGET)
     cands = [n for n in range(1, ceiling + 1) if B % _phi_psi(n) == 0]
     return CandidateSet(ctx, B, tuple(cands), ceiling)
 

@@ -8,14 +8,12 @@ prior explicit bounds, and `verify` the full enumeration-backed suite.
 
 Exit codes: 0 success, 1 usage or parse error, 2 any failed verification.
 All numeric flags are exact integers or rationals ("1/2"); reports are
-byte-identical across identical invocations.  The environment variable
-TORSIONBOUNDS_ENUMERATION_CAP overrides the group-enumeration cap.
+byte-identical across identical invocations.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -28,16 +26,9 @@ from .bounds import (
     exponent_candidates,
     theorem_bounds,
 )
-from .modmatrix import (
-    DEFAULT_ENUMERATION_CAP,
-    ModMatrixError,
-    b1_subgroup,
-    enumerate_gl2,
-)
+from .modmatrix import ModMatrixError, b1_subgroup, full_gl2
 from .records import RecordParseError, check_isogeny_class_indices, parse_curve_records
 from .verify import format_report, run_verification_suite
-
-CAP_ENV = "TORSIONBOUNDS_ENUMERATION_CAP"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,19 +60,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _enumeration_cap() -> int:
-    raw = os.environ.get(CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUMERATION_CAP
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        raise SystemExit(f"{CAP_ENV} must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _emit(payload: dict, fmt: str, plain_lines: list[str]) -> None:
@@ -157,11 +135,14 @@ def _cmd_bounds(args) -> int:
     rows, lines = [], []
     lines.append("# label d0 I d B candidate_max exponent_bound order_bound "
                  "parent hindry_silverman bn_exponent bn_order")
+    base = None
     for rec in records:
         ctx = BoundContext(rec.adelic_index, rec.base_degree, args.degree)
         cand = exponent_candidates(ctx)
         tb = theorem_bounds(ctx, args.epsilon, args.digits)
-        base = baselines(args.degree, args.digits)
+        # built once, from d and digits alone; not before the first sieve,
+        # which refuses a degree too large for the 5**d inside
+        base = base or baselines(args.degree, args.digits)
         hs = "n/a" if base.hindry_silverman is None else repr(base.hindry_silverman)
         bn_e = base.bn_exponent.decimal if base.bn_applicable else "n/a"
         bn_o = base.bn_order.decimal if base.bn_applicable else "n/a"
@@ -247,8 +228,7 @@ def _cmd_b1_index(args) -> int:
     payload = {"n": n, "index": formula}
     status = EXIT_OK
     if args.verify:
-        cap = _enumeration_cap()
-        brute = len(enumerate_gl2(n, cap)) // b1_subgroup(n).order
+        brute = full_gl2(n).order // b1_subgroup(n).order
         agree = brute == formula
         lines.append(f"enumerated {brute}")
         lines.append("verified" if agree else "MISMATCH")
@@ -260,7 +240,6 @@ def _cmd_b1_index(args) -> int:
 
 
 def _cmd_lattice_check(args) -> int:
-    cap = _enumeration_cap()
     if args.scenario_file:
         with open(args.scenario_file, encoding="utf-8") as fh:
             scenarios = lattice.parse_scenarios(fh.read())
@@ -269,7 +248,7 @@ def _cmd_lattice_check(args) -> int:
     lines, rows = [], []
     ok = True
     for sc in scenarios:
-        res = lattice.run_scenario(sc, cap)
+        res = lattice.run_scenario(sc)
         pairs = " ".join(f"k={r.precision}:{r.index_T}/{r.index_Tprime}"
                          for r in res.reports)
         verdict = ("pass" if res.all_equal and res.stable
@@ -318,8 +297,7 @@ def _cmd_baselines(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cap = _enumeration_cap()
-    report = run_verification_suite(args.max_n, cap)
+    report = run_verification_suite(args.max_n)
     if args.format == "json":
         payload = {
             "checks": [{"name": c.name, "params": c.params, "status": c.status,

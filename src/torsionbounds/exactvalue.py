@@ -17,19 +17,24 @@ from typing import Mapping, Union
 Rational = Union[int, Fraction]
 
 
-def _factorize(n: int) -> dict[int, int]:
+def _factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n by trial division, primes increasing;
+    the one factorizer the package uses."""
     if n <= 0:
         raise ValueError(f"can only factor positive integers, got {n}")
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out.append((p, k))
+        p += 1 if p == 2 else 2
     if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+        out.append((n, 1))
+    return tuple(out)
 
 
 def integer_nth_root(a: int, n: int) -> int:
@@ -77,15 +82,15 @@ class PowerProduct:
     def from_int(n: int) -> "PowerProduct":
         if n <= 0:
             raise ValueError("PowerProduct represents positive values only")
-        return PowerProduct({p: Fraction(k) for p, k in _factorize(n).items()})
+        return PowerProduct({p: Fraction(k) for p, k in _factorize(n)})
 
     @staticmethod
     def from_fraction(q: Rational) -> "PowerProduct":
         q = Fraction(q)
         if q <= 0:
             raise ValueError("PowerProduct represents positive values only")
-        f = {p: Fraction(k) for p, k in _factorize(q.numerator).items()}
-        for p, k in _factorize(q.denominator).items():
+        f = {p: Fraction(k) for p, k in _factorize(q.numerator)}
+        for p, k in _factorize(q.denominator):
             f[p] = f.get(p, Fraction(0)) - k
         return PowerProduct({p: e for p, e in f.items() if e})
 

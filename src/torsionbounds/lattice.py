@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import modmatrix
 from .modmatrix import (
-    DEFAULT_ENUMERATION_CAP,
     EnumerationTooLargeError,
     Mat2,
     SubgroupModN,
@@ -187,15 +187,13 @@ def _checked_conjugates(G: AdicGroup, T: LatticeBasis, k: int,
     return [_conjugate_mod(g, T, k) for g in G.generators]
 
 
-def image_in_aut(G: AdicGroup, T: LatticeBasis, k: int,
-                 cap: int = DEFAULT_ENUMERATION_CAP) -> SubgroupModN:
+def image_in_aut(G: AdicGroup, T: LatticeBasis, k: int) -> SubgroupModN:
     """Precision-k image of G inside Aut(T), as a subgroup of GL2(Z/l^k)."""
     gens = _checked_conjugates(G, T, k)
-    return subgroup_closure(gens, G.prime ** k, cap)
+    return subgroup_closure(gens, G.prime ** k)
 
 
-def subgroup_order_prime_power(gens: Sequence[Mat2], l: int, k: int,
-                               cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def subgroup_order_prime_power(gens: Sequence[Mat2], l: int, k: int) -> int:
     """Order of <gens> in GL2(Z/l^k) via the mod-l^j kernel filtration.
 
     Only the image mod l^(k-1) is ever enumerated; the top layer contributes
@@ -213,7 +211,8 @@ def subgroup_order_prime_power(gens: Sequence[Mat2], l: int, k: int,
         raw.append(g.inverse().entries)
     raw = list(dict.fromkeys(raw))
 
-    order = len(_closure([_reduce(g, l) for g in raw], l, cap))
+    order = len(_closure([_reduce(g, l) for g in raw], l))
+    cap = modmatrix.ENUMERATION_CAP
     for j in range(2, k + 1):
         m = l ** j
         mp = l ** (j - 1)
@@ -258,11 +257,10 @@ def _span_add(basis: list[list[int]], vec: list[int], l: int) -> None:
         basis.append(vec)
 
 
-def lattice_index(G: AdicGroup, T: LatticeBasis, k: int,
-                  cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def lattice_index(G: AdicGroup, T: LatticeBasis, k: int) -> int:
     """Index of the precision-k image of G inside GL2(Z/l^k)."""
     gens = _checked_conjugates(G, T, k)
-    order = subgroup_order_prime_power(gens, G.prime, k, cap)
+    order = subgroup_order_prime_power(gens, G.prime, k)
     total = gl2_order(G.prime ** k)
     if total % order != 0:
         raise LatticeError(f"order {order} does not divide |GL2(Z/{G.prime ** k})|")
@@ -281,12 +279,12 @@ class IndexReport:
 
 
 def verify_index_equality(G: AdicGroup, T: LatticeBasis, Tprime: LatticeBasis,
-                          k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> IndexReport:
+                          k: int) -> IndexReport:
     gens_t = _checked_conjugates(G, T, k, "first lattice")
     gens_t2 = _checked_conjugates(G, Tprime, k, "second lattice")
     total = gl2_order(G.prime ** k)
-    idx_t = total // subgroup_order_prime_power(gens_t, G.prime, k, cap)
-    idx_t2 = total // subgroup_order_prime_power(gens_t2, G.prime, k, cap)
+    idx_t = total // subgroup_order_prime_power(gens_t, G.prime, k)
+    idx_t2 = total // subgroup_order_prime_power(gens_t2, G.prime, k)
     return IndexReport(idx_t, idx_t2, k)
 
 
@@ -329,10 +327,9 @@ class ScenarioResult:
         return True
 
 
-def run_scenario(sc: LatticeScenario,
-                 cap: int = DEFAULT_ENUMERATION_CAP) -> ScenarioResult:
+def run_scenario(sc: LatticeScenario) -> ScenarioResult:
     reports = tuple(
-        verify_index_equality(sc.group, sc.lattice, sc.lattice2, k, cap)
+        verify_index_equality(sc.group, sc.lattice, sc.lattice2, k)
         for k in sc.precisions)
     return ScenarioResult(sc, reports)
 

@@ -22,7 +22,10 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
-DEFAULT_ENUMERATION_CAP = 10**7
+from .exactvalue import _factorize
+
+# the most group elements any one enumeration may hold
+ENUMERATION_CAP = 10**7
 
 Entries = tuple[int, int, int, int]
 
@@ -71,7 +74,7 @@ def _inv(x: Entries, m: int) -> Entries:
     return ((x[3] * di) % m, (-x[1] * di) % m, (-x[2] * di) % m, (x[0] * di) % m)
 
 
-def _closure(gens: Iterable[Entries], m: int, cap: int) -> set[Entries]:
+def _closure(gens: Iterable[Entries], m: int) -> set[Entries]:
     """Element set of the subgroup of GL2(Z/mZ) generated by `gens`."""
     ident = (1 % m, 0, 0, 1 % m)
     full = []
@@ -86,8 +89,8 @@ def _closure(gens: Iterable[Entries], m: int, cap: int) -> set[Entries]:
         for g in full:
             y = _mul(x, g, m)
             if y not in seen:
-                if len(seen) >= cap:
-                    raise EnumerationTooLargeError(len(seen) + 1, cap)
+                if len(seen) >= ENUMERATION_CAP:
+                    raise EnumerationTooLargeError(len(seen) + 1, ENUMERATION_CAP)
                 seen.add(y)
                 queue.append(y)
     return seen
@@ -197,39 +200,27 @@ def gl2_order(n: int) -> int:
     if n < 1:
         raise InvalidModulusError(f"modulus must be >= 1, got {n}")
     order = 1
-    rest = n
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            k = 0
-            while rest % p == 0:
-                rest //= p
-                k += 1
-            order *= p ** (4 * (k - 1)) * (p * p - 1) * (p * p - p)
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        p = rest
-        order *= (p * p - 1) * (p * p - p)
+    for p, k in _factorize(n):
+        order *= p ** (4 * (k - 1)) * (p * p - 1) * (p * p - p)
     return order
 
 
-def enumerate_gl2(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> frozenset[Mat2]:
+def enumerate_gl2(n: int) -> frozenset[Mat2]:
     """All of GL2(Z/nZ) by direct scan of the n**4 candidate matrices."""
     size = gl2_order(n)
-    if size > cap:
-        raise EnumerationTooLargeError(size, cap)
+    if size > ENUMERATION_CAP:
+        raise EnumerationTooLargeError(size, ENUMERATION_CAP)
     # streamed into Mat2, so no second element set is alive at the same time
     scan = frozenset(Mat2(n, *e) for e in _lifts(_TRIVIAL_MOD_1, 1, n))
     return _exact_size(scan, size, f"scan of GL2(Z/{n})")
 
 
-def full_gl2(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> SubgroupModN:
+def full_gl2(n: int) -> SubgroupModN:
     """GL2(Z/nZ) as a SubgroupModN: the full preimage of the trivial group mod 1."""
-    return full_preimage(SubgroupModN(1, _TRIVIAL_MOD_1), n, cap)
+    return full_preimage(SubgroupModN(1, _TRIVIAL_MOD_1), n)
 
 
-def subgroup_closure(gens: Sequence[Mat2], n: int | None = None,
-                     cap: int = DEFAULT_ENUMERATION_CAP) -> SubgroupModN:
+def subgroup_closure(gens: Sequence[Mat2], n: int | None = None) -> SubgroupModN:
     """Smallest subgroup of GL2(Z/nZ) containing the generators."""
     gens = tuple(gens)
     if n is None:
@@ -240,7 +231,7 @@ def subgroup_closure(gens: Sequence[Mat2], n: int | None = None,
         if g.n != n:
             raise ModulusMismatchError(
                 f"generator {g!r} has modulus {g.n}, expected {n}")
-    return SubgroupModN(n, frozenset(_closure((g.entries for g in gens), n, cap)))
+    return SubgroupModN(n, frozenset(_closure((g.entries for g in gens), n)))
 
 
 def b1_subgroup(n: int) -> SubgroupModN:
@@ -266,15 +257,14 @@ def reduce_subgroup(G: SubgroupModN, m: int) -> SubgroupModN:
     return SubgroupModN(m, frozenset(_reduce(e, m) for e in G.entries))
 
 
-def full_preimage(H: SubgroupModN, n: int,
-                  cap: int = DEFAULT_ENUMERATION_CAP) -> SubgroupModN:
+def full_preimage(H: SubgroupModN, n: int) -> SubgroupModN:
     """Preimage of H under GL2(Z/nZ) -> GL2(Z/mZ), where m = H.n divides n."""
     m = H.n
     if n < 1 or n % m != 0:
         raise NotADivisorError(f"{m} does not divide {n}")
     size = H.order * (gl2_order(n) // gl2_order(m))
-    if size > cap:
-        raise EnumerationTooLargeError(size, cap)
+    if size > ENUMERATION_CAP:
+        raise EnumerationTooLargeError(size, ENUMERATION_CAP)
     elems = frozenset(_lifts(H.entries, m, n))
     return SubgroupModN(n, _exact_size(elems, size, f"preimage in GL2(Z/{n})"))
 

@@ -14,11 +14,9 @@ from . import lattice, modmatrix
 from .arith import b_epsilon, dedekind_psi, euler_phi
 from .bounds import BoundContext, exponent_candidates
 from .modmatrix import (
-    DEFAULT_ENUMERATION_CAP,
     Mat2,
     b1_subgroup,
     divisors,
-    enumerate_gl2,
     full_gl2,
     full_preimage,
     gl2_order,
@@ -64,69 +62,69 @@ class SuiteReport:
         return self.failed == 0
 
 
-def subgroup_family(n: int, cap: int = DEFAULT_ENUMERATION_CAP):
+def subgroup_family(n: int):
     """A deterministic family of subgroups of GL2(Z/nZ) for the index tests."""
     out = []
     ident = Mat2.identity(n)
-    out.append(("trivial", subgroup_closure([ident], n, cap)))
-    out.append(("full", full_gl2(n, cap)))
+    out.append(("trivial", subgroup_closure([ident], n)))
+    out.append(("full", full_gl2(n)))
     if n >= 2:
         out.append(("b1", b1_subgroup(n)))
         gens = [Mat2(n, 1, 1, 0, 1)]
         gens += [Mat2(n, u, 0, 0, 1) for u in range(2, n) if math.gcd(u, n) == 1]
         gens += [Mat2(n, 1, 0, 0, u) for u in range(2, n) if math.gcd(u, n) == 1]
-        out.append(("borel", subgroup_closure(gens, n, cap)))
+        out.append(("borel", subgroup_closure(gens, n)))
         out.append(("sl2ish", subgroup_closure(
-            [Mat2(n, 1, 1, 0, 1), Mat2(n, 0, -1, 1, 0)], n, cap)))
-        out.append(("cyclic-unipotent", subgroup_closure([Mat2(n, 1, 1, 0, 1)], n, cap)))
+            [Mat2(n, 1, 1, 0, 1), Mat2(n, 0, -1, 1, 0)], n)))
+        out.append(("cyclic-unipotent", subgroup_closure([Mat2(n, 1, 1, 0, 1)], n)))
         out.append(("scalars", subgroup_closure(
-            [Mat2(n, u, 0, 0, u) for u in range(1, n) if math.gcd(u, n) == 1], n, cap)))
+            [Mat2(n, u, 0, 0, u) for u in range(1, n) if math.gcd(u, n) == 1], n)))
     for m in divisors(n):
         if 2 <= m < n:
-            out.append((f"preimage-b1({m})", full_preimage(b1_subgroup(m), n, cap)))
+            out.append((f"preimage-b1({m})", full_preimage(b1_subgroup(m), n)))
     return out
 
 
-def run_verification_suite(max_n: int = 16,
-                           cap: int = DEFAULT_ENUMERATION_CAP) -> SuiteReport:
+def run_verification_suite(max_n: int = 16) -> SuiteReport:
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    if gl2_order(max_n) > cap:
-        raise modmatrix.EnumerationTooLargeError(gl2_order(max_n), cap)
+    if gl2_order(max_n) > modmatrix.ENUMERATION_CAP:
+        raise modmatrix.EnumerationTooLargeError(gl2_order(max_n),
+                                                 modmatrix.ENUMERATION_CAP)
     report = SuiteReport()
-    _check_gl2_orders(report, max_n, cap)
-    _check_b1_index(report, max_n, cap)
-    _check_preimage_suite(report, max_n, cap)
-    _check_crt_orders(report, max_n, cap)
+    _check_gl2_orders(report, max_n)
+    _check_b1_index(report, max_n)
+    _check_preimage_suite(report, max_n)
+    _check_crt_orders(report, max_n)
     _check_arith(report)
     _check_b_epsilon(report)
-    _check_lattice_scenarios(report, cap)
+    _check_lattice_scenarios(report)
     _check_sieve_examples(report)
     return report
 
 
-def _check_gl2_orders(report, max_n, cap):
+def _check_gl2_orders(report, max_n):
     top = min(max_n, 16)
     bad = [n for n in range(1, top + 1)
-           if len(enumerate_gl2(n, cap)) != gl2_order(n)]
+           if full_gl2(n).order != gl2_order(n)]
     report.add("gl2-order-vs-enumeration", f"n<=:{top}", not bad,
                f"mismatches at {bad}" if bad else f"checked n=1..{top}")
 
 
-def _check_b1_index(report, max_n, cap):
+def _check_b1_index(report, max_n):
     if max_n < 2:
         report.skip("b1-index-formula", "n<=1", "B1(n) needs n >= 2")
         return
     bad = []
     for n in range(2, max_n + 1):
-        brute = len(enumerate_gl2(n, cap)) // b1_subgroup(n).order
+        brute = full_gl2(n).order // b1_subgroup(n).order
         if brute != euler_phi(n) * dedekind_psi(n):
             bad.append(n)
     report.add("b1-index-formula", f"2<=n<=:{max_n}", not bad,
                f"mismatches at {bad}" if bad else "index equals phi(n)*psi(n)")
 
 
-def _check_preimage_suite(report, max_n, cap):
+def _check_preimage_suite(report, max_n):
     top = min(max_n, 24)
     if top < 2:
         report.skip("preimage-index-preservation", "n<=1", "needs n >= 2")
@@ -136,7 +134,7 @@ def _check_preimage_suite(report, max_n, cap):
     pres_bad, detect_bad = [], []
     for n in range(2, top + 1):
         kernels = {m: _reduction_kernel(n, m) for m in divisors(n)}
-        for name, G in subgroup_family(n, cap):
+        for name, G in subgroup_family(n):
             for m in divisors(n):
                 image = reduce_subgroup(G, m)
                 claimed = is_full_preimage(G, m)
@@ -171,7 +169,7 @@ def _reduction_kernel(n: int, m: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _check_crt_orders(report, max_n, cap):
+def _check_crt_orders(report, max_n):
     top = min(max_n, 30)
     bad = []
     for a in range(2, top + 1):
@@ -180,7 +178,7 @@ def _check_crt_orders(report, max_n, cap):
                 continue
             if gl2_order(a * b) != gl2_order(a) * gl2_order(b):
                 bad.append((a, b))
-            if len(enumerate_gl2(a * b, cap)) != gl2_order(a) * gl2_order(b):
+            if full_gl2(a * b).order != gl2_order(a) * gl2_order(b):
                 bad.append((a, b, "enum"))
     params = f"ab<=:{top}"
     if top < 6:
@@ -222,6 +220,8 @@ def _check_arith(report):
 
 
 def _factor_pairs(n):
+    """(prime, exponent) pairs by a trial division of its own, so the
+    phi-psi identity check does not test the library factorizer with itself."""
     p = 2
     while p * p <= n:
         if n % p == 0:
@@ -264,10 +264,10 @@ def _phi_ratio_less(n, m, eps):
     return lhs < rhs
 
 
-def _check_lattice_scenarios(report, cap):
+def _check_lattice_scenarios(report):
     bad = []
     for sc in lattice.bundled_scenarios():
-        res = lattice.run_scenario(sc, cap)
+        res = lattice.run_scenario(sc)
         if not res.all_equal:
             bad.append((sc.ident, "unequal indices"))
         if not res.stable:

@@ -22,7 +22,7 @@ from torsionbounds.lattice import bundled_scenarios, run_scenario
 from torsionbounds.modmatrix import (
     b1_subgroup,
     divisors,
-    enumerate_gl2,
+    full_gl2,
     is_full_preimage,
     reduce_subgroup,
     subgroup_index,
@@ -33,7 +33,7 @@ from torsionbounds.verify import _reduction_kernel, subgroup_family
 def test_b1_index_formula_up_to_30():
     """Index of B1(n) in GL2(Z/nZ) equals phi(n)*psi(n) for 2 <= n <= 30."""
     for n in range(2, 31):
-        brute = len(enumerate_gl2(n)) // b1_subgroup(n).order
+        brute = full_gl2(n).order // b1_subgroup(n).order
         assert brute == euler_phi(n) * dedekind_psi(n), f"n={n}"
 
 

@@ -63,8 +63,9 @@ def test_candidate_monotonicity_in_divisibility():
 
 
 def test_ceiling_budget_enforced():
-    with pytest.raises(CeilingTooLargeError):
-        exponent_candidates(BoundContext(10 ** 9, 3, 10 ** 6), budget=10 ** 5)
+    # ceiling 81,117,199 > 10**7
+    with pytest.raises(CeilingTooLargeError, match="81117199 exceeds budget 10000000"):
+        exponent_candidates(BoundContext(10 ** 9, 3, 10 ** 6))
 
 
 # -- c_epsilon and theorem bounds ------------------------------------------

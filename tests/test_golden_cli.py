@@ -1,0 +1,52 @@
+"""CLI stdout, stderr and exit codes against recorded golden output.
+
+`tests/golden/expected.json` holds what each command in CASES printed when
+it was recorded; input files named in a command live in `tests/golden/`.
+After an intended output change, rewrite the record from the current source
+with `PYTHONPATH=src python tests/test_golden_cli.py` and review its diff.
+"""
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from torsionbounds.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+EXPECTED = GOLDEN / "expected.json"
+
+CASES = {
+    "candidates-i6-d10": ["candidates", "--index", "6", "--degree", "10"],
+    "b-epsilon-quarter": ["b-epsilon", "--epsilon", "1/4", "--digits", "15"],
+    "b1-index-12": ["b1-index", "--n", "12", "--verify"],
+    "b1-index-12-json": ["b1-index", "--n", "12", "--verify", "--format", "json"],
+    "b1-index-100": ["b1-index", "--n", "100", "--verify"],
+    "baselines-d9": ["baselines", "--degree", "9"],
+    "baselines-d10": ["baselines", "--degree", "10"],
+    "bounds": ["bounds", "records.csv", "--epsilon", "1/2", "--degree", "10"],
+    "bounds-json": ["bounds", "records.csv", "--epsilon", "1/2", "--degree", "10",
+                    "--format", "json"],
+    "lattice-check": ["lattice-check", "--scenario-file", "scenario.txt"],
+}
+
+
+def _run(argv):
+    argv = [str(GOLDEN / a) if (GOLDEN / a).is_file() else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_matches_golden(name):
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))[name]
+    assert _run(CASES[name]) == expected
+
+
+if __name__ == "__main__":
+    record = {name: _run(argv) for name, argv in sorted(CASES.items())}
+    EXPECTED.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
+                        encoding="utf-8")

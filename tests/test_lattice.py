@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from torsionbounds import lattice
+from torsionbounds import lattice, modmatrix
 from torsionbounds.lattice import (
     AdicGroup,
     LatticeBasis,
@@ -24,7 +24,12 @@ from torsionbounds.lattice import (
     valuation,
     verify_index_equality,
 )
-from torsionbounds.modmatrix import Mat2, gl2_order, subgroup_closure
+from torsionbounds.modmatrix import (
+    EnumerationTooLargeError,
+    Mat2,
+    gl2_order,
+    subgroup_closure,
+)
 
 
 def test_valuation():
@@ -145,6 +150,16 @@ def test_layered_order_matches_closure(l, k):
     for gens in cases:
         brute = subgroup_closure(gens, m).order
         assert subgroup_order_prime_power(gens, l, k) == brute
+
+
+def test_layered_order_cap_guards_the_coset_scan(monkeypatch):
+    monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", 10)
+    def gl2_gens(m):
+        return [Mat2(m, 1, 1, 0, 1), Mat2(m, 0, m - 1, 1, 0), Mat2(m, 3, 0, 0, 1)]
+    # k = 2 scans the 6 cosets mod 2; k = 3 needs the 96 mod 4
+    assert subgroup_order_prime_power(gl2_gens(4), 2, 2) == 96
+    with pytest.raises(EnumerationTooLargeError, match="11 elements exceeds cap 10"):
+        subgroup_order_prime_power(gl2_gens(8), 2, 3)
 
 
 def test_layered_order_rejects_wrong_modulus():

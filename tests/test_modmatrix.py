@@ -5,6 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torsionbounds import modmatrix, verify
 from torsionbounds.modmatrix import (
     EnumerationTooLargeError,
     InvalidModulusError,
@@ -92,9 +93,28 @@ def test_enumeration_mod3_dets():
 
 
 def test_enumeration_cap_enforced():
+    # |GL2(Z/100)| = 28,800,000 > 10**7: refused from the order, before any scan
     with pytest.raises(EnumerationTooLargeError) as info:
-        enumerate_gl2(30, cap=1000)
-    assert "1000" in str(info.value)
+        enumerate_gl2(100)
+    assert info.value.size == 28_800_000
+    assert "10000000" in str(info.value)
+
+
+def test_every_enumeration_guard_reads_the_cap(monkeypatch):
+    monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", 10)
+    # mid-BFS guard of the closure: GL2(Z/3) has 48 elements
+    with pytest.raises(EnumerationTooLargeError, match="11 elements exceeds cap 10"):
+        subgroup_closure([Mat2(3, 1, 1, 0, 1), Mat2(3, 0, 2, 1, 0), Mat2(3, 2, 0, 0, 1)])
+    assert subgroup_closure([Mat2(3, 1, 1, 0, 1)]).order == 3
+    # size pre-checks
+    with pytest.raises(EnumerationTooLargeError, match="48 elements exceeds cap 10"):
+        enumerate_gl2(3)
+    with pytest.raises(EnumerationTooLargeError, match="48 elements exceeds cap 10"):
+        full_gl2(3)
+    with pytest.raises(EnumerationTooLargeError, match="36 elements exceeds cap 10"):
+        full_preimage(b1_subgroup(3), 6)
+    with pytest.raises(EnumerationTooLargeError, match="48 elements exceeds cap 10"):
+        verify.run_verification_suite(3)
 
 
 def test_crt_order_multiplicativity():

@@ -221,8 +221,9 @@ def test_verify_command_small(capsys):
     assert "0 failed" in out
 
 
-def test_enumeration_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("TORSIONBOUNDS_ENUMERATION_CAP", "10")
-    code, _, err = run_cli(capsys, "b1-index", "--n", "12", "--verify")
+def test_b1_index_verify_over_cap_exits_1(capsys):
+    # |GL2(Z/100)| = 28,800,000 is over the fixed 10**7 enumeration cap
+    code, _, err = run_cli(capsys, "b1-index", "--n", "100", "--verify")
     assert code == 1
     assert "cap" in err
+    assert len(err.splitlines()) == 1
