@@ -7,11 +7,14 @@ GL2(Z/l^k Z) under either identification; this module computes both indices
 at a chosen precision k and reports whether they agree.
 
 Stabilization is tested exactly in rational arithmetic.  Subgroup orders mod
-l^k are computed level by level: a breadth-first scan over the image mod
-l^(k-1) collects Schreier discrepancies in the elementary abelian kernel of
-GL2(Z/l^k) -> GL2(Z/l^(k-1)), whose span gives the kernel intersection.
-This avoids enumerating the (often huge) subgroup mod l^k itself.  The
-matrix arithmetic mod l^j is the entry-tuple kernel of `modmatrix`.
+l^k are |image mod l| * |G cap K_1|, K_1 the kernel of GL2(Z/l^k) ->
+GL2(Z/l).  Only the image mod l is enumerated; its Schreier generators,
+which lie in K_1, are sifted into a basis layered by the filtration
+K_1 > K_2 > ... (each layer a subspace of K_j/K_{j+1} = M2(F_l)) and closed
+under l-th powers and commutators, as for an induced polycyclic sequence
+(Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 8).
+The cost is polynomial in k and does not grow with |G|.  The matrix
+arithmetic mod l^k is the entry-tuple kernel of `modmatrix`.
 """
 from __future__ import annotations
 
@@ -26,7 +29,6 @@ from .modmatrix import (
     EnumerationTooLargeError,
     Mat2,
     SubgroupModN,
-    _closure,
     _inv,
     _mul,
     _reduce,
@@ -194,11 +196,15 @@ def image_in_aut(G: AdicGroup, T: LatticeBasis, k: int) -> SubgroupModN:
 
 
 def subgroup_order_prime_power(gens: Sequence[Mat2], l: int, k: int) -> int:
-    """Order of <gens> in GL2(Z/l^k) via the mod-l^j kernel filtration.
+    """Order of <gens> in GL2(Z/l^k) as |image mod l| * |G cap K_1|.
 
-    Only the image mod l^(k-1) is ever enumerated; the top layer contributes
-    l**dim of the span of Schreier discrepancies in the elementary abelian
-    kernel at each step.
+    K_j is the kernel of reduction GL2(Z/l^k) -> GL2(Z/l^j).  Only the image
+    mod l is enumerated, each coset kept as a lift mod l^k; the Schreier
+    generators of G cap K_1 are sifted into a basis layered by the
+    filtration K_1 > K_2 > ... > K_k = 1.  Layer j is an F_l-echelon basis of
+    (G cap K_j) K_{j+1} / K_{j+1}, a subspace of K_j/K_{j+1} = M2(F_l); the
+    basis is closed under l-th powers and commutators, so G cap K_1 has
+    l**(basis size) elements (an induced polycyclic sequence).
     """
     if k < 1:
         raise LatticeError(f"precision must be >= 1, got {k}")
@@ -208,63 +214,120 @@ def subgroup_order_prime_power(gens: Sequence[Mat2], l: int, k: int) -> int:
         if g.n != top:
             raise LatticeError(f"generator modulus {g.n}, expected {top}")
         raw.append(g.entries)
-        raw.append(g.inverse().entries)
+    # no inverses: a finite group is the monoid its generators span, and
+    # Schreier's lemma holds for monoid generators of a finite group
     raw = list(dict.fromkeys(raw))
 
-    order = len(_closure([_reduce(g, l) for g in raw], l))
     cap = modmatrix.ENUMERATION_CAP
-    for j in range(2, k + 1):
-        m = l ** j
-        mp = l ** (j - 1)
-        gens_m = list(dict.fromkeys(_reduce(g, m) for g in raw))
-        ident = (1, 0, 0, 1)
-        reps = {ident: ident}
-        queue = deque([ident])
-        basis: list[list[int]] = []
-        while queue:
-            key = queue.popleft()
-            rep = reps[key]
-            for g in gens_m:
-                prod = _mul(rep, g, m)
-                pk = _reduce(prod, mp)
-                known = reps.get(pk)
-                if known is None:
-                    if len(reps) >= cap:
-                        raise EnumerationTooLargeError(len(reps) + 1, cap)
-                    reps[pk] = prod
-                    queue.append(pk)
-                else:
-                    # Schreier generator t*g*rep(tg)^-1; the kernel side
-                    # matters, conjugation by reps can move the span
-                    disc = _mul(prod, _inv(known, m), m)
-                    vec = [((disc[i] - ident[i]) // mp) % l for i in range(4)]
-                    _span_add(basis, vec, l)
-        if len(reps) != order:
-            raise LatticeError(
-                f"kernel filtration lost cosets mod {mp}: {len(reps)} of {order}")
-        order = len(reps) * l ** len(basis)
-    return order
+    ident = (1, 0, 0, 1)
+    sifter = _LayeredBasis(l, k)
+    # coset of G cap K_1 (keyed by the image mod l) -> its lift and inverse
+    reps = {_reduce(ident, l): (ident, ident)}
+    queue = deque([ident])
+    while queue:
+        rep = queue.popleft()
+        for g in raw:
+            prod = _mul(rep, g, top)
+            key = _reduce(prod, l)
+            known = reps.get(key)
+            if known is None:
+                if len(reps) >= cap:
+                    raise EnumerationTooLargeError(len(reps) + 1, cap)
+                reps[key] = (prod, _inv(prod, top))
+                queue.append(prod)
+            elif not sifter.full:
+                # Schreier generator rep*g*rep(rep*g)^-1, in K_1
+                sifter.add(_mul(prod, known[1], top))
+    return len(reps) * l ** len(sifter.elements)
 
 
-def _span_add(basis: list[list[int]], vec: list[int], l: int) -> None:
-    """Reduce vec against an echelonized F_l basis; append if independent."""
-    for bv in basis:
-        piv = next(i for i, x in enumerate(bv) if x)
-        if vec[piv]:
-            factor = vec[piv] * pow(bv[piv], -1, l) % l
-            vec = [(v - factor * b) % l for v, b in zip(vec, bv)]
-    if any(vec):
-        basis.append(vec)
+class _LayeredBasis:
+    """Elements of K_1 in GL2(Z/l^k), sifted into an F_l-echelon basis per
+    filtration layer and closed under l-th powers and commutators.
+
+    For j >= 1, (I + l^j A)(I + l^j B) = I + l^j (A + B) mod l^(j+1), so
+    K_j/K_{j+1} is additive and the leading term (x - I)/l^j mod l of an
+    element of depth j is linear in it; no case is special for l = 2.
+    """
+
+    def __init__(self, l: int, k: int):
+        self.l = l
+        self.m = l ** k
+        self.depth = {l ** j: j for j in range(1, k)}
+        # layer j -> [(pivot, leading vector, [x^-1, ..., x^-(l-1)])]
+        self.layers: dict[int, list] = {j: [] for j in range(1, k)}
+        self.elements: list[tuple] = []  # (element, inverse), every layer
+        self.full = k == 1
+
+    def add(self, x) -> None:
+        """Sift x into the basis; close the basis under what it adds."""
+        work = [x]
+        while work:
+            found = self._sift(work.pop())
+            if found is not None:
+                work.extend(self._insert(*found))
+
+    def _sift(self, x):
+        """(x', j, v): the part of x no basis element cancels, its depth j and
+        leading vector v; None when the basis expresses x."""
+        l, m = self.l, self.m
+        while True:
+            g = math.gcd(x[0] - 1, x[1], x[2], x[3] - 1, m)
+            if g == m:
+                return None
+            j = self.depth[g]
+            v = [(x[0] - 1) // g % l, x[1] // g % l, x[2] // g % l,
+                 (x[3] - 1) // g % l]
+            for piv, lead, inv_pows in self.layers[j]:
+                c = v[piv]
+                if c:
+                    x = _mul(x, inv_pows[c - 1], m)
+                    v = [(a - c * b) % l for a, b in zip(v, lead)]
+            if any(v):
+                return x, j, v
+
+    def _insert(self, x, j: int, v: list[int]) -> list:
+        """Add x (depth j, leading vector v) to layer j, scaled to pivot 1;
+        return its l-th power and its commutators with every basis element."""
+        l, m = self.l, self.m
+        piv = next(i for i, a in enumerate(v) if a)
+        scale = pow(v[piv], -1, l)
+        x = _pow(x, scale, m)
+        lead = [a * scale % l for a in v]
+        x_inv = _inv(x, m)
+        inv_pows = [x_inv]
+        for _ in range(l - 2):
+            inv_pows.append(_mul(inv_pows[-1], x_inv, m))
+        out = [_pow(x, l, m)]
+        out.extend(_mul(_mul(x, y, m), _mul(x_inv, y_inv, m), m)
+                   for y, y_inv in self.elements)
+        self.layers[j].append((piv, lead, inv_pows))
+        self.elements.append((x, x_inv))
+        self.full = len(self.elements) == 4 * len(self.layers)
+        return out
+
+
+def _pow(x, e: int, m: int):
+    out = (1, 0, 0, 1)
+    while e:
+        if e & 1:
+            out = _mul(out, x, m)
+        x = _mul(x, x, m)
+        e >>= 1
+    return out
+
+
+def _index_in_gl2(order: int, l: int, k: int) -> int:
+    total = gl2_order(l ** k)
+    if total % order != 0:
+        raise LatticeError(f"order {order} does not divide |GL2(Z/{l ** k})|")
+    return total // order
 
 
 def lattice_index(G: AdicGroup, T: LatticeBasis, k: int) -> int:
     """Index of the precision-k image of G inside GL2(Z/l^k)."""
     gens = _checked_conjugates(G, T, k)
-    order = subgroup_order_prime_power(gens, G.prime, k)
-    total = gl2_order(G.prime ** k)
-    if total % order != 0:
-        raise LatticeError(f"order {order} does not divide |GL2(Z/{G.prime ** k})|")
-    return total // order
+    return _index_in_gl2(subgroup_order_prime_power(gens, G.prime, k), G.prime, k)
 
 
 @dataclass(frozen=True)
@@ -282,9 +345,9 @@ def verify_index_equality(G: AdicGroup, T: LatticeBasis, Tprime: LatticeBasis,
                           k: int) -> IndexReport:
     gens_t = _checked_conjugates(G, T, k, "first lattice")
     gens_t2 = _checked_conjugates(G, Tprime, k, "second lattice")
-    total = gl2_order(G.prime ** k)
-    idx_t = total // subgroup_order_prime_power(gens_t, G.prime, k)
-    idx_t2 = total // subgroup_order_prime_power(gens_t2, G.prime, k)
+    l = G.prime
+    idx_t = _index_in_gl2(subgroup_order_prime_power(gens_t, l, k), l, k)
+    idx_t2 = _index_in_gl2(subgroup_order_prime_power(gens_t2, l, k), l, k)
     return IndexReport(idx_t, idx_t2, k)
 
 

@@ -1,7 +1,9 @@
 """Lattice stabilizers and index comparisons at finite precision."""
+from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torsionbounds import lattice, modmatrix
 from torsionbounds.lattice import (
@@ -27,6 +29,10 @@ from torsionbounds.lattice import (
 from torsionbounds.modmatrix import (
     EnumerationTooLargeError,
     Mat2,
+    _closure,
+    _inv,
+    _mul,
+    _reduce,
     gl2_order,
     subgroup_closure,
 )
@@ -152,14 +158,105 @@ def test_layered_order_matches_closure(l, k):
         assert subgroup_order_prime_power(gens, l, k) == brute
 
 
-def test_layered_order_cap_guards_the_coset_scan(monkeypatch):
-    monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", 10)
+def _filtration_oracle(gens, l, k):
+    """The order of <gens> in GL2(Z/l^k) by the earlier algorithm: a BFS over
+    the whole image mod l^(j-1) for each j = 2..k, whose Schreier
+    discrepancies span G cap ker(GL2(Z/l^j) -> GL2(Z/l^(j-1))) over F_l.
+    Its cost grows with |G|; it is kept here as an oracle."""
+    raw = []
+    for g in gens:
+        raw.append(g.entries)
+        raw.append(g.inverse().entries)
+    raw = list(dict.fromkeys(raw))
+    order = len(_closure([_reduce(g, l) for g in raw], l))
+    cap = modmatrix.ENUMERATION_CAP
+    for j in range(2, k + 1):
+        m, mp = l ** j, l ** (j - 1)
+        gens_m = list(dict.fromkeys(_reduce(g, m) for g in raw))
+        ident = (1, 0, 0, 1)
+        reps = {ident: ident}
+        queue = deque([ident])
+        basis = []
+        while queue:
+            rep = reps[queue.popleft()]
+            for g in gens_m:
+                prod = _mul(rep, g, m)
+                pk = _reduce(prod, mp)
+                known = reps.get(pk)
+                if known is None:
+                    if len(reps) >= cap:
+                        raise EnumerationTooLargeError(len(reps) + 1, cap)
+                    reps[pk] = prod
+                    queue.append(pk)
+                else:
+                    disc = _mul(prod, _inv(known, m), m)
+                    vec = [((disc[i] - ident[i]) // mp) % l for i in range(4)]
+                    _span_add(basis, vec, l)
+        assert len(reps) == order
+        order = len(reps) * l ** len(basis)
+    return order
+
+
+def _span_add(basis, vec, l):
+    """Reduce vec against an echelonized F_l basis; append if independent."""
+    for bv in basis:
+        piv = next(i for i, x in enumerate(bv) if x)
+        if vec[piv]:
+            factor = vec[piv] * pow(bv[piv], -1, l) % l
+            vec = [(v - factor * b) % l for v, b in zip(vec, bv)]
+    if any(vec):
+        basis.append(vec)
+
+
+@st.composite
+def prime_power_generators(draw):
+    """Generators mod l^k: generic ones, and ones = I mod l (in K_1)."""
+    l = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.integers(min_value=1, max_value=4 if l == 2 else 3))
+    m = l ** k
+    entry = st.integers(min_value=0, max_value=m - 1)
+    generic = st.tuples(entry, entry, entry, entry)
+    near_identity = st.tuples(
+        *(st.builds(lambda x, i=i: (i + l * x) % m, entry) for i in (1, 0, 0, 1)))
+    unit_det = st.one_of(generic, near_identity).filter(
+        lambda e: (e[0] * e[3] - e[1] * e[2]) % l != 0)
+    gens = draw(st.lists(unit_det, min_size=1, max_size=3))
+    return l, k, [Mat2(m, *e) for e in gens]
+
+
+# the oracles stop at this many elements; a group at least that large is
+# only checked to be reported as at least that large
+ORACLE_CAP = 20_000
+
+
+@settings(max_examples=200, deadline=None)
+@given(prime_power_generators())
+def test_layered_order_matches_oracles(case):
+    l, k, gens = case
+    order = subgroup_order_prime_power(gens, l, k)
+    assert gl2_order(l ** k) % order == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modmatrix, "ENUMERATION_CAP", ORACLE_CAP)
+        for oracle in (lambda: subgroup_closure(gens, l ** k).order,
+                       lambda: _filtration_oracle(gens, l, k)):
+            try:
+                assert order == oracle()
+            except EnumerationTooLargeError:
+                assert order > ORACLE_CAP
+
+
+def test_layered_order_cap_guards_the_mod_l_scan(monkeypatch):
     def gl2_gens(m):
-        return [Mat2(m, 1, 1, 0, 1), Mat2(m, 0, m - 1, 1, 0), Mat2(m, 3, 0, 0, 1)]
-    # k = 2 scans the 6 cosets mod 2; k = 3 needs the 96 mod 4
-    assert subgroup_order_prime_power(gl2_gens(4), 2, 2) == 96
-    with pytest.raises(EnumerationTooLargeError, match="11 elements exceeds cap 10"):
-        subgroup_order_prime_power(gl2_gens(8), 2, 3)
+        return [Mat2(m, 1, 1, 0, 1), Mat2(m, 0, m - 1, 1, 0),
+                Mat2(m, 3, 0, 0, 1), Mat2(m, 5, 0, 0, 1)]
+    # the image mod 2 is all of GL2(Z/2), 6 elements
+    monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", 5)
+    for k in (1, 3):
+        with pytest.raises(EnumerationTooLargeError, match="6 elements exceeds cap 5"):
+            subgroup_order_prime_power(gl2_gens(2 ** k), 2, k)
+    # depth costs no enumeration: 7 elements suffice for the 1536 mod 8
+    monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", 7)
+    assert subgroup_order_prime_power(gl2_gens(8), 2, 3) == gl2_order(8) == 1536
 
 
 def test_layered_order_rejects_wrong_modulus():
@@ -184,6 +281,17 @@ def test_bundled_indices_match_closed_form(l):
             assert rep.equal
             assert rep.index_T == expected_index(l, gtype, stype, rep.precision)
         assert res.stable
+
+
+def test_bundled_family_matches_closed_form_at_depth():
+    for l in (2, 3, 5, 7):
+        for sc in bundled_scenarios(primes=(l,), precisions=range(1, 9)):
+            gtype, _, stype = sc.ident.partition(f"-l{l}-")
+            res = run_scenario(sc)
+            assert [(r.index_T, r.index_Tprime) for r in res.reports] == [
+                (expected_index(l, gtype, stype, k),) * 2 for k in range(1, 9)
+            ], sc.ident
+            assert res.stable, sc.ident
 
 
 # -- scenario files ---------------------------------------------------------

@@ -117,6 +117,35 @@ def test_every_enumeration_guard_reads_the_cap(monkeypatch):
         verify.run_verification_suite(3)
 
 
+def test_verify_precheck_covers_every_modulus(monkeypatch):
+    # |GL2(Z/8)| = 1536 fits, but |GL2(Z/7)| = 2016 does not: the suite
+    # must refuse before it enumerates anything
+    monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", gl2_order(8))
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before the cap pre-check")
+    for module in (modmatrix, verify):
+        monkeypatch.setattr(module, "_lifts", no_enumeration)
+    monkeypatch.setattr(modmatrix, "_closure", no_enumeration)
+    with pytest.raises(EnumerationTooLargeError, match="2016 elements exceeds cap 1536"):
+        verify.run_verification_suite(8)
+
+
+def test_verify_reports_a_wrong_gl2_order_as_failed(monkeypatch):
+    real = gl2_order
+    def off_by_one_at_2(n):
+        return real(n) + (n == 2)
+    # the closed form as the library and the suite see it
+    for module in (modmatrix, verify):
+        monkeypatch.setattr(module, "gl2_order", off_by_one_at_2)
+    report = verify.SuiteReport()
+    verify._check_gl2_orders(report, 6)
+    verify._check_crt_orders(report, 6)
+    assert [(c.name, c.status) for c in report.checks] == [
+        ("gl2-order-vs-enumeration", "fail"), ("crt-order-consistency", "fail")]
+    assert report.checks[0].detail == "mismatches at [2]"
+    assert report.checks[1].detail == "mismatches [(2, 3), (2, 3, 'enum')]"
+
+
 def test_crt_order_multiplicativity():
     for a, b in [(2, 3), (3, 4), (4, 5), (5, 6), (2, 15)]:
         assert gl2_order(a * b) == gl2_order(a) * gl2_order(b)
@@ -262,7 +291,7 @@ def test_parse_generators_whitespace_separated():
 #
 # The oracle is a breadth-first closure over validated Mat2 objects with its
 # own product formula, so it shares no code with modmatrix's _mul, _inv,
-# _reduce and _closure (which lattice's filtration also uses).
+# _reduce and _closure (the first three are lattice's arithmetic too).
 
 def _oracle_mul(x, y):
     return Mat2(x.n, x.a * y.a + x.b * y.c, x.a * y.b + x.b * y.d,

@@ -5,6 +5,7 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
+from torsionbounds import verify
 from torsionbounds.cli import main
 from torsionbounds.records import (
     CurveRecord,
@@ -219,6 +220,15 @@ def test_verify_command_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "6")
     assert code == 0
     assert "0 failed" in out
+
+
+def test_verify_scan_mismatch_fails_with_exit_2(monkeypatch, capsys):
+    real = verify._scan_gl2_size
+    monkeypatch.setattr(verify, "_scan_gl2_size", lambda n: real(n) + (n == 5))
+    code, out, err = run_cli(capsys, "verify", "--max-n", "6")
+    assert (code, err) == (2, "")
+    assert "FAIL gl2-order-vs-enumeration [n<=:6] mismatches at [5]\n" in out
+    assert "1 failed" in out
 
 
 def test_b1_index_verify_over_cap_exits_1(capsys):
