@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from typing import Union
 
-from .arith import b_epsilon, dedekind_psi, euler_phi, factorial
-from .exactvalue import PowerProduct
+from .arith import b_epsilon, factorial
+from .exactvalue import PowerProduct, _factorize
 
 Rational = Union[int, Fraction]
 
 # rational upper bound for zeta(2) = pi**2 / 6, kept exact
 ZETA2_UPPER = Fraction(329, 200)
 
-# the largest sieve ceiling exponent_candidates will scan up to
+# the largest sieve ceiling exponent_candidates accepts
 CEILING_BUDGET = 10**7
 
 
@@ -76,23 +75,49 @@ def sieve_modulus(ctx: BoundContext) -> int:
 
 
 def exponent_candidates(ctx: BoundContext) -> CandidateSet:
-    """All n >= 1 with phi(n)*psi(n) dividing the sieve modulus.
+    """All n >= 1 with phi(n)*psi(n) dividing the sieve modulus B.
 
-    Since phi(n)*psi(n) > (6/pi**2) * n**2, every candidate satisfies
-    n <= isqrt(ceil(B * 329/200)); the scan stops there.
+    phi*psi is multiplicative with phi*psi(p**j) = p**(2j-2) * (p*p - 1), so
+    a prime p divides a candidate only if p*p - 1 divides B; then p + 1
+    divides B, and the primes to try are the divisors of B less one.  The
+    candidates are the products of prime powers, one per prime, whose
+    phi*psi values multiply to a divisor of B: the work grows with the
+    divisors of B, not with the ceiling.  Since phi(n)*psi(n) >
+    (6/pi**2) * n**2, every candidate is at most isqrt(ceil(B * 329/200)),
+    and inputs whose ceiling exceeds CEILING_BUDGET are refused.
     """
     B = sieve_modulus(ctx)
     scaled = B * ZETA2_UPPER.numerator
     ceiling = math.isqrt(-(-scaled // ZETA2_UPPER.denominator))
     if ceiling > CEILING_BUDGET:
         raise CeilingTooLargeError(ceiling, CEILING_BUDGET)
-    cands = [n for n in range(1, ceiling + 1) if B % _phi_psi(n) == 0]
-    return CandidateSet(ctx, B, tuple(cands), ceiling)
+    # per admissible prime p, the pairs (p**j, phi*psi(p**j)) with j >= 1
+    # and phi*psi(p**j) dividing B; large primes first, since they combine
+    # least and so keep the partial candidate lists below short
+    chains = []
+    for e in sorted(_divisors(B), reverse=True):
+        p = e - 1
+        if p < 2 or B % (p * p - 1) or _factorize(p) != ((p, 1),):
+            continue
+        chain, q, f = [], p, p * p - 1
+        while B % f == 0:
+            chain.append((q, f))
+            q, f = q * p, f * p * p
+        chains.append(chain)
+    # (n, phi*psi(n)) for the candidates built from the primes so far
+    cands = [(1, 1)]
+    for chain in chains:
+        cands += [(n * q, f * g) for n, f in cands for q, g in chain
+                  if B % (f * g) == 0]
+    return CandidateSet(ctx, B, tuple(sorted(n for n, _ in cands)), ceiling)
 
 
-@lru_cache(maxsize=None)
-def _phi_psi(n: int) -> int:
-    return euler_phi(n) * dedekind_psi(n)
+def _divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, built from its factors."""
+    divs = [1]
+    for p, k in _factorize(n):
+        divs = [d * p ** j for d in divs for j in range(k + 1)]
+    return divs
 
 
 def c_epsilon(I: int, d0: int, epsilon: Rational,

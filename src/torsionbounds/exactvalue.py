@@ -45,31 +45,20 @@ def integer_nth_root(a: int, n: int) -> int:
         return a
     if n == 2:
         return math.isqrt(a)
-    # Newton iteration on integers, seeded from a float estimate.
-    try:
-        x = int(a ** (1.0 / n)) + 1
-    except OverflowError:
-        x = 1 << (a.bit_length() // n + 1)
+    # Newton's iteration on integers.  By the AM-GM inequality every step
+    # lands at or above the root, and from above the iterates fall strictly
+    # until they reach it; so one step is taken unconditionally.  The seed
+    # comes from the binary logarithm, shifted so that the float keeps its
+    # 53 bits for large roots, and is close enough for O(1) further steps.
+    e = math.log2(a) / n
+    shift = max(0, int(e) - 60)
+    x = (int(2.0 ** (e - shift)) + 1) << shift
+    x = ((n - 1) * x + a // x ** (n - 1)) // n
     while True:
         y = ((n - 1) * x + a // x ** (n - 1)) // n
         if y >= x:
-            break
+            return x
         x = y
-    while x ** n > a:
-        x -= 1
-    while (x + 1) ** n <= a:
-        x += 1
-    return x
-
-
-def _floor_root_fraction(num: int, den: int, n: int) -> int:
-    """floor((num/den) ** (1/n)) for num >= 0, den >= 1."""
-    x = integer_nth_root(num // den, n)
-    while (x + 1) ** n * den <= num:
-        x += 1
-    while x > 0 and x ** n * den > num:
-        x -= 1
-    return x
 
 
 @dataclass(frozen=True)
@@ -175,10 +164,16 @@ class PowerProduct:
     def _floor_log10(self) -> int:
         num, den, L = self._root_data()
         k = int(math.floor(math.log10(num) - math.log10(den)) // L) if num > 1 or den > 1 else 0
-        while 10 ** ((k + 1) * L) * den <= num:
+        # keep a / b == value**L / 10**(k*L) in integers: value >= 10**k
+        # exactly when a >= b (a float 10**(k*L) overflows for small values)
+        a, b = (num, den * 10 ** (k * L)) if k >= 0 else (num * 10 ** (-k * L), den)
+        step = 10 ** L
+        while a >= b * step:
             k += 1
-        while 10 ** (k * L) * den > num:
+            b *= step
+        while a < b:
             k -= 1
+            a *= step
         return k
 
     def decimal(self, digits: int = 12, round_up: bool = False) -> str:
@@ -197,7 +192,8 @@ class PowerProduct:
             tn, td = num * 10 ** (s * L), den
         else:
             tn, td = num, den * 10 ** (-s * L)
-        m = _floor_root_fraction(tn, td, L)
+        # an integer m has m**L <= tn/td exactly when m**L <= tn // td
+        m = integer_nth_root(tn // td, L)
         if round_up and m ** L * td != tn:
             m += 1
         return _format_scaled(m, -s)

@@ -16,16 +16,14 @@ from .bounds import BoundContext, exponent_candidates
 from .modmatrix import (
     _TRIVIAL_MOD_1,
     Mat2,
+    SubgroupModN,
     _lifts,
     b1_subgroup,
     divisors,
-    full_gl2,
-    full_preimage,
     gl2_order,
     is_full_preimage,
     reduce_subgroup,
     subgroup_closure,
-    subgroup_index,
 )
 
 
@@ -66,10 +64,13 @@ class SuiteReport:
 
 def subgroup_family(n: int):
     """A deterministic family of subgroups of GL2(Z/nZ) for the index tests."""
+    size = gl2_order(n)
+    if size > modmatrix.ENUMERATION_CAP:
+        raise modmatrix.EnumerationTooLargeError(size, modmatrix.ENUMERATION_CAP)
     out = []
     ident = Mat2.identity(n)
     out.append(("trivial", subgroup_closure([ident], n)))
-    out.append(("full", full_gl2(n)))
+    out.append(("full", _scan_preimage(SubgroupModN(1, _TRIVIAL_MOD_1), n)))
     if n >= 2:
         out.append(("b1", b1_subgroup(n)))
         gens = [Mat2(n, 1, 1, 0, 1)]
@@ -83,8 +84,15 @@ def subgroup_family(n: int):
             [Mat2(n, u, 0, 0, u) for u in range(1, n) if math.gcd(u, n) == 1], n)))
     for m in divisors(n):
         if 2 <= m < n:
-            out.append((f"preimage-b1({m})", full_preimage(b1_subgroup(m), n)))
+            out.append((f"preimage-b1({m})", _scan_preimage(b1_subgroup(m), n)))
     return out
+
+
+def _scan_preimage(H: SubgroupModN, n: int) -> SubgroupModN:
+    """The preimage of H in GL2(Z/n) by the determinant scan alone: unlike
+    `full_preimage`, which checks its size against `gl2_order` and raises on
+    a mismatch, a wrong closed form here shows up as a failed check."""
+    return SubgroupModN(n, frozenset(_lifts(H.entries, H.n, n)))
 
 
 def run_verification_suite(max_n: int = 16) -> SuiteReport:
@@ -155,7 +163,10 @@ def _check_preimage_suite(report, max_n):
                 truth = all(t in G.entries for t in kernels[m])
                 if claimed != truth:
                     detect_bad.append((n, name, m))
-                if claimed and subgroup_index(G) != subgroup_index(image):
+                # indices as exact fractions: a wrong closed form for
+                # |GL2| makes them differ, not raise
+                if truth and (Fraction(gl2_order(n), G.order)
+                              != Fraction(gl2_order(m), image.order)):
                     pres_bad.append((n, name, m))
                 checked += 1
     report.add("preimage-index-preservation", f"n<=:{top}", not pres_bad,

@@ -1,11 +1,15 @@
 """The exponent sieve and the explicit bound constants."""
+import json
 import math
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torsionbounds.arith import dedekind_psi, euler_phi
+from torsionbounds.arith import b_epsilon, dedekind_psi, euler_phi
 from torsionbounds.bounds import (
     BoundContext,
     BoundsError,
@@ -17,7 +21,10 @@ from torsionbounds.bounds import (
     sieve_modulus,
     theorem_bounds,
 )
+from torsionbounds.cli import main
 from torsionbounds.exactvalue import PowerProduct
+
+RECORDS = Path(__file__).parent / "golden" / "records.csv"
 
 
 def test_context_validation():
@@ -60,6 +67,49 @@ def test_candidate_monotonicity_in_divisibility():
     large = exponent_candidates(BoundContext(6, 1, 10))
     assert small.modulus * 10 == large.modulus
     assert set(small.candidates) <= set(large.candidates)
+
+
+# -- the sieve against the scan it replaced --------------------------------
+
+@lru_cache(maxsize=None)
+def _phi_psi(n):
+    return euler_phi(n) * dedekind_psi(n)
+
+
+def scan_candidates(ctx):
+    """(candidates, ceiling) by the scan the divisor construction replaced:
+    every n up to isqrt(ceil(B * 329/200)), tested one by one."""
+    B = 2 * ctx.I * math.factorial(ctx.d0 - 1) * ctx.d
+    ceiling = math.isqrt(-(-B * 329 // 200))
+    return tuple(n for n in range(1, ceiling + 1) if B % _phi_psi(n) == 0), ceiling
+
+
+def test_sieve_equals_scan_on_the_sweep():
+    for I in range(1, 49):
+        for d0 in range(1, 4):
+            for d in range(1, 51):
+                ctx = BoundContext(I, d0, d)
+                cs = exponent_candidates(ctx)
+                assert (cs.candidates, cs.ceiling) == scan_candidates(ctx), ctx
+
+
+@st.composite
+def contexts_with_ceiling_at_most(draw, top):
+    # B <= top**2 * 200/329 keeps isqrt(ceil(B * 329/200)) <= top
+    max_B = top * top * 200 // 329
+    d0 = draw(st.integers(min_value=1, max_value=7))
+    f = 2 * math.factorial(d0 - 1)
+    I = draw(st.integers(min_value=1, max_value=max_B // f))
+    d = draw(st.integers(min_value=1, max_value=max_B // (f * I)))
+    return BoundContext(I, d0, d)
+
+
+@given(contexts_with_ceiling_at_most(3 * 10 ** 4))
+@settings(max_examples=50, deadline=None)
+def test_sieve_equals_scan_up_to_ceiling_3e4(ctx):
+    cs = exponent_candidates(ctx)
+    assert cs.ceiling <= 3 * 10 ** 4
+    assert (cs.candidates, cs.ceiling) == scan_candidates(ctx)
 
 
 def test_ceiling_budget_enforced():
@@ -134,6 +184,75 @@ def test_d1_candidates_below_exponent_bound():
     cs = exponent_candidates(BoundContext(2, 1, 1))
     tb = theorem_bounds(BoundContext(2, 1, 1), Fraction(1, 2))
     assert max(cs.candidates) <= float(tb.exponent_bound)
+
+
+# -- small epsilon against mpmath -------------------------------------------
+
+def _mpf(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _b_reference(eps):
+    """min phi(n)/n**(1-eps): the product w of the primes p with
+    (1 - 1/p) * p**eps < 1, and phi(w)/w**(1-eps), both in mpmath."""
+    w = phi = 1
+    p = 2
+    while (1 - mpmath.mpf(1) / p) * mpmath.mpf(p) ** _mpf(eps) < 1:
+        w, phi = w * p, phi * (p - 1)
+        p += 1
+        while any(p % r == 0 for r in range(2, math.isqrt(p) + 1)):
+            p += 1
+    return w, mpmath.mpf(phi) / mpmath.mpf(w) ** (1 - _mpf(eps))
+
+
+def _c_reference(I, d0, eps):
+    _, b = _b_reference(eps)
+    return (2 * I * math.factorial(d0 - 1) / b) ** (1 / (2 - _mpf(eps)))
+
+
+def _assert_rounded_up(printed, ref, digits):
+    got = mpmath.mpf(printed)
+    assert ref <= got <= ref * (1 + mpmath.mpf(10) ** (1 - digits)), (printed, ref)
+
+
+def _assert_theorem_bounds(ctx, eps, exponent_printed, order_printed, digits=12):
+    with mpmath.workdps(60):
+        expo = _c_reference(ctx.I, ctx.d0, eps) * mpmath.mpf(ctx.d) ** (
+            mpmath.mpf(1) / 2 + _mpf(eps))
+        order = _c_reference(ctx.I, ctx.d0, eps / 2) ** 2 \
+            * mpmath.mpf(ctx.d) ** (1 + _mpf(eps))
+        _assert_rounded_up(exponent_printed, expo, digits)
+        _assert_rounded_up(order_printed, order, digits)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 29), Fraction(1, 40), Fraction(1, 50)])
+def test_small_epsilon_theorem_bounds_round_up(eps):
+    ctx = BoundContext(6, 1, 10)
+    tb = theorem_bounds(ctx, eps)
+    _assert_theorem_bounds(ctx, eps, tb.exponent_bound.decimal, tb.order_bound.decimal)
+
+
+def test_b_epsilon_at_one_fifty_eighth_rounds_down():
+    eps = Fraction(1, 58)
+    b = b_epsilon(eps)
+    with mpmath.workdps(60):
+        witness, ref = _b_reference(eps)
+        got = mpmath.mpf(b.decimal)
+        assert b.witness == witness
+        assert ref * (1 - mpmath.mpf(10) ** -11) <= got <= ref
+
+
+def test_bounds_command_at_epsilon_one_fiftieth(capsys):
+    eps = Fraction(1, 50)
+    code = main(["bounds", str(RECORDS), "--epsilon", "1/50", "--degree", "10",
+                 "--format", "json"])
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    rows = json.loads(out.out)["rows"]
+    assert len(rows) == 3
+    for row in rows:
+        ctx = BoundContext(row["I"], row["d0"], row["d"])
+        _assert_theorem_bounds(ctx, eps, row["exponent_bound"], row["order_bound"])
 
 
 # -- baselines --------------------------------------------------------------

@@ -66,11 +66,19 @@ def test_pow_roundtrip_cancels():
     assert (x ** Fraction(7, 3)).as_fraction() == 12
 
 
-@given(st.integers(min_value=0, max_value=10**12),
-       st.integers(min_value=1, max_value=7))
+@given(st.integers(min_value=0, max_value=2 ** 4000),
+       st.integers(min_value=1, max_value=200))
 def test_integer_nth_root_floor(a, n):
     r = integer_nth_root(a, n)
     assert r ** n <= a < (r + 1) ** n
+
+
+@given(st.integers(min_value=2 ** 59, max_value=2 ** 80 - 1),
+       st.integers(min_value=3, max_value=200))
+def test_integer_nth_root_of_exact_powers(r, n):
+    # roots of 60-80 bits: more than a float carries
+    assert integer_nth_root(r ** n, n) == r
+    assert integer_nth_root(r ** n - 1, n) == r - 1
 
 
 def test_decimal_rational_exact():
@@ -101,6 +109,13 @@ def test_decimal_scientific_for_extremes():
     assert big.decimal(3) == "1.00e+30"
     small = PowerProduct.from_fraction(Fraction(1, 10 ** 30))
     assert small.decimal(3) == "1.00e-30"
+
+
+def test_decimal_of_a_tiny_value():
+    tiny = PowerProduct.from_fraction(Fraction(1, 10 ** 400))
+    assert tiny.decimal() == "1.00000000000e-400"
+    assert tiny.decimal(3, round_up=True) == "1.00e-400"
+    assert (tiny ** Fraction(1, 3)).decimal(4) == "4.641e-134"
 
 
 def test_float_matches_math_sqrt():

@@ -19,6 +19,9 @@ EXPECTED = GOLDEN / "expected.json"
 
 CASES = {
     "candidates-i6-d10": ["candidates", "--index", "6", "--degree", "10"],
+    "candidates-large-ceiling": ["candidates", "--index", "100000", "--base-degree", "5",
+                                 "--degree", "10000"],
+    "candidates-over-budget": ["candidates", "--index", "1", "--base-degree", "20"],
     "b-epsilon-quarter": ["b-epsilon", "--epsilon", "1/4", "--digits", "15"],
     "b1-index-12": ["b1-index", "--n", "12", "--verify"],
     "b1-index-12-json": ["b1-index", "--n", "12", "--verify", "--format", "json"],
@@ -26,6 +29,8 @@ CASES = {
     "baselines-d9": ["baselines", "--degree", "9"],
     "baselines-d10": ["baselines", "--degree", "10"],
     "bounds": ["bounds", "records.csv", "--epsilon", "1/2", "--degree", "10"],
+    "bounds-digits-21": ["bounds", "records.csv", "--epsilon", "1/2", "--degree", "100",
+                         "--digits", "21"],
     "bounds-json": ["bounds", "records.csv", "--epsilon", "1/2", "--degree", "10",
                     "--format", "json"],
     "lattice-check": ["lattice-check", "--scenario-file", "scenario.txt"],

@@ -5,7 +5,7 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
-from torsionbounds import verify
+from torsionbounds import modmatrix, verify
 from torsionbounds.cli import main
 from torsionbounds.records import (
     CurveRecord,
@@ -229,6 +229,18 @@ def test_verify_scan_mismatch_fails_with_exit_2(monkeypatch, capsys):
     assert (code, err) == (2, "")
     assert "FAIL gl2-order-vs-enumeration [n<=:6] mismatches at [5]\n" in out
     assert "1 failed" in out
+
+
+def test_verify_wrong_gl2_order_fails_the_preimage_suite(monkeypatch, capsys):
+    real = modmatrix.gl2_order
+    # the closed form as the library and the suite see it
+    for module in (modmatrix, verify):
+        monkeypatch.setattr(module, "gl2_order", lambda n: 481 if n == 5 else real(n))
+    code, out, err = run_cli(capsys, "verify", "--max-n", "6")
+    assert (code, err) == (2, "")
+    assert "FAIL preimage-index-preservation [n<=:6] violations [(5, 'full', 1)]\n" in out
+    assert "FAIL preimage-detection [n<=:6] violations [(5, 'full', 1)]\n" in out
+    assert "3 failed" in out
 
 
 def test_b1_index_verify_over_cap_exits_1(capsys):
