@@ -34,6 +34,20 @@ CASES = {
     "bounds-json": ["bounds", "records.csv", "--epsilon", "1/2", "--degree", "10",
                     "--format", "json"],
     "lattice-check": ["lattice-check", "--scenario-file", "scenario.txt"],
+    "candidates-json": ["candidates", "--index", "6", "--degree", "10", "--format", "json"],
+    "b-epsilon-json": ["b-epsilon", "--epsilon", "1/4", "--digits", "15", "--format", "json"],
+    "b1-index-12-formula": ["b1-index", "--n", "12"],
+    "b1-index-1": ["b1-index", "--n", "1"],
+    "baselines-d1": ["baselines", "--degree", "1"],
+    "baselines-d1-json": ["baselines", "--degree", "1", "--format", "json"],
+    "baselines-d9-json": ["baselines", "--degree", "9", "--format", "json"],
+    "bounds-weak-epsilon": ["bounds", "records.csv", "--epsilon", "3/2", "--degree", "1"],
+    "bounds-mismatch": ["bounds", "mismatch.csv", "--epsilon", "1/2", "--degree", "10"],
+    "bounds-mismatch-json": ["bounds", "mismatch.csv", "--epsilon", "1/2", "--degree", "10",
+                             "--format", "json"],
+    "lattice-check-json": ["lattice-check", "--format", "json"],
+    "verify-2": ["verify", "--max-n", "2"],
+    "verify-2-json": ["verify", "--max-n", "2", "--format", "json"],
 }
 
 
