@@ -10,11 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator
 
-from .exactvalue import PowerProduct, _factorize
-
-Rational = Union[int, Fraction]
+from .exactvalue import PowerProduct, Rational, _factorize
 
 FACTORIZATION_CAP = 10**12
 
@@ -23,19 +21,14 @@ class ArithError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Factorization:
-    value: int
-    factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes increasing
-
-
-def factorize(n: int) -> Factorization:
-    """Trial-division factorization; inputs capped at 10**12."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n, primes increasing, by trial division;
+    inputs capped at 10**12."""
     if n < 1:
         raise ArithError(f"can only factor integers >= 1, got {n}")
     if n > FACTORIZATION_CAP:
         raise ArithError(f"input {n} exceeds factorization cap {FACTORIZATION_CAP}")
-    return Factorization(n, _factorize(n))
+    return _factorize(n)
 
 
 def euler_phi(n: int) -> int:
@@ -43,7 +36,7 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise ArithError(f"euler_phi needs n >= 1, got {n}")
     out = 1
-    for p, k in factorize(n).factors:
+    for p, k in factorize(n):
         out *= p ** (k - 1) * (p - 1)
     return out
 
@@ -53,7 +46,7 @@ def dedekind_psi(n: int) -> int:
     if n < 1:
         raise ArithError(f"dedekind_psi needs n >= 1, got {n}")
     out = 1
-    for p, k in factorize(n).factors:
+    for p, k in factorize(n):
         out *= p ** (k - 1) * (p + 1)
     return out
 

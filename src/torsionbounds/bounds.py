@@ -12,12 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .arith import b_epsilon, factorial
-from .exactvalue import PowerProduct, _factorize
-
-Rational = Union[int, Fraction]
+from .exactvalue import PowerProduct, Rational, _factorize
 
 # rational upper bound for zeta(2) = pi**2 / 6, kept exact
 ZETA2_UPPER = Fraction(329, 200)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import lattice
@@ -62,12 +63,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(payload: dict, fmt: str, plain_lines: list[str]) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+def _plain(value) -> str:
+    """A report value as plain text: None is n/a, a list is space-joined."""
+    if value is None:
+        return "n/a"
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return str(value)
+
+
+def _fields(report: dict, *keys: str) -> list[str]:
+    """`key value` lines of a plain report."""
+    return [f"{key} {_plain(report[key])}" for key in keys]
+
+
+def _emit(args, report: dict, plain_lines: list[str], status: int = EXIT_OK) -> int:
+    """Print the report as JSON, or its plain rendering; return `status`."""
+    if args.format == "json":
+        print(json.dumps(report, sort_keys=True, indent=2))
     else:
-        for line in plain_lines:
-            print(line)
+        print("\n".join(plain_lines))
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,6 +140,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _baseline_fields(base) -> dict:
+    """The prior bounds of a report; the BN bounds hold for odd d only."""
+    return {
+        "parent": base.parent,
+        "hindry_silverman": base.hindry_silverman,
+        "hs_log_note": base.hs_log_note,
+        "bn_exponent": base.bn_exponent.decimal if base.bn_applicable else None,
+        "bn_order": base.bn_order.decimal if base.bn_applicable else None,
+    }
+
+
+_BOUNDS_COLUMNS = ("label", "d0", "I", "d", "sieve_modulus", "candidate_max",
+                   "exponent_bound", "order_bound", "parent", "hindry_silverman",
+                   "bn_exponent", "bn_order")
+
+
 def _cmd_bounds(args) -> int:
     if args.records == "-":
         records = parse_curve_records(sys.stdin)
@@ -131,10 +163,7 @@ def _cmd_bounds(args) -> int:
         with open(args.records, encoding="utf-8") as fh:
             records = parse_curve_records(fh)
 
-    class_checks = check_isogeny_class_indices(records)
-    rows, lines = [], []
-    lines.append("# label d0 I d B candidate_max exponent_bound order_bound "
-                 "parent hindry_silverman bn_exponent bn_order")
+    rows = []
     base = None
     for rec in records:
         ctx = BoundContext(rec.adelic_index, rec.base_degree, args.degree)
@@ -142,15 +171,7 @@ def _cmd_bounds(args) -> int:
         tb = theorem_bounds(ctx, args.epsilon, args.digits)
         # built once, from d and digits alone; not before the first sieve,
         # which refuses a degree too large for the 5**d inside
-        base = base or baselines(args.degree, args.digits)
-        hs = "n/a" if base.hindry_silverman is None else repr(base.hindry_silverman)
-        bn_e = base.bn_exponent.decimal if base.bn_applicable else "n/a"
-        bn_o = base.bn_order.decimal if base.bn_applicable else "n/a"
-        lines.append(
-            f"{rec.label} {rec.base_degree} {rec.adelic_index} {args.degree} "
-            f"{cand.modulus} {max(cand.candidates)} "
-            f"{tb.exponent_bound.decimal} {tb.order_bound.decimal} "
-            f"{base.parent} {hs} {bn_e} {bn_o}")
+        base = base or _baseline_fields(baselines(args.degree, args.digits))
         rows.append({
             "label": rec.label,
             "d0": rec.base_degree,
@@ -162,60 +183,42 @@ def _cmd_bounds(args) -> int:
             "exponent_bound": tb.exponent_bound.decimal,
             "order_bound": tb.order_bound.decimal,
             "weak_epsilon": tb.weak_epsilon,
-            "parent": base.parent,
-            "hindry_silverman": base.hindry_silverman,
-            "hs_log_note": base.hs_log_note,
-            "bn_exponent": base.bn_exponent.decimal if base.bn_applicable else None,
-            "bn_order": base.bn_order.decimal if base.bn_applicable else None,
+            **base,
         })
-    if any(tb for tb in rows if tb["weak_epsilon"]):
+    failed = [{"isogeny_class": c.isogeny_class, "labels": list(c.labels),
+               "indices": list(c.indices)}
+              for c in check_isogeny_class_indices(records) if not c.passed]
+    report = {"epsilon": str(args.epsilon), "rows": rows,
+              "isogeny_class_failures": failed}
+
+    lines = ["# label d0 I d B candidate_max exponent_bound order_bound "
+             "parent hindry_silverman bn_exponent bn_order"]
+    lines += [" ".join(_plain(row[key]) for key in _BOUNDS_COLUMNS) for row in rows]
+    if any(row["weak_epsilon"] for row in rows):
         lines.append(f"# note: epsilon {args.epsilon} >= 1, bound valid but not sharp")
     lines.append("# note: hindry_silverman uses the natural logarithm")
-    failed = [c for c in class_checks if not c.passed]
-    for c in failed:
-        lines.append(f"# FAIL isogeny class {c.isogeny_class}: labels "
-                     f"{','.join(c.labels)} carry indices "
-                     f"{','.join(map(str, c.indices))}")
-    payload = {
-        "epsilon": str(args.epsilon),
-        "rows": rows,
-        "isogeny_class_failures": [
-            {"isogeny_class": c.isogeny_class, "labels": list(c.labels),
-             "indices": list(c.indices)} for c in failed],
-    }
-    _emit(payload, args.format, lines)
-    return EXIT_FAILED if failed else EXIT_OK
+    lines += [f"# FAIL isogeny class {c['isogeny_class']}: labels "
+              f"{','.join(c['labels'])} carry indices "
+              f"{','.join(map(str, c['indices']))}" for c in failed]
+    return _emit(args, report, lines, EXIT_FAILED if failed else EXIT_OK)
 
 
 def _cmd_candidates(args) -> int:
-    ctx = BoundContext(args.index, args.base_degree, args.degree)
-    cand = exponent_candidates(ctx)
-    lines = [
-        f"sieve_modulus {cand.modulus}",
-        f"ceiling {cand.ceiling}",
-        "candidates " + " ".join(map(str, cand.candidates)),
-    ]
-    payload = {
-        "I": ctx.I, "d0": ctx.d0, "d": ctx.d,
+    cand = exponent_candidates(BoundContext(args.index, args.base_degree, args.degree))
+    report = {
+        "I": args.index, "d0": args.base_degree, "d": args.degree,
         "sieve_modulus": cand.modulus,
         "ceiling": cand.ceiling,
         "candidates": list(cand.candidates),
     }
-    _emit(payload, args.format, lines)
-    return EXIT_OK
+    return _emit(args, report, _fields(report, "sieve_modulus", "ceiling", "candidates"))
 
 
 def _cmd_b_epsilon(args) -> int:
     c = b_epsilon(args.epsilon, args.digits)
-    lines = [
-        f"epsilon {c.epsilon}",
-        f"witness {c.witness}",
-        f"value {c.decimal}",
-    ]
-    payload = {"epsilon": str(c.epsilon), "witness": c.witness,
-               "value": c.decimal, "digits": c.digits}
-    _emit(payload, args.format, lines)
-    return EXIT_OK
+    report = {"epsilon": str(c.epsilon), "witness": c.witness,
+              "value": c.decimal, "digits": c.digits}
+    return _emit(args, report, _fields(report, "epsilon", "witness", "value"))
 
 
 def _cmd_b1_index(args) -> int:
@@ -223,20 +226,15 @@ def _cmd_b1_index(args) -> int:
     if n < 2:
         print("b1-index: error: --n must be >= 2", file=sys.stderr)
         return EXIT_USAGE
-    formula = euler_phi(n) * dedekind_psi(n)
-    lines = [f"n {n}", f"index {formula}"]
-    payload = {"n": n, "index": formula}
-    status = EXIT_OK
-    if args.verify:
-        brute = full_gl2(n).order // b1_subgroup(n).order
-        agree = brute == formula
-        lines.append(f"enumerated {brute}")
-        lines.append("verified" if agree else "MISMATCH")
-        payload.update(enumerated=brute, verified=agree)
-        if not agree:
-            status = EXIT_FAILED
-    _emit(payload, args.format, lines)
-    return status
+    report = {"n": n, "index": euler_phi(n) * dedekind_psi(n)}
+    lines = _fields(report, "n", "index")
+    if not args.verify:
+        return _emit(args, report, lines)
+    brute = full_gl2(n).order // b1_subgroup(n).order
+    report.update(enumerated=brute, verified=brute == report["index"])
+    lines += _fields(report, "enumerated")
+    lines.append("verified" if report["verified"] else "MISMATCH")
+    return _emit(args, report, lines, EXIT_OK if report["verified"] else EXIT_FAILED)
 
 
 def _cmd_lattice_check(args) -> int:
@@ -245,15 +243,9 @@ def _cmd_lattice_check(args) -> int:
             scenarios = lattice.parse_scenarios(fh.read())
     else:
         scenarios = lattice.bundled_scenarios()
-    lines, rows = [], []
-    ok = True
+    rows = []
     for sc in scenarios:
         res = lattice.run_scenario(sc)
-        pairs = " ".join(f"k={r.precision}:{r.index_T}/{r.index_Tprime}"
-                         for r in res.reports)
-        verdict = ("pass" if res.all_equal and res.stable
-                   else "FAIL" if not res.all_equal else "UNSTABLE")
-        lines.append(f"{sc.ident} {pairs} {verdict}")
         rows.append({
             "ident": sc.ident,
             "prime": sc.prime,
@@ -262,55 +254,38 @@ def _cmd_lattice_check(args) -> int:
             "all_equal": res.all_equal,
             "stable": res.stable,
         })
-        ok = ok and res.all_equal and res.stable
+    ok = all(row["all_equal"] and row["stable"] for row in rows)
+    report = {"scenarios": rows, "ok": ok}
+
+    lines = []
+    for row in rows:
+        pairs = " ".join(f"k={r['precision']}:{r['index_T']}/{r['index_Tprime']}"
+                         for r in row["reports"])
+        verdict = ("FAIL" if not row["all_equal"]
+                   else "UNSTABLE" if not row["stable"] else "pass")
+        lines.append(f"{row['ident']} {pairs} {verdict}")
     lines.append(f"{'all equal and stable' if ok else 'FAILURES PRESENT'} "
-                 f"({len(scenarios)} scenarios)")
-    _emit({"scenarios": rows, "ok": ok}, args.format, lines)
-    return EXIT_OK if ok else EXIT_FAILED
+                 f"({len(rows)} scenarios)")
+    return _emit(args, report, lines, EXIT_OK if ok else EXIT_FAILED)
 
 
 def _cmd_baselines(args) -> int:
     base = baselines(args.degree, args.digits)
-    hs = "n/a" if base.hindry_silverman is None else repr(base.hindry_silverman)
-    lines = [
-        f"d {base.d}",
-        f"parent {base.parent}",
-        f"hindry_silverman {hs} ({base.hs_log_note})",
-    ]
-    if base.bn_applicable:
-        lines.append(f"bn_exponent {base.bn_exponent.decimal}")
-        lines.append(f"bn_order {base.bn_order.decimal}")
-    else:
-        lines.append("bn_exponent n/a (odd degrees only)")
-        lines.append("bn_order n/a (odd degrees only)")
-    payload = {
-        "d": base.d,
-        "parent": base.parent,
-        "hindry_silverman": base.hindry_silverman,
-        "hs_log_note": base.hs_log_note,
-        "bn_exponent": base.bn_exponent.decimal if base.bn_applicable else None,
-        "bn_order": base.bn_order.decimal if base.bn_applicable else None,
-        "bn_applicable": base.bn_applicable,
-    }
-    _emit(payload, args.format, lines)
-    return EXIT_OK
+    report = {"d": base.d, **_baseline_fields(base), "bn_applicable": base.bn_applicable}
+    lines = _fields(report, "d", "parent")
+    lines.append(f"hindry_silverman {_plain(report['hindry_silverman'])} "
+                 f"({report['hs_log_note']})")
+    odd_only = "" if report["bn_applicable"] else " (odd degrees only)"
+    lines += [line + odd_only for line in _fields(report, "bn_exponent", "bn_order")]
+    return _emit(args, report, lines)
 
 
 def _cmd_verify(args) -> int:
-    report = run_verification_suite(args.max_n)
-    if args.format == "json":
-        payload = {
-            "checks": [{"name": c.name, "params": c.params, "status": c.status,
-                        "detail": c.detail} for c in report.checks],
-            "passed": report.passed,
-            "failed": report.failed,
-            "skipped": report.skipped,
-            "ok": report.ok,
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(format_report(report))
-    return EXIT_OK if report.ok else EXIT_FAILED
+    suite = run_verification_suite(args.max_n)
+    report = {**asdict(suite), "passed": suite.passed, "failed": suite.failed,
+              "skipped": suite.skipped, "ok": suite.ok}
+    return _emit(args, report, [format_report(suite)],
+                 EXIT_OK if suite.ok else EXIT_FAILED)
 
 
 _COMMANDS = {
@@ -333,10 +308,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ArithError, BoundsError, ModMatrixError, RecordParseError,
-            lattice.LatticeError) as exc:
-        print(f"torsionbounds: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+            lattice.LatticeError, OSError) as exc:
         print(f"torsionbounds: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

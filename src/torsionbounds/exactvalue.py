@@ -134,7 +134,16 @@ class PowerProduct:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.factors.items()))
+        # equal values have equal prime factorizations; a rational value
+        # hashes as its Fraction, since __eq__ accepts ints and Fractions
+        primes: dict[int, Fraction] = {}
+        for base, e in self.factors.items():
+            for p, k in _factorize(base):
+                primes[p] = primes.get(p, 0) + k * e
+        primes = {p: e for p, e in primes.items() if e}
+        if all(e.denominator == 1 for e in primes.values()):
+            return hash(math.prod(Fraction(p) ** int(e) for p, e in primes.items()))
+        return hash(frozenset(primes.items()))
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -147,17 +156,6 @@ class PowerProduct:
 
     def __ge__(self, other):
         return self.compare(other) >= 0
-
-    def is_rational(self) -> bool:
-        return all(e.denominator == 1 for e in self.factors.values())
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        q = Fraction(1)
-        for p, e in self.factors.items():
-            q *= Fraction(p) ** int(e)
-        return q
 
     # -- decimal rendering ----------------------------------------------
 

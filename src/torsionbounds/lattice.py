@@ -28,12 +28,10 @@ from . import modmatrix
 from .modmatrix import (
     EnumerationTooLargeError,
     Mat2,
-    SubgroupModN,
     _inv,
     _mul,
     _reduce,
     gl2_order,
-    subgroup_closure,
 )
 
 RatMat = tuple[Fraction, Fraction, Fraction, Fraction]  # row-major 2x2
@@ -187,12 +185,6 @@ def _checked_conjugates(G: AdicGroup, T: LatticeBasis, k: int,
         if not stabilizes(g, T):
             raise NotInvariantError(g, lattice_name)
     return [_conjugate_mod(g, T, k) for g in G.generators]
-
-
-def image_in_aut(G: AdicGroup, T: LatticeBasis, k: int) -> SubgroupModN:
-    """Precision-k image of G inside Aut(T), as a subgroup of GL2(Z/l^k)."""
-    gens = _checked_conjugates(G, T, k)
-    return subgroup_closure(gens, G.prime ** k)
 
 
 def subgroup_order_prime_power(gens: Sequence[Mat2], l: int, k: int) -> int:
@@ -599,18 +591,3 @@ def _finish_scenario(data: dict) -> LatticeScenario:
         lattice2=LatticeBasis(l, data["lattice2"]),
         precisions=data["precisions"],
     )
-
-
-def format_scenarios(scenarios: Sequence[LatticeScenario]) -> str:
-    lines = []
-    for sc in scenarios:
-        lines.append(f"scenario {sc.ident}")
-        lines.append(f"prime {sc.prime}")
-        lines.append("precisions " + " ".join(str(k) for k in sc.precisions))
-        for g in sc.group.generators:
-            lines.append(f"generator {_fmt_rat(g)}")
-        lines.append(f"lattice {_fmt_rat(sc.lattice.basis)}")
-        lines.append(f"lattice2 {_fmt_rat(sc.lattice2.basis)}")
-        lines.append("end")
-        lines.append("")
-    return "\n".join(lines)

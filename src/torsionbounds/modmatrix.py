@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 from .exactvalue import _factorize
@@ -185,9 +184,6 @@ class SubgroupModN:
         n = self.n
         return (Mat2(n, *e) for e in self.entries)
 
-    def sorted_elements(self) -> list[Mat2]:
-        return [Mat2(self.n, *e) for e in sorted(self.entries)]
-
     def __contains__(self, g: Mat2) -> bool:
         return g.n == self.n and g.entries in self.entries
 
@@ -301,46 +297,3 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def crt_combine(mats: Sequence[Mat2]) -> Mat2:
-    """Combine matrices over pairwise coprime moduli into one mod prod(n_i)."""
-    if not mats:
-        raise InvalidModulusError("need at least one matrix")
-    n = reduce(lambda x, y: x * y, (m.n for m in mats))
-    entries = []
-    for i in range(4):
-        x, mod = 0, 1
-        for m in mats:
-            r = m.entries[i]
-            if math.gcd(mod, m.n) != 1:
-                raise ModulusMismatchError("moduli are not pairwise coprime")
-            # CRT merge of (x mod mod) and (r mod m.n)
-            h = ((r - x) * pow(mod, -1, m.n)) % m.n if m.n > 1 else 0
-            x = x + mod * h
-            mod *= m.n
-        entries.append(x % n)
-    return Mat2(n, *entries)
-
-
-def parse_matrix(text: str, n: int) -> Mat2:
-    """Parse "a,b;c,d" into a Mat2 mod n."""
-    rows = text.strip().split(";")
-    if len(rows) != 2:
-        raise ModMatrixError(f"expected two rows 'a,b;c,d', got {text!r}")
-    entries = []
-    for row in rows:
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise ModMatrixError(f"expected two entries per row in {text!r}")
-        for p in parts:
-            try:
-                entries.append(int(p.strip()))
-            except ValueError:
-                raise ModMatrixError(f"bad integer entry {p.strip()!r}") from None
-    return Mat2(n, *entries)
-
-
-def parse_generators(text: str, n: int) -> list[Mat2]:
-    """Parse a whitespace-separated list of "a,b;c,d" matrix literals."""
-    return [parse_matrix(tok, n) for tok in text.split()]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 HEADER = ("label", "base_degree", "adelic_index")
 OPTIONAL = ("isogeny_class",)
@@ -75,19 +75,6 @@ def parse_curve_records(stream) -> list[CurveRecord]:
         seen[label] = lineno
         records.append(rec)
     return records
-
-
-def emit_curve_records(records: Sequence[CurveRecord]) -> str:
-    has_class = any(r.isogeny_class for r in records)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(HEADER + OPTIONAL if has_class else HEADER)
-    for r in records:
-        row = [r.label, r.base_degree, r.adelic_index]
-        if has_class:
-            row.append(r.isogeny_class or "")
-        writer.writerow(row)
-    return out.getvalue()
 
 
 @dataclass(frozen=True)

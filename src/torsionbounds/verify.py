@@ -289,14 +289,15 @@ def _phi_ratio_less(n, m, eps):
 
 def _check_lattice_scenarios(report):
     bad = []
-    for sc in lattice.bundled_scenarios():
+    scenarios = lattice.bundled_scenarios()
+    for sc in scenarios:
         res = lattice.run_scenario(sc)
         if not res.all_equal:
             bad.append((sc.ident, "unequal indices"))
         if not res.stable:
             bad.append((sc.ident, "unstable precision"))
     report.add("lattice-index-equality", "bundled scenarios", not bad,
-               str(bad) if bad else f"{len(lattice.bundled_scenarios())} scenarios equal and stable")
+               str(bad) if bad else f"{len(scenarios)} scenarios equal and stable")
 
 
 def _check_sieve_examples(report):

@@ -24,21 +24,21 @@ def test_from_int_rejects_nonpositive():
 
 def test_one_is_empty_product():
     assert PowerProduct.from_int(1) == PowerProduct.one
-    assert PowerProduct.one.as_fraction() == 1
+    assert PowerProduct.one == Fraction(1)
 
 
 @given(rationals, rationals)
 def test_mul_div_match_fraction_arithmetic(a, b):
     x = PowerProduct.from_fraction(a)
     y = PowerProduct.from_fraction(b)
-    assert (x * y).as_fraction() == a * b
-    assert (x / y).as_fraction() == a / b
+    assert x * y == a * b
+    assert x / y == a / b
 
 
 @given(rationals, st.integers(min_value=-6, max_value=6))
 def test_integer_powers_match_fraction_arithmetic(a, k):
     x = PowerProduct.from_fraction(a)
-    assert (x ** k).as_fraction() == a ** k
+    assert x ** k == Fraction(a) ** k
 
 
 @given(rationals, rationals)
@@ -48,6 +48,29 @@ def test_comparison_agrees_with_fractions(a, b):
     assert (x < y) == (a < b)
     assert (x == y) == (a == b)
     assert (x >= y) == (a >= b)
+
+
+def test_hash_agrees_with_eq():
+    assert len({PowerProduct.from_int(6), 6}) == 1
+    assert hash(PowerProduct({4: 1})) == hash(PowerProduct({2: 2}))
+    assert hash(PowerProduct({4: Fraction(1, 2)})) == hash(2)
+    assert hash(PowerProduct({12: Fraction(1, 3)})) \
+        == hash(PowerProduct({2: Fraction(2, 3), 3: Fraction(1, 3)}))
+    assert hash(PowerProduct({6: 1, 3: -1})) == hash(PowerProduct.from_int(2))
+
+
+@given(st.dictionaries(st.integers(min_value=2, max_value=60),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                       max_size=4))
+def test_equal_values_hash_equal(factors):
+    x = PowerProduct(factors)
+    canonical = PowerProduct.one
+    for base, e in factors.items():
+        canonical = canonical * PowerProduct.from_int(base) ** e
+    assert x == canonical and hash(x) == hash(canonical)
+    if all(e.denominator == 1 for e in canonical.factors.values()):
+        q = math.prod(Fraction(p) ** int(e) for p, e in canonical.factors.items())
+        assert x == q and hash(x) == hash(q)
 
 
 def test_irrational_comparison_is_exact():
@@ -63,7 +86,7 @@ def test_irrational_comparison_is_exact():
 
 def test_pow_roundtrip_cancels():
     x = PowerProduct.from_int(12) ** Fraction(3, 7)
-    assert (x ** Fraction(7, 3)).as_fraction() == 12
+    assert x ** Fraction(7, 3) == Fraction(12)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 4000),
