@@ -48,6 +48,14 @@ CASES = {
     "lattice-check-json": ["lattice-check", "--format", "json"],
     "verify-2": ["verify", "--max-n", "2"],
     "verify-2-json": ["verify", "--max-n", "2", "--format", "json"],
+    "lattice-check-bundled": ["lattice-check"],
+    "lattice-check-denominators": ["lattice-check", "--scenario-file", "denominators.txt"],
+    "lattice-check-denominators-json": ["lattice-check", "--scenario-file",
+                                        "denominators.txt", "--format", "json"],
+    "lattice-check-not-invariant": ["lattice-check", "--scenario-file",
+                                    "not_invariant.txt"],
+    "lattice-check-not-invariant-json": ["lattice-check", "--scenario-file",
+                                         "not_invariant.txt", "--format", "json"],
 }
 
 
