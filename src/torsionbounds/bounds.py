@@ -22,6 +22,10 @@ ZETA2_UPPER = Fraction(329, 200)
 # the largest sieve ceiling exponent_candidates accepts
 CEILING_BUDGET = 10**7
 
+# the largest degree baselines accepts: the parent bound has 4300 digits at
+# d = 6112 and 4301 at d = 6113, past the default int-to-str limit
+MAX_BASELINE_DEGREE = 6112
+
 
 class BoundsError(ValueError):
     pass
@@ -171,6 +175,8 @@ class Baselines:
 def baselines(d: int, digits: int = 12) -> Baselines:
     if d < 1:
         raise BoundsError(f"degree must be >= 1, got {d}")
+    if d > MAX_BASELINE_DEGREE:
+        raise BoundsError(f"degree {d} exceeds the baseline limit {MAX_BASELINE_DEGREE}")
     parent = 129 * (5 ** d - 1) * (3 * d) ** 6
     hs = 1977408 * d * math.log(d) if d > 1 else None
     root = PowerProduct.from_int(35) ** Fraction(1, 2) \

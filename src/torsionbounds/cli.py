@@ -169,8 +169,8 @@ def _cmd_bounds(args) -> int:
         ctx = BoundContext(rec.adelic_index, rec.base_degree, args.degree)
         cand = exponent_candidates(ctx)
         tb = theorem_bounds(ctx, args.epsilon, args.digits)
-        # built once, from d and digits alone; not before the first sieve,
-        # which refuses a degree too large for the 5**d inside
+        # built once, from d and digits alone, after the first sieve, so
+        # that a degree both refuse is reported by the sieve
         base = base or _baseline_fields(baselines(args.degree, args.digits))
         rows.append({
             "label": rec.label,

@@ -6,7 +6,7 @@ stabilizes two lattices T and T' must induce subgroups of the same index in
 GL2(Z/l^k Z) under either identification; this module computes both indices
 at a chosen precision k and reports whether they agree.
 
-Stabilization is tested exactly in rational arithmetic.  Subgroup orders mod
+Stabilization is tested exactly in integer arithmetic.  Subgroup orders mod
 l^k are |image mod l| * |G cap K_1|, K_1 the kernel of GL2(Z/l^k) ->
 GL2(Z/l).  Only the image mod l is enumerated; its Schreier generators,
 which lie in K_1, are sifted into a basis layered by the filtration
@@ -71,11 +71,10 @@ def rat_mul(x: RatMat, y: RatMat) -> RatMat:
             x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
 
 
-def rat_inv(m: RatMat) -> RatMat:
-    det = rat_det(m)
-    if det == 0:
-        raise SingularInputError(f"matrix {_fmt_rat(m)} is singular")
-    return (m[3] / det, -m[1] / det, -m[2] / det, m[0] / det)
+def _integral(m: RatMat) -> tuple[tuple[int, int, int, int], int]:
+    """(A, e) with m = A / e: A an integer matrix, e the lcm of m's denominators."""
+    e = math.lcm(*(q.denominator for q in m))
+    return tuple(q.numerator * (e // q.denominator) for q in m), e
 
 
 def valuation(q: Fraction, l: int) -> int | None:
@@ -147,32 +146,30 @@ class AdicGroup:
                     f"generator {_fmt_rat(g)} is not invertible mod {self.prime}")
 
 
-def stabilizes(g: RatMat, T: LatticeBasis) -> bool:
-    """Exact test that g maps the lattice into itself with unit determinant.
-
-    Conjugates g into the basis of T; membership holds iff every entry has
-    nonnegative l-valuation and the determinant is an l-unit.
+def _conjugate(g: RatMat, M, l: int):
+    """g in the basis M / D of a lattice (M integral) as (N, l**s, u), meaning
+    N / (l**s * u) with N integral and u an l-unit; None if g does not
+    stabilize the lattice.  With g = G / e the conjugate is adj(M) G M over
+    delta = det(M) * e = l**s * u: it is l-integral iff l**s divides all of
+    N, and its determinant det(g) = det(G) / e**2 must be an l-unit.
     """
-    det = rat_det(g)
-    if det == 0:
+    G, e = _integral(g)
+    det_g = G[0] * G[3] - G[1] * G[2]
+    if det_g == 0:
         raise SingularInputError(f"matrix {_fmt_rat(g)} is singular")
-    l = T.prime
-    conj = rat_mul(rat_mul(rat_inv(T.basis), g), T.basis)
-    for q in conj:
-        if q != 0 and valuation(q, l) < 0:
-            return False
-    return valuation(rat_det(conj), l) == 0
+    a, b, c, d = M
+    N = rat_mul(rat_mul((d, -b, -c, a), G), M)
+    delta = (a * d - b * c) * e
+    ls = l ** valuation(delta, l)
+    if any(x % ls for x in N) or valuation(det_g, l) != 2 * valuation(e, l):
+        return None
+    return N, ls, delta // ls
 
 
-def _conjugate_mod(g: RatMat, T: LatticeBasis, k: int) -> Mat2:
-    l = T.prime
-    m = l ** k
-    conj = rat_mul(rat_mul(rat_inv(T.basis), g), T.basis)
-    entries = []
-    for q in conj:
-        num, den = q.numerator, q.denominator
-        entries.append(num * pow(den, -1, m) % m if m > 1 else 0)
-    return Mat2(m, *entries)
+def stabilizes(g: RatMat, T: LatticeBasis) -> bool:
+    """Exact test that g maps the lattice into itself with unit determinant:
+    its conjugate into the basis of T is l-integral with l-unit determinant."""
+    return _conjugate(g, _integral(T.basis)[0], T.prime) is not None
 
 
 def _checked_conjugates(G: AdicGroup, T: LatticeBasis, k: int,
@@ -181,10 +178,16 @@ def _checked_conjugates(G: AdicGroup, T: LatticeBasis, k: int,
         raise LatticeError(f"precision must be >= 1, got {k}")
     if G.prime != T.prime:
         raise LatticeError(f"group prime {G.prime} != lattice prime {T.prime}")
+    M, m = _integral(T.basis)[0], T.prime ** k
+    out = []
     for g in G.generators:
-        if not stabilizes(g, T):
+        conj = _conjugate(g, M, T.prime)
+        if conj is None:
             raise NotInvariantError(g, lattice_name)
-    return [_conjugate_mod(g, T, k) for g in G.generators]
+        N, ls, u = conj
+        u_inv = pow(u, -1, m)
+        out.append(Mat2(m, *(x // ls * u_inv for x in N)))
+    return out
 
 
 def subgroup_order_prime_power(gens: Sequence[Mat2], l: int, k: int) -> int:

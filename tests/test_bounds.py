@@ -1,6 +1,7 @@
 """The exponent sieve and the explicit bound constants."""
 import json
 import math
+import time
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -14,6 +15,7 @@ from torsionbounds.bounds import (
     BoundContext,
     BoundsError,
     CeilingTooLargeError,
+    MAX_BASELINE_DEGREE,
     ZETA2_UPPER,
     baselines,
     c_epsilon,
@@ -279,3 +281,26 @@ def test_bourdon_najman_baseline():
 def test_baselines_reject_bad_degree():
     with pytest.raises(BoundsError):
         baselines(0)
+
+
+def test_parent_baseline_fits_in_a_printable_int_up_to_the_limit():
+    # 4300 digits at the limit, 4301 one past it
+    assert 10 ** 4299 <= baselines(MAX_BASELINE_DEGREE).parent < 10 ** 4300
+    assert 129 * (5 ** 6113 - 1) * (3 * 6113) ** 6 >= 10 ** 4300
+    with pytest.raises(BoundsError, match="exceeds the baseline limit 6112"):
+        baselines(MAX_BASELINE_DEGREE + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["baselines", "--degree", "100000000"],
+    ["bounds", str(RECORDS), "--epsilon", "1/2", "--degree", "100000000"],
+])
+def test_huge_degree_refused_quickly(capsys, argv):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert out.err == ("torsionbounds: error: degree 100000000 exceeds "
+                       "the baseline limit 6112\n")
+    assert elapsed < 1.0

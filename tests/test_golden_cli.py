@@ -48,6 +48,9 @@ CASES = {
     "lattice-check-json": ["lattice-check", "--format", "json"],
     "verify-2": ["verify", "--max-n", "2"],
     "verify-2-json": ["verify", "--max-n", "2", "--format", "json"],
+    "baselines-d6112": ["baselines", "--degree", "6112"],
+    "baselines-d6113": ["baselines", "--degree", "6113"],
+    "bounds-d6113": ["bounds", "records.csv", "--epsilon", "1/2", "--degree", "6113"],
     "lattice-check-bundled": ["lattice-check"],
     "lattice-check-denominators": ["lattice-check", "--scenario-file", "denominators.txt"],
     "lattice-check-denominators-json": ["lattice-check", "--scenario-file",

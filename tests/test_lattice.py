@@ -17,7 +17,9 @@ from torsionbounds.lattice import (
     lattice_index,
     parse_rational_matrix,
     parse_scenarios,
+    rat_det,
     rat_mat,
+    rat_mul,
     run_scenario,
     stabilizes,
     subgroup_order_prime_power,
@@ -81,6 +83,131 @@ def test_conjugate_with_negative_valuation_fails():
 def test_stabilizes_rejects_singular():
     with pytest.raises(SingularInputError):
         stabilizes(rat_mat((1, 1, 1, 1)), LatticeBasis.standard(2))
+
+
+def test_stabilizes_with_l_in_a_denominator():
+    T = LatticeBasis.standard(3).transformed(rat_mat((1, 0, 0, 3)))
+    # conjugates to [[1,1],[0,1]] in T's basis, though g is not 3-integral
+    assert stabilizes(rat_mat((1, Fraction(1, 3), 0, 1)), T)
+    assert not stabilizes(rat_mat((1, Fraction(1, 9), 0, 1)), T)
+    # an integral conjugate whose determinant is not a unit
+    assert not stabilizes(rat_mat((3, 0, 0, 1)), T)
+    assert not stabilizes(rat_mat((Fraction(1, 3), 0, 0, 1)), T)
+
+
+# -- the Fraction conjugation, kept as an oracle -----------------------------
+
+def _inverse(m):
+    det = rat_det(m)
+    return tuple(Fraction(x) / det for x in (m[3], -m[1], -m[2], m[0]))
+
+
+def _fraction_conjugate(g, T):
+    """g in the basis of T, as B^-1 g B over the rationals."""
+    return rat_mul(rat_mul(_inverse(T.basis), g), T.basis)
+
+
+def _fraction_stabilizes(g, T):
+    """Every entry of the conjugate has nonnegative l-valuation and its
+    determinant is an l-unit."""
+    if rat_det(g) == 0:
+        raise SingularInputError("singular")
+    l = T.prime
+    conj = _fraction_conjugate(g, T)
+    return (all(q == 0 or valuation(q, l) >= 0 for q in conj)
+            and valuation(rat_det(conj), l) == 0)
+
+
+def _fraction_conjugate_mod(g, T, k):
+    m = T.prime ** k
+    return Mat2(m, *(q.numerator * pow(q.denominator, -1, m)
+                     for q in _fraction_conjugate(g, T)))
+
+
+def _unimodular(l):
+    """Integer matrices of determinant +-1: a sign times elementary ones."""
+    def build(sign, steps):
+        u = (sign, 0, 0, 1)
+        for upper, t in steps:
+            u = rat_mul(u, (1, t, 0, 1) if upper else (1, 0, t, 1))
+        return u
+    step = st.tuples(st.booleans(), st.integers(min_value=-l, max_value=l))
+    return st.builds(build, st.sampled_from([1, -1]), st.lists(step, max_size=3))
+
+
+@st.composite
+def lattices_and_generators(draw, l_in_denominators):
+    """(l, k, T, T', gens).  T and T' have bases U diag(l^a, l^b) V, with U
+    shared, U and V integral of determinant +-1 and a, b in -2..2, so their
+    entries have l-power denominators.  A generator is h, U h U^-1 or (with
+    `l_in_denominators`) B h B^-1 for B the basis of T, where h has entries
+    l**j * n / d, j in 0..2 and d prime to l; with `l_in_denominators`, h's
+    own denominators may also hold l."""
+    l = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(min_value=1, max_value=4))
+    U = draw(_unimodular(l))
+    exponent = st.integers(min_value=-2, max_value=2)
+
+    def lattice():
+        D = (Fraction(l) ** draw(exponent), 0, 0, Fraction(l) ** draw(exponent))
+        return LatticeBasis(l, rat_mul(rat_mul(U, D), draw(_unimodular(l))))
+
+    T, T2 = lattice(), lattice()
+    small = st.integers(min_value=-l * l, max_value=l * l)
+
+    def matrices(dens):
+        entry = st.builds(lambda j, n, d: Fraction(l ** j * n, d),
+                          st.sampled_from([0, 0, 0, 1, 2]), small,
+                          st.sampled_from(dens))
+        return st.tuples(*[entry] * 4)
+
+    prime_to_l = [d for d in (1, 2, 3, 4, 5, 6, 7, 8, 9) if d % l]
+    h = matrices(prime_to_l)
+    options = [h, h.map(lambda x: rat_mul(rat_mul(U, x), _inverse(U)))]
+    if l_in_denominators:
+        B = T.basis
+        options += [h.map(lambda x: rat_mul(rat_mul(B, x), _inverse(B))),
+                    matrices([1, 2, 3, l, l * l])]
+    gens = draw(st.lists(st.one_of(options), min_size=1, max_size=3))
+    return l, k, T, T2, gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattices_and_generators(l_in_denominators=True))
+def test_stabilizes_matches_fraction_oracle(case):
+    l, _, T, _, gens = case
+    for g in gens:
+        if rat_det(g) == 0:
+            with pytest.raises(SingularInputError):
+                stabilizes(g, T)
+        else:
+            assert stabilizes(g, T) == _fraction_stabilizes(g, T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattices_and_generators(l_in_denominators=False))
+def test_conjugates_match_fraction_oracle(case):
+    l, k, T, T2, gens = case
+    gens = [g for g in gens if valuation(rat_det(g), l) == 0]
+    if not gens:
+        return
+    for lat in (T, T2):
+        for g in gens:
+            if _fraction_stabilizes(g, lat):
+                assert lattice._checked_conjugates(AdicGroup(l, (g,)), lat, k) \
+                    == [_fraction_conjugate_mod(g, lat, k)]
+    # verify_index_equality names the first generator that fails, first on T
+    failure = next(((g, name) for lat, name in ((T, "first lattice"),
+                                                (T2, "second lattice"))
+                    for g in gens if not _fraction_stabilizes(g, lat)), None)
+    G = AdicGroup(l, tuple(gens))
+    if failure is None:
+        assert verify_index_equality(G, T, T2, k).precision == k
+        return
+    with pytest.raises(NotInvariantError) as info:
+        verify_index_equality(G, T, T2, k)
+    assert info.value.generator == failure[0]
+    assert str(info.value) == str(NotInvariantError(*failure))
 
 
 # -- images and indices -----------------------------------------------------
