@@ -80,13 +80,20 @@ class EffectiveConstant:
 
 
 def b_epsilon(epsilon: Rational, digits: int = 12) -> EffectiveConstant:
-    """Exact minimum of phi(n) / n**(1-epsilon) over n >= 1, epsilon > 0.
+    """Exact minimum of phi(n) / n**(1-epsilon) over n >= 1, epsilon > 0."""
+    epsilon = Fraction(epsilon)
+    witness, value = _b_exact(epsilon)
+    return EffectiveConstant(epsilon, witness, value,
+                             value.decimal(digits, round_up=False), digits)
+
+
+def _b_exact(epsilon: Fraction) -> tuple[int, PowerProduct]:
+    """(witness, exact value) of b_epsilon.
 
     Scans primes in increasing order, multiplying the witness by p while the
     per-prime factor (1 - 1/p) * p**epsilon stays below 1; the factor is
     strictly increasing in p, so the first failure ends the scan.
     """
-    epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ArithError("epsilon must be > 0 (the infimum is 0 otherwise)")
     a, q = epsilon.numerator, epsilon.denominator
@@ -96,12 +103,5 @@ def b_epsilon(epsilon: Rational, digits: int = 12) -> EffectiveConstant:
         if a >= q or (p - 1) ** q * p ** a >= p ** q:
             break
         witness *= p
-    value = (PowerProduct.from_int(euler_phi(witness))
-             * PowerProduct.from_int(witness) ** (epsilon - 1))
-    return EffectiveConstant(
-        epsilon=epsilon,
-        witness=witness,
-        value=value,
-        decimal=value.decimal(digits, round_up=False),
-        digits=digits,
-    )
+    return witness, (PowerProduct.from_int(euler_phi(witness))
+                     * PowerProduct.from_int(witness) ** (epsilon - 1))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import b_epsilon, factorial
+from .arith import _b_exact, factorial
 from .exactvalue import PowerProduct, Rational, _factorize
 
 # rational upper bound for zeta(2) = pi**2 / 6, kept exact
@@ -124,15 +124,18 @@ def _divisors(n: int) -> list[int]:
 def c_epsilon(I: int, d0: int, epsilon: Rational,
               digits: int = 12) -> UpperBoundValue:
     """The exponent-bound constant (2 * I * b_eps**-1 * (d0-1)!)**(1/(2-eps))."""
-    epsilon = Fraction(epsilon)
+    exact = _c_exact(I, d0, Fraction(epsilon))
+    return UpperBoundValue(exact, exact.decimal(digits, round_up=True))
+
+
+def _c_exact(I: int, d0: int, epsilon: Fraction) -> PowerProduct:
+    """c_epsilon as an exact value, not rendered."""
     if not 0 < epsilon < 2:
         raise BoundsError(f"epsilon must lie in (0, 2), got {epsilon}")
     if I < 1 or d0 < 1:
         raise BoundsError("I and d0 must be >= 1")
-    b = b_epsilon(epsilon)
-    base = PowerProduct.from_int(2 * I * factorial(d0 - 1)) / b.value
-    exact = base ** Fraction(1, 2 - epsilon)
-    return UpperBoundValue(exact, exact.decimal(digits, round_up=True))
+    base = PowerProduct.from_int(2 * I * factorial(d0 - 1)) / _b_exact(epsilon)[1]
+    return base ** Fraction(1, 2 - epsilon)
 
 
 @dataclass(frozen=True)
@@ -146,11 +149,9 @@ class TheoremBounds:
 def theorem_bounds(ctx: BoundContext, epsilon: Rational,
                    digits: int = 12) -> TheoremBounds:
     epsilon = Fraction(epsilon)
-    c = c_epsilon(ctx.I, ctx.d0, epsilon)
     d_pow = PowerProduct.from_int(ctx.d)
-    expo = c.exact * d_pow ** (Fraction(1, 2) + epsilon)
-    c_half = c_epsilon(ctx.I, ctx.d0, epsilon / 2)
-    order = c_half.exact ** 2 * d_pow ** (1 + epsilon)
+    expo = _c_exact(ctx.I, ctx.d0, epsilon) * d_pow ** (Fraction(1, 2) + epsilon)
+    order = _c_exact(ctx.I, ctx.d0, epsilon / 2) ** 2 * d_pow ** (1 + epsilon)
     return TheoremBounds(
         epsilon=epsilon,
         exponent_bound=UpperBoundValue(expo, expo.decimal(digits, round_up=True)),

@@ -27,7 +27,7 @@ from .bounds import (
     exponent_candidates,
     theorem_bounds,
 )
-from .modmatrix import ModMatrixError, b1_subgroup, full_gl2
+from .modmatrix import ModMatrixError, _scan_gl2_size, b1_subgroup
 from .records import RecordParseError, check_isogeny_class_indices, parse_curve_records
 from .verify import format_report, run_verification_suite
 
@@ -230,7 +230,7 @@ def _cmd_b1_index(args) -> int:
     lines = _fields(report, "n", "index")
     if not args.verify:
         return _emit(args, report, lines)
-    brute = full_gl2(n).order // b1_subgroup(n).order
+    brute = _scan_gl2_size(n) // b1_subgroup(n).order
     report.update(enumerated=brute, verified=brute == report["index"])
     lines += _fields(report, "enumerated")
     lines.append("verified" if report["verified"] else "MISMATCH")

@@ -159,21 +159,6 @@ class PowerProduct:
 
     # -- decimal rendering ----------------------------------------------
 
-    def _floor_log10(self) -> int:
-        num, den, L = self._root_data()
-        k = int(math.floor(math.log10(num) - math.log10(den)) // L) if num > 1 or den > 1 else 0
-        # keep a / b == value**L / 10**(k*L) in integers: value >= 10**k
-        # exactly when a >= b (a float 10**(k*L) overflows for small values)
-        a, b = (num, den * 10 ** (k * L)) if k >= 0 else (num * 10 ** (-k * L), den)
-        step = 10 ** L
-        while a >= b * step:
-            k += 1
-            b *= step
-        while a < b:
-            k -= 1
-            a *= step
-        return k
-
     def decimal(self, digits: int = 12, round_up: bool = False) -> str:
         """Decimal string with `digits` significant digits, directed rounding.
 
@@ -183,15 +168,20 @@ class PowerProduct:
         if digits < 1:
             raise ValueError("need at least one significant digit")
         num, den, L = self._root_data()
-        k = self._floor_log10()
-        s = digits - 1 - k
-        # mantissa bounds for value * 10**s
-        if s >= 0:
-            tn, td = num * 10 ** (s * L), den
-        else:
-            tn, td = num, den * 10 ** (-s * L)
-        # an integer m has m**L <= tn/td exactly when m**L <= tn // td
-        m = integer_nth_root(tn // td, L)
+        # scale by 10**s so that m = floor(value * 10**s) has `digits`
+        # digits; s starts from the float estimate of the exponent and steps
+        # towards the one s that fits (m grows with s, so it never turns back)
+        s = digits - 1 - math.floor(math.log10(num) - math.log10(den)) // L
+        while True:
+            # m**L <= tn/td exactly when m**L <= tn // td
+            tn, td = (num * 10 ** (s * L), den) if s >= 0 else (num, den * 10 ** (-s * L))
+            m = integer_nth_root(tn // td, L)
+            if m < 10 ** (digits - 1):
+                s += 1
+            elif m >= 10 ** digits:
+                s -= 1
+            else:
+                break
         if round_up and m ** L * td != tn:
             m += 1
         return _format_scaled(m, -s)

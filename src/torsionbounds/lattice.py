@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import modmatrix
+from .exactvalue import _factorize
 from .modmatrix import (
     EnumerationTooLargeError,
     Mat2,
@@ -92,6 +93,11 @@ def valuation(q: Fraction, l: int) -> int | None:
     return v
 
 
+def _check_prime(l: int) -> None:
+    if l < 2 or _factorize(l) != ((l, 1),):
+        raise LatticeError(f"prime {l} is not a prime")
+
+
 @dataclass(frozen=True)
 class LatticeBasis:
     """Basis of a Z_l-lattice in Q_l^2; columns of `basis` are the vectors."""
@@ -100,8 +106,7 @@ class LatticeBasis:
     basis: RatMat
 
     def __post_init__(self):
-        if self.prime < 2:
-            raise LatticeError(f"prime must be >= 2, got {self.prime}")
+        _check_prime(self.prime)
         if rat_det(self.basis) == 0:
             raise SingularInputError("lattice basis is singular")
         for q in self.basis:
@@ -133,8 +138,7 @@ class AdicGroup:
     note: str = ""
 
     def __post_init__(self):
-        if self.prime < 2:
-            raise LatticeError(f"prime must be >= 2, got {self.prime}")
+        _check_prime(self.prime)
         for g in self.generators:
             for q in g:
                 if q != 0 and valuation(q, self.prime) < 0:

@@ -111,6 +111,15 @@ def _lifts(entries: Iterable[Entries], m: int, n: int) -> Iterator[Entries]:
 _TRIVIAL_MOD_1 = frozenset({(0, 0, 0, 0)})
 
 
+def _scan_gl2_size(n: int) -> int:
+    """|GL2(Z/n)| counted by the determinant scan, holding no elements; the
+    closed form sets only the cap (`full_gl2` raises if the two differ)."""
+    size = gl2_order(n)
+    if size > ENUMERATION_CAP:
+        raise EnumerationTooLargeError(size, ENUMERATION_CAP)
+    return sum(1 for _ in _lifts(_TRIVIAL_MOD_1, 1, n))
+
+
 def _exact_size(elements: frozenset, size: int, what: str) -> frozenset:
     if len(elements) != size:
         raise ModMatrixError(

@@ -18,6 +18,7 @@ from .modmatrix import (
     Mat2,
     SubgroupModN,
     _lifts,
+    _scan_gl2_size,
     b1_subgroup,
     divisors,
     gl2_order,
@@ -114,13 +115,6 @@ def run_verification_suite(max_n: int = 16) -> SuiteReport:
     _check_lattice_scenarios(report)
     _check_sieve_examples(report)
     return report
-
-
-def _scan_gl2_size(n: int) -> int:
-    """|GL2(Z/n)| counted by the determinant scan alone: unlike `full_gl2`,
-    which checks its scan against `gl2_order` and raises on a mismatch, a
-    wrong closed form here shows up as a failed check."""
-    return sum(1 for _ in _lifts(_TRIVIAL_MOD_1, 1, n))
 
 
 def _check_gl2_orders(report, max_n):

@@ -169,6 +169,24 @@ def test_order_bound_is_square_of_half_epsilon_exponent_bound():
             assert order == half ** 2
 
 
+def test_theorem_bounds_renders_only_its_two_bounds(monkeypatch):
+    calls = []
+    real = PowerProduct.decimal
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PowerProduct, "decimal", counted)
+    ctx, eps = BoundContext(6, 2, 10), Fraction(1, 3)
+    tb = theorem_bounds(ctx, eps)
+    assert calls == [tb.exponent_bound.exact, tb.order_bound.exact]
+    # the constants it builds without rendering are c_epsilon's
+    d = PowerProduct.from_int(ctx.d)
+    assert tb.exponent_bound.exact == c_epsilon(6, 2, eps).exact * d ** (Fraction(1, 2) + eps)
+    assert tb.order_bound.exact == c_epsilon(6, 2, eps / 2).exact ** 2 * d ** (1 + eps)
+
+
 def test_weak_epsilon_flagged():
     assert theorem_bounds(BoundContext(2, 1, 1), Fraction(3, 2)).weak_epsilon
 

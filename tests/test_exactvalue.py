@@ -3,9 +3,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from torsionbounds.exactvalue import PowerProduct, integer_nth_root
+from torsionbounds.exactvalue import PowerProduct, _format_scaled, integer_nth_root
 
 
 # keep numerators and denominators small: construction factorizes them
@@ -144,3 +144,67 @@ def test_decimal_of_a_tiny_value():
 def test_float_matches_math_sqrt():
     sqrt2 = PowerProduct.from_int(2) ** Fraction(1, 2)
     assert math.isclose(float(sqrt2), math.sqrt(2), rel_tol=1e-15)
+
+
+# -- the renderer before it found its exponent on the root it takes: kept
+# as the oracle for `PowerProduct.decimal` ------------------------------
+
+def _oracle_floor_log10(x: PowerProduct) -> int:
+    num, den, L = x._root_data()
+    k = int(math.floor(math.log10(num) - math.log10(den)) // L) if num > 1 or den > 1 else 0
+    a, b = (num, den * 10 ** (k * L)) if k >= 0 else (num * 10 ** (-k * L), den)
+    step = 10 ** L
+    while a >= b * step:
+        k += 1
+        b *= step
+    while a < b:
+        k -= 1
+        a *= step
+    return k
+
+
+def _oracle_decimal(x: PowerProduct, digits: int, round_up: bool) -> str:
+    num, den, L = x._root_data()
+    s = digits - 1 - _oracle_floor_log10(x)
+    if s >= 0:
+        tn, td = num * 10 ** (s * L), den
+    else:
+        tn, td = num, den * 10 ** (-s * L)
+    m = integer_nth_root(tn // td, L)
+    if round_up and m ** L * td != tn:
+        m += 1
+    return _format_scaled(m, -s)
+
+
+# products of small primes with exponents of denominator <= 12, some times
+# 10**400 or 10**-400
+small_products = st.builds(
+    lambda factors, t: PowerProduct(factors) * PowerProduct({2: t, 5: t}),
+    st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13]),
+                    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+                    max_size=3),
+    st.sampled_from([0, 0, 400, -400]))
+
+
+# the float estimate of the exponent is one too low for 7 * 10**64 / 7 and
+# one too high for (10**30 - 1)**(1/2), so the exponent must step once
+@example(PowerProduct({70: 1, 10: 63, 7: -1}), 12, False)
+@example(PowerProduct.from_int(10 ** 30 - 1) ** Fraction(1, 2), 12, True)
+@example(PowerProduct({2: -400, 5: -400}), 25, True)
+@settings(max_examples=300, deadline=None)
+@given(small_products, st.integers(min_value=1, max_value=25), st.booleans())
+def test_decimal_matches_the_old_renderer(x, digits, round_up):
+    assert x.decimal(digits, round_up) == _oracle_decimal(x, digits, round_up)
+
+
+def test_decimal_takes_the_root_data_once(monkeypatch):
+    calls = []
+    real = PowerProduct._root_data
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(PowerProduct, "_root_data", counted)
+    (PowerProduct.from_int(2) ** Fraction(1, 3)).decimal(12, round_up=True)
+    assert len(calls) == 1

@@ -59,6 +59,9 @@ CASES = {
                                     "not_invariant.txt"],
     "lattice-check-not-invariant-json": ["lattice-check", "--scenario-file",
                                          "not_invariant.txt", "--format", "json"],
+    "lattice-check-not-prime": ["lattice-check", "--scenario-file", "not_prime.txt"],
+    "lattice-check-not-prime-json": ["lattice-check", "--scenario-file", "not_prime.txt",
+                                     "--format", "json"],
 }
 
 

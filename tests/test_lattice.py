@@ -53,6 +53,18 @@ def test_lattice_basis_validation():
     LatticeBasis(2, rat_mat((Fraction(1, 4), 0, 0, 1)))
 
 
+def test_prime_must_be_prime():
+    for l in (-3, 0, 1, 4, 6, 9):
+        with pytest.raises(LatticeError, match=f"prime {l} is not a prime"):
+            LatticeBasis(l, rat_mat((1, 0, 0, 1)))
+        with pytest.raises(LatticeError, match=f"prime {l} is not a prime"):
+            AdicGroup(l, (rat_mat((1, 1, 0, 1)),))
+    text = ("scenario s\nprime 4\nprecisions 1 2\ngenerator 1,1;0,1\n"
+            "generator 3,0;0,1\nlattice 1,0;0,1\nlattice2 1,0;0,4\nend\n")
+    with pytest.raises(LatticeError, match="^line 8: prime 4 is not a prime$"):
+        parse_scenarios(text)
+
+
 def test_adic_group_validation():
     with pytest.raises(LatticeError):
         AdicGroup(2, (rat_mat((Fraction(1, 2), 0, 0, 1)),))  # not 2-integral

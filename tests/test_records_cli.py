@@ -248,6 +248,14 @@ def test_verify_wrong_gl2_order_fails_the_preimage_suite(monkeypatch, capsys):
     assert "3 failed" in out
 
 
+def test_b1_index_verify_counts_without_the_closed_form(monkeypatch, capsys):
+    # --verify counts GL2(Z/5) by the scan; the closed form only sets the cap
+    real = modmatrix.gl2_order
+    monkeypatch.setattr(modmatrix, "gl2_order", lambda n: 481 if n == 5 else real(n))
+    code, out, err = run_cli(capsys, "b1-index", "--n", "5", "--verify")
+    assert (code, out, err) == (0, "n 5\nindex 24\nenumerated 24\nverified\n", "")
+
+
 def test_b1_index_verify_over_cap_exits_1(capsys):
     # |GL2(Z/100)| = 28,800,000 is over the fixed 10**7 enumeration cap
     code, _, err = run_cli(capsys, "b1-index", "--n", "100", "--verify")
