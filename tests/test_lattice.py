@@ -407,6 +407,82 @@ def test_bundled_family_shape():
     assert len({sc.ident for sc in family}) == 27
 
 
+# the bundled family's builders as they were written one per group type,
+# kept as an oracle for the generators and lattices of every scenario
+
+def _oracle_diag_unit_gens(l):
+    return [rat_mat((u, 0, 0, 1)) for u in lattice._unit_gens(l)] + \
+           [rat_mat((1, 0, 0, u)) for u in lattice._unit_gens(l)]
+
+
+def _oracle_kernel_gens(l, level):
+    out = []
+    for pos in range(4):
+        e = [1, 0, 0, 1]
+        e[pos] += level
+        out.append(rat_mat(e))
+    out.append(rat_mat((1, level, level, 1)))
+    return out
+
+
+def _oracle_borel_group(l, depth):
+    gens = _oracle_diag_unit_gens(l) + \
+        [rat_mat((1, 1, 0, 1)), rat_mat((1, 0, l ** depth, 1))]
+    return AdicGroup(l, tuple(gens))
+
+
+def _oracle_split_cartan_group(l, s, t):
+    gens = _oracle_diag_unit_gens(l) + [
+        rat_mat((1, l ** t, 0, 1)), rat_mat((1, 0, l ** s, 1)),
+    ]
+    return AdicGroup(l, tuple(gens))
+
+
+def _oracle_unipotent_group(l, level):
+    gens = _oracle_kernel_gens(l, level) + [rat_mat((1, 1, 0, 1))]
+    return AdicGroup(l, tuple(gens))
+
+
+def _oracle_sigma(l, stype):
+    if stype == "diag_1_l":
+        return rat_mat((1, 0, 0, l))
+    if stype == "scalar_l":
+        return rat_mat((l, 0, 0, l))
+    if stype == "diag_1_lsq":
+        return rat_mat((1, 0, 0, l * l))
+    raise LatticeError(f"unknown lattice-change type {stype!r}")
+
+
+def _oracle_family(primes, precisions):
+    """(ident, prime, generators, lattice basis, lattice2 basis, precisions)
+    for each bundled scenario, in order."""
+    exps = {"diag_1_l": 1, "scalar_l": 0, "diag_1_lsq": 2}
+    out = []
+    for l in primes:
+        std = LatticeBasis.standard(l)
+        for stype in ("diag_1_l", "scalar_l", "diag_1_lsq"):
+            e = exps[stype]
+            t2 = std.transformed(_oracle_sigma(l, stype))
+            groups = {
+                "borel": _oracle_borel_group(l, depth=max(1, e)),
+                "split_cartan": _oracle_split_cartan_group(l, s=1 + e, t=1),
+                "unipotent": _oracle_unipotent_group(l, level=l ** max(1, e)),
+            }
+            for gtype, G in groups.items():
+                out.append((f"{gtype}-l{l}-{stype}", G.prime, G.generators,
+                            std.basis, t2.basis, tuple(precisions)))
+    return out
+
+
+def test_bundled_family_matches_oracle_builders():
+    primes, precisions = (2, 3, 5, 7, 11), (1, 2, 3)
+    family = bundled_scenarios(primes=primes, precisions=precisions)
+    assert [(sc.ident, sc.group.prime, sc.group.generators, sc.lattice.basis,
+             sc.lattice2.basis, sc.precisions) for sc in family] \
+        == _oracle_family(primes, precisions)
+    assert all(sc.lattice2.prime == sc.prime for sc in family)
+
+
 @pytest.mark.parametrize("l", [2, 3])
 def test_bundled_indices_match_closed_form(l):
     for sc in bundled_scenarios(primes=(l,), precisions=(1, 2)):
