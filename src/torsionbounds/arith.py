@@ -7,7 +7,6 @@ is < 1 exactly for an initial run of primes and is strictly increasing in p.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -49,12 +48,6 @@ def dedekind_psi(n: int) -> int:
     for p, k in factorize(n):
         out *= p ** (k - 1) * (p + 1)
     return out
-
-
-def factorial(k: int) -> int:
-    if k < 0:
-        raise ArithError(f"factorial needs k >= 0, got {k}")
-    return math.factorial(k)
 
 
 def primes() -> Iterator[int]:

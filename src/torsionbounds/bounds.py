@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import _b_exact, factorial
-from .exactvalue import PowerProduct, Rational, _factorize
+from .arith import _b_exact
+from .exactvalue import PowerProduct, Rational, _divisors, _factorize
 
 # rational upper bound for zeta(2) = pi**2 / 6, kept exact
 ZETA2_UPPER = Fraction(329, 200)
@@ -72,7 +72,7 @@ class CandidateSet:
 
 def sieve_modulus(ctx: BoundContext) -> int:
     """B = 2 * I * (d0-1)! * d."""
-    return 2 * ctx.I * factorial(ctx.d0 - 1) * ctx.d
+    return 2 * ctx.I * math.factorial(ctx.d0 - 1) * ctx.d
 
 
 def exponent_candidates(ctx: BoundContext) -> CandidateSet:
@@ -96,7 +96,7 @@ def exponent_candidates(ctx: BoundContext) -> CandidateSet:
     # and phi*psi(p**j) dividing B; large primes first, since they combine
     # least and so keep the partial candidate lists below short
     chains = []
-    for e in sorted(_divisors(B), reverse=True):
+    for e in reversed(_divisors(B)):
         p = e - 1
         if p < 2 or B % (p * p - 1) or _factorize(p) != ((p, 1),):
             continue
@@ -113,14 +113,6 @@ def exponent_candidates(ctx: BoundContext) -> CandidateSet:
     return CandidateSet(ctx, B, tuple(sorted(n for n, _ in cands)), ceiling)
 
 
-def _divisors(n: int) -> list[int]:
-    """The divisors of n >= 1, built from its factors."""
-    divs = [1]
-    for p, k in _factorize(n):
-        divs = [d * p ** j for d in divs for j in range(k + 1)]
-    return divs
-
-
 def c_epsilon(I: int, d0: int, epsilon: Rational,
               digits: int = 12) -> UpperBoundValue:
     """The exponent-bound constant (2 * I * b_eps**-1 * (d0-1)!)**(1/(2-eps))."""
@@ -134,7 +126,7 @@ def _c_exact(I: int, d0: int, epsilon: Fraction) -> PowerProduct:
         raise BoundsError(f"epsilon must lie in (0, 2), got {epsilon}")
     if I < 1 or d0 < 1:
         raise BoundsError("I and d0 must be >= 1")
-    base = PowerProduct.from_int(2 * I * factorial(d0 - 1)) / _b_exact(epsilon)[1]
+    base = PowerProduct.from_int(2 * I * math.factorial(d0 - 1)) / _b_exact(epsilon)[1]
     return base ** Fraction(1, 2 - epsilon)
 
 

@@ -37,6 +37,14 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _divisors(n: int) -> list[int]:
+    """The divisors of n >= 1 in increasing order, built from its factors."""
+    divs = [1]
+    for p, k in _factorize(n):
+        divs = [d * p ** j for d in divs for j in range(k + 1)]
+    return sorted(divs)
+
+
 def integer_nth_root(a: int, n: int) -> int:
     """Largest x with x**n <= a (a >= 0, n >= 1)."""
     if a < 0 or n < 1:

@@ -29,10 +29,10 @@ from .exactvalue import _factorize
 from .modmatrix import (
     EnumerationTooLargeError,
     Mat2,
+    _gl2_prime_power_order,
     _inv,
     _mul,
     _reduce,
-    gl2_order,
 )
 
 RatMat = tuple[Fraction, Fraction, Fraction, Fraction]  # row-major 2x2
@@ -135,7 +135,6 @@ class AdicGroup:
 
     prime: int
     generators: tuple[RatMat, ...]
-    note: str = ""
 
     def __post_init__(self):
         _check_prime(self.prime)
@@ -317,7 +316,7 @@ def _pow(x, e: int, m: int):
 
 
 def _index_in_gl2(order: int, l: int, k: int) -> int:
-    total = gl2_order(l ** k)
+    total = _gl2_prime_power_order(l, k)
     if total % order != 0:
         raise LatticeError(f"order {order} does not divide |GL2(Z/{l ** k})|")
     return total // order
@@ -417,90 +416,66 @@ def _unit_gens(l: int) -> list[int]:
     return [3, 5] if l == 2 else [_primitive_root_sq(l)]
 
 
-def _kernel_gens(l: int, level: int) -> list[RatMat]:
-    out = []
-    for pos in range(4):
-        e = [1, 0, 0, 1]
-        e[pos] += level
-        out.append(rat_mat(e))
-    # the four elementary matrices alone miss half of the mod-2 kernel
-    out.append(rat_mat((1, level, level, 1)))
-    return out
-
-
-def _diag_unit_gens(l: int) -> list[RatMat]:
-    return [rat_mat((u, 0, 0, 1)) for u in _unit_gens(l)] + \
-           [rat_mat((1, 0, 0, u)) for u in _unit_gens(l)]
-
-
-def _borel_group(l: int, depth: int) -> AdicGroup:
-    """All l-integral matrices with lower-left entry divisible by l**depth."""
-    gens = _diag_unit_gens(l) + \
-        [rat_mat((1, 1, 0, 1)), rat_mat((1, 0, l ** depth, 1))]
-    return AdicGroup(l, tuple(gens), note=f"borel type, depth {depth}")
-
-
-def _split_cartan_group(l: int, s: int, t: int) -> AdicGroup:
-    """Diagonal-plus-congruence: b == 0 mod l**t, c == 0 mod l**s."""
-    gens = _diag_unit_gens(l) + [
-        rat_mat((1, l ** t, 0, 1)), rat_mat((1, 0, l ** s, 1)),
-    ]
-    return AdicGroup(l, tuple(gens), note=f"split-cartan type, depths ({s},{t})")
+def _congruence_group(l: int, s: int, t: int) -> AdicGroup:
+    """Diagonal units with b == 0 mod l**t and c == 0 mod l**s; t = 0 is
+    the Borel group of lower-left depth s."""
+    units = _unit_gens(l)
+    gens = [rat_mat((u, 0, 0, 1)) for u in units] + \
+        [rat_mat((1, 0, 0, u)) for u in units] + \
+        [rat_mat((1, l ** t, 0, 1)), rat_mat((1, 0, l ** s, 1))]
+    return AdicGroup(l, tuple(gens))
 
 
 def _unipotent_group(l: int, level: int) -> AdicGroup:
     """Preimage of the unipotent upper-triangular group mod `level`."""
-    gens = _kernel_gens(l, level) + [rat_mat((1, 1, 0, 1))]
-    return AdicGroup(l, tuple(gens), note=f"unipotent preimage at level {level}")
+    gens = []
+    for pos in range(4):
+        e = [1, 0, 0, 1]
+        e[pos] += level
+        gens.append(rat_mat(e))
+    # the four elementary matrices alone miss half of the mod-2 kernel
+    gens += [rat_mat((1, level, level, 1)), rat_mat((1, 1, 0, 1))]
+    return AdicGroup(l, tuple(gens))
 
 
-_SIGMA_TYPES = ("diag_1_l", "scalar_l", "diag_1_lsq")
-
-# lattice-change exponent e: sigma multiplies the second basis vector by l**e
-_SIGMA_EXP = {"diag_1_l": 1, "scalar_l": 0, "diag_1_lsq": 2}
-
-
-def _sigma(l: int, stype: str) -> RatMat:
-    if stype == "diag_1_l":
-        return rat_mat((1, 0, 0, l))
-    if stype == "scalar_l":
-        return rat_mat((l, 0, 0, l))
-    if stype == "diag_1_lsq":
-        return rat_mat((1, 0, 0, l * l))
-    raise LatticeError(f"unknown lattice-change type {stype!r}")
+# lattice change -> (a, e): sigma = diag(l**a, l**(a+e)), which multiplies
+# the second basis vector by l**e relative to the first
+_LATTICE_CHANGES = {"diag_1_l": (0, 1), "scalar_l": (1, 0), "diag_1_lsq": (0, 2)}
 
 
-def _compatible_group(l: int, gtype: str, stype: str) -> AdicGroup:
-    """A group of the requested type stabilizing both the standard lattice
-    and its sigma-transform, with matching index shadows at every precision.
+def _group_params(gtype: str, stype: str) -> tuple[int, int | None]:
+    """(s, t) of the congruence group of type `gtype` that stabilizes both
+    the standard lattice and its sigma-transform, or (j, None) for the
+    unipotent preimage at level l**j.
 
     Conjugation by diag(1, l**e) deepens the upper-right congruence by e and
     shallows the lower-left one by e, so the depths are chosen to transpose
     into each other.
     """
-    e = _SIGMA_EXP[stype]
+    e = _LATTICE_CHANGES[stype][1]
     if gtype == "borel":
-        return _borel_group(l, depth=max(1, e))
+        return max(1, e), 0
     if gtype == "split_cartan":
-        return _split_cartan_group(l, s=1 + e, t=1)
+        return 1 + e, 1
     if gtype == "unipotent":
-        return _unipotent_group(l, level=l ** max(1, e))
+        return max(1, e), None
     raise LatticeError(f"unknown group type {gtype!r}")
+
+
+def _compatible_group(l: int, gtype: str, stype: str) -> AdicGroup:
+    """A group of the requested type stabilizing both the standard lattice
+    and its sigma-transform, with matching index shadows at every precision."""
+    s, t = _group_params(gtype, stype)
+    return _unipotent_group(l, l ** s) if t is None else _congruence_group(l, s, t)
 
 
 def expected_index(l: int, gtype: str, stype: str, k: int) -> int:
     """Closed-form index of the bundled scenario groups at precision k."""
-    e = _SIGMA_EXP[stype]
-    if gtype == "borel":
-        m = min(max(1, e), k)
-        return l ** (m - 1) * (l + 1)
-    if gtype == "split_cartan":
-        s, t = 1 + e, 1
-        return l ** (min(s, k) + min(t, k) - 1) * (l + 1)
-    if gtype == "unipotent":
-        m = min(max(1, e), k)
+    s, t = _group_params(gtype, stype)
+    if t is None:
+        m = min(s, k)
         return l ** (3 * m - 3) * (l - 1) ** 2 * (l + 1)
-    raise LatticeError(f"unknown group type {gtype!r}")
+    return l ** (min(s, k) + min(t, k) - 1) * (l + 1)
 
 
 def bundled_scenarios(primes: Sequence[int] = (2, 3, 5),
@@ -509,8 +484,8 @@ def bundled_scenarios(primes: Sequence[int] = (2, 3, 5),
     out = []
     for l in primes:
         std = LatticeBasis.standard(l)
-        for stype in _SIGMA_TYPES:
-            t2 = std.transformed(_sigma(l, stype))
+        for stype, (a, e) in _LATTICE_CHANGES.items():
+            t2 = std.transformed(rat_mat((l ** a, 0, 0, l ** (a + e))))
             for gtype in ("borel", "split_cartan", "unipotent"):
                 out.append(LatticeScenario(
                     ident=f"{gtype}-l{l}-{stype}",

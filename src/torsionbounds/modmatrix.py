@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .exactvalue import _factorize
+from .exactvalue import _divisors, _factorize
 
 # the most group elements any one enumeration may hold
 ENUMERATION_CAP = 10**7
@@ -206,8 +206,13 @@ def gl2_order(n: int) -> int:
         raise InvalidModulusError(f"modulus must be >= 1, got {n}")
     order = 1
     for p, k in _factorize(n):
-        order *= p ** (4 * (k - 1)) * (p * p - 1) * (p * p - p)
+        order *= _gl2_prime_power_order(p, k)
     return order
+
+
+def _gl2_prime_power_order(p: int, k: int) -> int:
+    """Order of GL2(Z/p^k Z) for a prime p and k >= 1."""
+    return p ** (4 * (k - 1)) * (p * p - 1) * (p * p - p)
 
 
 def enumerate_gl2(n: int) -> frozenset[Mat2]:
@@ -288,21 +293,7 @@ def is_full_preimage(G: SubgroupModN, m: int) -> bool:
 
 def level_within(G: SubgroupModN) -> int:
     """Least divisor m of n with is_full_preimage(G, m)."""
-    for m in divisors(G.n):
+    for m in _divisors(G.n):
         if is_full_preimage(G, m):
             return m
     raise AssertionError("unreachable: m = n always qualifies")
-
-
-def divisors(n: int) -> list[int]:
-    if n < 1:
-        raise InvalidModulusError(f"modulus must be >= 1, got {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]

@@ -13,6 +13,7 @@ from fractions import Fraction
 from . import lattice, modmatrix
 from .arith import b_epsilon, dedekind_psi, euler_phi
 from .bounds import BoundContext, exponent_candidates
+from .exactvalue import _divisors
 from .modmatrix import (
     _TRIVIAL_MOD_1,
     Mat2,
@@ -20,7 +21,6 @@ from .modmatrix import (
     _lifts,
     _scan_gl2_size,
     b1_subgroup,
-    divisors,
     gl2_order,
     is_full_preimage,
     reduce_subgroup,
@@ -83,7 +83,7 @@ def subgroup_family(n: int):
         out.append(("cyclic-unipotent", subgroup_closure([Mat2(n, 1, 1, 0, 1)], n)))
         out.append(("scalars", subgroup_closure(
             [Mat2(n, u, 0, 0, u) for u in range(1, n) if math.gcd(u, n) == 1], n)))
-    for m in divisors(n):
+    for m in _divisors(n):
         if 2 <= m < n:
             out.append((f"preimage-b1({m})", _scan_preimage(b1_subgroup(m), n)))
     return out
@@ -147,10 +147,9 @@ def _check_preimage_suite(report, max_n):
     checked = 0
     pres_bad, detect_bad = [], []
     for n in range(2, top + 1):
-        kernels = {m: _reduction_kernel(n, m) for m in divisors(n)}
+        kernels = {m: _reduction_kernel(n, m) for m in _divisors(n)}
         for name, G in subgroup_family(n):
-            for m in divisors(n):
-                image = reduce_subgroup(G, m)
+            for m in _divisors(n):
                 claimed = is_full_preimage(G, m)
                 # independent route: G contains the whole kernel of the
                 # reduction n -> m
@@ -160,7 +159,7 @@ def _check_preimage_suite(report, max_n):
                 # indices as exact fractions: a wrong closed form for
                 # |GL2| makes them differ, not raise
                 if truth and (Fraction(gl2_order(n), G.order)
-                              != Fraction(gl2_order(m), image.order)):
+                              != Fraction(gl2_order(m), reduce_subgroup(G, m).order)):
                     pres_bad.append((n, name, m))
                 checked += 1
     report.add("preimage-index-preservation", f"n<=:{top}", not pres_bad,

@@ -21,13 +21,16 @@ from torsionbounds.exactvalue import PowerProduct
 from torsionbounds.lattice import bundled_scenarios, run_scenario
 from torsionbounds.modmatrix import (
     b1_subgroup,
-    divisors,
     full_gl2,
     is_full_preimage,
     reduce_subgroup,
     subgroup_index,
 )
 from torsionbounds.verify import _reduction_kernel, subgroup_family
+
+
+def _divisors(n):
+    return [m for m in range(1, n + 1) if n % m == 0]
 
 
 def test_b1_index_formula_up_to_30():
@@ -45,11 +48,11 @@ def test_preimage_suite_up_to_24():
     """
     families = 0
     for n in range(2, 25):
-        kernels = {m: _reduction_kernel(n, m) for m in divisors(n)}
+        kernels = {m: _reduction_kernel(n, m) for m in _divisors(n)}
         for name, G in subgroup_family(n):
             families += 1
             entry_set = {g.entries for g in G.elements}
-            for m in divisors(n):
+            for m in _divisors(n):
                 claimed = is_full_preimage(G, m)
                 truth = all(t in entry_set for t in kernels[m])
                 assert claimed == truth, (n, name, m)

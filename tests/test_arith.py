@@ -10,7 +10,6 @@ from torsionbounds.arith import (
     b_epsilon,
     dedekind_psi,
     euler_phi,
-    factorial,
     factorize,
     primes,
 )
@@ -73,14 +72,6 @@ def test_phi_psi_product_identity(n):
     for p, _ in factorize(n):
         prod = prod // (p * p) * (p * p - 1)
     assert euler_phi(n) * dedekind_psi(n) == prod
-
-
-def test_factorial():
-    assert factorial(0) == 1
-    assert factorial(1) == 1
-    assert factorial(5) == 120
-    with pytest.raises(ArithError):
-        factorial(-1)
 
 
 def test_primes_stream():

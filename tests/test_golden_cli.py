@@ -62,6 +62,9 @@ CASES = {
     "lattice-check-not-prime": ["lattice-check", "--scenario-file", "not_prime.txt"],
     "lattice-check-not-prime-json": ["lattice-check", "--scenario-file", "not_prime.txt",
                                      "--format", "json"],
+    "lattice-check-big-prime": ["lattice-check", "--scenario-file", "big_prime.txt"],
+    "lattice-check-big-prime-json": ["lattice-check", "--scenario-file", "big_prime.txt",
+                                     "--format", "json"],
 }
 
 

@@ -225,7 +225,7 @@ def test_conjugates_match_fraction_oracle(case):
 # -- images and indices -----------------------------------------------------
 
 def borel_group(l):
-    return lattice._borel_group(l, depth=1)
+    return lattice._congruence_group(l, 1, 0)
 
 
 def test_image_of_identity_group_is_trivial():
@@ -245,6 +245,23 @@ def test_full_image_has_index_one():
     gens = tuple(rat_mat(e) for e in [(0, 1, 1, 0), (1, 1, 0, 1), (1, 0, 0, 2)])
     G = AdicGroup(3, gens)
     assert lattice_index(G, LatticeBasis.standard(3), 2) == 1
+
+
+def test_index_at_a_large_prime_factors_only_the_prime(monkeypatch):
+    l = 1_000_000_007
+    real = lattice._factorize
+
+    def factorize_up_to_l(n):
+        if n > l:
+            raise AssertionError(f"factorized {n}, above the prime {l}")
+        return real(n)
+
+    for module in (lattice, modmatrix):
+        monkeypatch.setattr(module, "_factorize", factorize_up_to_l)
+    G = AdicGroup(l, (rat_mat((-1, 0, 0, 1)),))
+    # the image has order 2, in GL2(Z/l^2) of order l^4 (l^2 - 1)(l^2 - l)
+    assert lattice_index(G, LatticeBasis.standard(l), 2) \
+        == l ** 4 * (l * l - 1) * (l * l - l) // 2
 
 
 def test_verify_index_equality_same_lattice():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torsionbounds import modmatrix, verify
+from torsionbounds.bounds import BoundContext, sieve_modulus
+from torsionbounds.exactvalue import _divisors
 from torsionbounds.modmatrix import (
     EnumerationTooLargeError,
     InvalidModulusError,
@@ -14,7 +16,6 @@ from torsionbounds.modmatrix import (
     NotADivisorError,
     NotInvertibleError,
     b1_subgroup,
-    divisors,
     enumerate_gl2,
     full_gl2,
     full_preimage,
@@ -264,7 +265,29 @@ def test_level_within_examples():
 # -- helpers ----------------------------------------------------------------
 
 def test_divisors_sorted():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert _divisors(12) == [1, 2, 3, 4, 6, 12]
+
+
+def _oracle_divisors(n):
+    """The divisors of n by trial division up to its square root, an oracle
+    that does not factor n."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def test_divisors_match_trial_division_oracle():
+    for n in range(1, 3001):
+        assert _divisors(n) == _oracle_divisors(n), n
+    for I, d0, d in [(6, 1, 10), (100000, 5, 10000), (24, 8, 48), (1, 13, 150)]:
+        B = sieve_modulus(BoundContext(I, d0, d))
+        assert _divisors(B) == _oracle_divisors(B), B
 
 
 # -- differential: the entry-tuple kernel against a Mat2-object oracle -----
@@ -329,11 +352,11 @@ def test_kernel_closure_matches_oracle(case, data):
     assert G.order == len(oracle)
     assert set(G.elements) == oracle
     assert all(g in G for g in oracle)
-    truths = {m: _oracle_contains_kernel(oracle, n, m) for m in divisors(n)}
+    truths = {m: _oracle_contains_kernel(oracle, n, m) for m in _divisors(n)}
     for m, truth in truths.items():
         assert is_full_preimage(G, m) == truth, m
     assert level_within(G) == min(m for m, t in truths.items() if t)
-    m = data.draw(st.sampled_from(divisors(n)))
+    m = data.draw(st.sampled_from(_divisors(n)))
     image = {Mat2(m, g.a, g.b, g.c, g.d) for g in oracle}
     assert set(reduce_subgroup(G, m).elements) == image
     lifted = {g for g in _oracle_gl2(n) if Mat2(m, g.a, g.b, g.c, g.d) in image}
