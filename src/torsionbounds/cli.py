@@ -63,6 +63,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# the longest decimal Python's default int-to-str limit lets a report print
+MAX_DIGITS = 4300
+
+
+def _digits(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_DIGITS}, got {value}")
+    return value
+
+
 def _plain(value) -> str:
     """A report value as plain text: None is n/a, a list is space-joined."""
     if value is None:
@@ -100,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rational epsilon in (0, 2), e.g. 1/2")
     p.add_argument("--degree", type=_positive_int, required=True,
                    help="target extension degree d")
-    p.add_argument("--digits", type=_positive_int, default=12)
+    p.add_argument("--digits", type=_digits, default=12)
     add_format(p)
 
     p = sub.add_parser("candidates", help="sieve the admissible torsion exponents")
@@ -114,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("b-epsilon", help="extremal totient constant")
     p.add_argument("--epsilon", type=_rational, required=True)
-    p.add_argument("--digits", type=_positive_int, default=12)
+    p.add_argument("--digits", type=_digits, default=12)
     add_format(p)
 
     p = sub.add_parser("b1-index", help="index of the upper-triangular subgroup")
@@ -130,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baselines", help="prior explicit bounds at degree d")
     p.add_argument("--degree", type=_positive_int, required=True)
-    p.add_argument("--digits", type=_positive_int, default=12)
+    p.add_argument("--digits", type=_digits, default=12)
     add_format(p)
 
     p = sub.add_parser("verify", help="run the full verification suite")

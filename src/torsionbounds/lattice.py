@@ -252,7 +252,7 @@ class _LayeredBasis:
         self.l = l
         self.m = l ** k
         self.depth = {l ** j: j for j in range(1, k)}
-        # layer j -> [(pivot, leading vector, [x^-1, ..., x^-(l-1)])]
+        # layer j -> [(pivot, leading vector, {c: x^-c} for each c used)]
         self.layers: dict[int, list] = {j: [] for j in range(1, k)}
         self.elements: list[tuple] = []  # (element, inverse), every layer
         self.full = k == 1
@@ -279,7 +279,9 @@ class _LayeredBasis:
             for piv, lead, inv_pows in self.layers[j]:
                 c = v[piv]
                 if c:
-                    x = _mul(x, inv_pows[c - 1], m)
+                    if c not in inv_pows:
+                        inv_pows[c] = _pow(inv_pows[1], c, m)
+                    x = _mul(x, inv_pows[c], m)
                     v = [(a - c * b) % l for a, b in zip(v, lead)]
             if any(v):
                 return x, j, v
@@ -293,25 +295,22 @@ class _LayeredBasis:
         x = _pow(x, scale, m)
         lead = [a * scale % l for a in v]
         x_inv = _inv(x, m)
-        inv_pows = [x_inv]
-        for _ in range(l - 2):
-            inv_pows.append(_mul(inv_pows[-1], x_inv, m))
         out = [_pow(x, l, m)]
         out.extend(_mul(_mul(x, y, m), _mul(x_inv, y_inv, m), m)
                    for y, y_inv in self.elements)
-        self.layers[j].append((piv, lead, inv_pows))
+        self.layers[j].append((piv, lead, {1: x_inv}))
         self.elements.append((x, x_inv))
         self.full = len(self.elements) == 4 * len(self.layers)
         return out
 
 
 def _pow(x, e: int, m: int):
-    out = (1, 0, 0, 1)
-    while e:
-        if e & 1:
+    """x**e mod m for e >= 1, by squaring from the top bit of e."""
+    out = x
+    for bit in bin(e)[3:]:
+        out = _mul(out, out, m)
+        if bit == "1":
             out = _mul(out, x, m)
-        x = _mul(x, x, m)
-        e >>= 1
     return out
 
 
@@ -396,16 +395,12 @@ def run_scenario(sc: LatticeScenario) -> ScenarioResult:
 
 
 def _primitive_root_sq(l: int) -> int:
-    """A generator of the units mod l**2 (l odd)."""
+    """The least generator of the units mod l**2 (l odd): g prime to l
+    with g**(l(l-1)/q) != 1 for every prime q dividing l(l-1)."""
     target = l * (l - 1)
+    primes = [q for q, _ in _factorize(target)]
     for g in range(2, l * l):
-        if math.gcd(g, l) != 1:
-            continue
-        x, order = g % (l * l), 1
-        while x != 1:
-            x = x * g % (l * l)
-            order += 1
-        if order == target:
+        if g % l and all(pow(g, target // q, l * l) != 1 for q in primes):
             return g
     raise AssertionError(f"no primitive root mod {l}**2")
 
@@ -565,6 +560,8 @@ def _finish_scenario(data: dict) -> LatticeScenario:
             raise LatticeError(f"scenario {data['ident']!r} is missing '{key}'")
     if not data["gens"]:
         raise LatticeError(f"scenario {data['ident']!r} has no generators")
+    if not data["precisions"]:
+        raise LatticeError(f"scenario {data['ident']!r} has no precisions")
     l = data["prime"]
     return LatticeScenario(
         ident=data["ident"],

@@ -167,11 +167,6 @@ class Mat2:
     def inverse(self) -> "Mat2":
         return Mat2(self.n, *_inv(self.entries, self.n))
 
-    def reduce(self, m: int) -> "Mat2":
-        if m < 1 or self.n % m != 0:
-            raise NotADivisorError(f"{m} does not divide modulus {self.n}")
-        return Mat2(m, *_reduce(self.entries, m))
-
     def __repr__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]] mod {self.n}"
 

@@ -8,7 +8,9 @@ with `PYTHONPATH=src python tests/test_golden_cli.py` and review its diff.
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -65,13 +67,23 @@ CASES = {
     "lattice-check-big-prime": ["lattice-check", "--scenario-file", "big_prime.txt"],
     "lattice-check-big-prime-json": ["lattice-check", "--scenario-file", "big_prime.txt",
                                      "--format", "json"],
+    "lattice-check-big-kernel": ["lattice-check", "--scenario-file", "big_kernel.txt"],
+    "lattice-check-big-kernel-json": ["lattice-check", "--scenario-file", "big_kernel.txt",
+                                      "--format", "json"],
+    "b-epsilon-digits-4300": ["b-epsilon", "--epsilon", "1/3", "--digits", "4300"],
+    "b-epsilon-digits-4301": ["b-epsilon", "--epsilon", "1/3", "--digits", "4301"],
+    "baselines-digits-4301": ["baselines", "--degree", "9", "--digits", "4301"],
+    "bounds-digits-4301": ["bounds", "records.csv", "--epsilon", "1/3", "--degree", "10",
+                           "--digits", "4301"],
 }
 
 
 def _run(argv):
     argv = [str(GOLDEN / a) if (GOLDEN / a).is_file() else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # argparse wraps its usage lines to the terminal width
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = main(argv)
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 

@@ -1,4 +1,5 @@
 """Lattice stabilizers and index comparisons at finite precision."""
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -264,6 +265,20 @@ def test_index_at_a_large_prime_factors_only_the_prime(monkeypatch):
         == l ** 4 * (l * l - 1) * (l * l - l) // 2
 
 
+def test_sift_memory_does_not_grow_with_l():
+    l = 100003
+    G = AdicGroup(l, (rat_mat((1, l, 0, 1)),))
+    tracemalloc.start()
+    try:
+        index = lattice_index(G, LatticeBasis.standard(l), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # I + l*E12 has order l^2 mod l^3
+    assert index == modmatrix._gl2_prime_power_order(l, 3) // l ** 2
+    assert peak < 1 << 20
+
+
 def test_verify_index_equality_same_lattice():
     T = LatticeBasis.standard(2)
     rep = verify_index_equality(borel_group(2), T, T, 2)
@@ -297,7 +312,7 @@ def test_scaling_lattice_leaves_index_unchanged():
 
 # -- layered order algorithm vs direct closure ------------------------------
 
-@pytest.mark.parametrize("l,k", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
+@pytest.mark.parametrize("l,k", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2)])
 def test_layered_order_matches_closure(l, k):
     m = l ** k
     cases = [
@@ -422,6 +437,28 @@ def test_bundled_family_shape():
     family = bundled_scenarios()
     assert len(family) == 27
     assert len({sc.ident for sc in family}) == 27
+
+
+def _walking_primitive_root_sq(l):
+    """The least generator of the units mod l**2, found by walking the powers
+    of each candidate: the earlier algorithm, kept as an oracle."""
+    target = l * (l - 1)
+    for g in range(2, l * l):
+        if g % l == 0:
+            continue
+        x, order = g % (l * l), 1
+        while x != 1:
+            x = x * g % (l * l)
+            order += 1
+        if order == target:
+            return g
+
+
+def test_primitive_root_sq_matches_walking_oracle():
+    odd_primes = [p for p in range(3, 400) if all(p % q for q in range(2, p))]
+    assert len(odd_primes) == 77
+    for l in odd_primes:
+        assert lattice._primitive_root_sq(l) == _walking_primitive_root_sq(l), l
 
 
 # the bundled family's builders as they were written one per group type,
@@ -580,6 +617,8 @@ def test_scenario_format_parse_roundtrip():
     ("scenario a\nscenario b", "not closed"),
     ("scenario a\nprime 3\nfrobnicate 1\nend", "unknown directive"),
     ("scenario a\nprime 3", "unterminated"),
+    ("scenario a\nprime 3\nprecisions\ngenerator 1,1;0,1\nlattice 1,0;0,1\n"
+     "lattice2 1,0;0,1\nend", "^line 7: scenario 'a' has no precisions$"),
 ])
 def test_parse_scenarios_errors(text, message):
     with pytest.raises(LatticeError, match=message):
