@@ -75,6 +75,8 @@ CASES = {
     "baselines-digits-4301": ["baselines", "--degree", "9", "--digits", "4301"],
     "bounds-digits-4301": ["bounds", "records.csv", "--epsilon", "1/3", "--degree", "10",
                            "--digits", "4301"],
+    "lattice-check-strong-pseudoprime": ["lattice-check", "--scenario-file",
+                                         "strong_pseudoprime.txt"],
 }
 
 
