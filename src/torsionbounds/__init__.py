@@ -40,7 +40,6 @@ from .lattice import (
     LatticeScenario,
     ScenarioResult,
     bundled_scenarios,
-    lattice_index,
     parse_scenarios,
     run_scenario,
     verify_index_equality,
@@ -114,7 +113,6 @@ __all__ = [
     "full_preimage",
     "gl2_order",
     "is_full_preimage",
-    "lattice_index",
     "level_within",
     "parse_curve_records",
     "parse_scenarios",

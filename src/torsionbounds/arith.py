@@ -7,11 +7,11 @@ is < 1 exactly for an initial run of primes and is strictly increasing in p.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
-from .exactvalue import PowerProduct, Rational, _factorize
+from .exactvalue import PowerProduct, Rational, _factorize, _is_prime
 
 FACTORIZATION_CAP = 10**12
 
@@ -50,17 +50,6 @@ def dedekind_psi(n: int) -> int:
     return out
 
 
-def primes() -> Iterator[int]:
-    yield 2
-    found = [2]
-    q = 3
-    while True:
-        if all(q % p for p in found if p * p <= q):
-            found.append(q)
-            yield q
-        q += 2
-
-
 @dataclass(frozen=True)
 class EffectiveConstant:
     """min over n >= 1 of phi(n) / n**(1-epsilon), with its attaining witness."""
@@ -91,9 +80,10 @@ def _b_exact(epsilon: Fraction) -> tuple[int, PowerProduct]:
         raise ArithError("epsilon must be > 0 (the infimum is 0 otherwise)")
     a, q = epsilon.numerator, epsilon.denominator
     witness = 1
-    for p in primes():
-        # (1 - 1/p) * p**eps < 1  <=>  (p-1)**q * p**a < p**q
-        if a >= q or (p - 1) ** q * p ** a >= p ** q:
+    for p in filter(_is_prime, itertools.count(2)):
+        # (1 - 1/p) * p**eps < 1  <=>  (p-1)**q * p**a < p**q; a witness past
+        # the cap ends the scan too: euler_phi refuses it, as it would the full one
+        if a >= q or witness > FACTORIZATION_CAP or (p - 1) ** q * p ** a >= p ** q:
             break
         witness *= p
     return witness, (PowerProduct.from_int(euler_phi(witness))

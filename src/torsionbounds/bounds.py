@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import _b_exact
-from .exactvalue import PowerProduct, Rational, _divisors, _factorize
+from .exactvalue import PowerProduct, Rational, _divisors, _is_prime
 
 # rational upper bound for zeta(2) = pi**2 / 6, kept exact
 ZETA2_UPPER = Fraction(329, 200)
@@ -98,7 +98,7 @@ def exponent_candidates(ctx: BoundContext) -> CandidateSet:
     chains = []
     for e in reversed(_divisors(B)):
         p = e - 1
-        if p < 2 or B % (p * p - 1) or _factorize(p) != ((p, 1),):
+        if p < 2 or B % (p * p - 1) or not _is_prime(p):
             continue
         chain, q, f = [], p, p * p - 1
         while B % f == 0:

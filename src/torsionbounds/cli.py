@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ArithError, BoundsError, ModMatrixError, RecordParseError,
-            lattice.LatticeError, OSError) as exc:
+            lattice.LatticeError, OSError, UnicodeDecodeError) as exc:
         print(f"torsionbounds: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -37,6 +37,35 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+# the least strong pseudoprime to all _PRIME_BASES (Sorenson and Webster 2017)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_BASES_PRODUCT = math.prod(_PRIME_BASES)
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime: Miller-Rabin to the bases 2..41, the package's one
+    primality test, exact below PRIME_TEST_LIMIT (larger n are refused)."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"{n} is past the primality-test limit {PRIME_TEST_LIMIT}")
+    if n < 2 or math.gcd(n, _BASES_PRODUCT) > 1:
+        return n in _PRIME_BASES
+    if n < 43 * 43:  # no prime factor up to 41, so none at all
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2**s exactly divides n - 1
+    for a in _PRIME_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _divisors(n: int) -> list[int]:
     """The divisors of n >= 1 in increasing order, built from its factors."""
     divs = [1]
@@ -90,8 +119,6 @@ class PowerProduct:
         for p, k in _factorize(q.denominator):
             f[p] = f.get(p, Fraction(0)) - k
         return PowerProduct({p: e for p, e in f.items() if e})
-
-    one = None  # set after class definition
 
     def __mul__(self, other: "PowerProduct | Rational") -> "PowerProduct":
         other = _coerce(other)
@@ -208,9 +235,6 @@ def _coerce(x: "PowerProduct | Rational") -> PowerProduct:
     if isinstance(x, PowerProduct):
         return x
     return PowerProduct.from_fraction(x)
-
-
-PowerProduct.one = PowerProduct({})
 
 
 def _format_scaled(m: int, e: int) -> str:

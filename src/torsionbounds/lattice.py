@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import modmatrix
-from .exactvalue import _factorize
+from .exactvalue import PRIME_TEST_LIMIT, _factorize, _is_prime
 from .modmatrix import (
     EnumerationTooLargeError,
     Mat2,
@@ -94,7 +94,10 @@ def valuation(q: Fraction, l: int) -> int | None:
 
 
 def _check_prime(l: int) -> None:
-    if l < 2 or _factorize(l) != ((l, 1),):
+    if l >= PRIME_TEST_LIMIT:
+        raise LatticeError(
+            f"prime {l} is past the primality-test limit {PRIME_TEST_LIMIT}")
+    if not _is_prime(l):
         raise LatticeError(f"prime {l} is not a prime")
 
 
@@ -123,10 +126,6 @@ class LatticeBasis:
 
     def transformed(self, sigma: RatMat) -> "LatticeBasis":
         return LatticeBasis(self.prime, rat_mul(sigma, self.basis))
-
-    def scaled(self, factor) -> "LatticeBasis":
-        f = Fraction(factor)
-        return LatticeBasis(self.prime, tuple(f * q for q in self.basis))
 
 
 @dataclass(frozen=True)
@@ -319,12 +318,6 @@ def _index_in_gl2(order: int, l: int, k: int) -> int:
     if total % order != 0:
         raise LatticeError(f"order {order} does not divide |GL2(Z/{l ** k})|")
     return total // order
-
-
-def lattice_index(G: AdicGroup, T: LatticeBasis, k: int) -> int:
-    """Index of the precision-k image of G inside GL2(Z/l^k)."""
-    gens = _checked_conjugates(G, T, k)
-    return _index_in_gl2(subgroup_order_prime_power(gens, G.prime, k), G.prime, k)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,12 @@ class EnumerationTooLargeError(ModMatrixError):
         self.cap = cap
 
 
+def _check_enumeration(size: int) -> None:
+    """Refuse an enumeration of `size` elements over the cap, read at each call."""
+    if size > ENUMERATION_CAP:
+        raise EnumerationTooLargeError(size, ENUMERATION_CAP)
+
+
 # -- the kernel: entry tuples mod m, no validation ---------------------------
 
 def _reduce(g: Entries, m: int) -> Entries:
@@ -114,9 +120,7 @@ _TRIVIAL_MOD_1 = frozenset({(0, 0, 0, 0)})
 def _scan_gl2_size(n: int) -> int:
     """|GL2(Z/n)| counted by the determinant scan, holding no elements; the
     closed form sets only the cap (`full_gl2` raises if the two differ)."""
-    size = gl2_order(n)
-    if size > ENUMERATION_CAP:
-        raise EnumerationTooLargeError(size, ENUMERATION_CAP)
+    _check_enumeration(gl2_order(n))
     return sum(1 for _ in _lifts(_TRIVIAL_MOD_1, 1, n))
 
 
@@ -155,9 +159,6 @@ class Mat2:
     @property
     def entries(self) -> Entries:
         return (self.a, self.b, self.c, self.d)
-
-    def det(self) -> int:
-        return (self.a * self.d - self.b * self.c) % self.n
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         if self.n != other.n:
@@ -213,8 +214,7 @@ def _gl2_prime_power_order(p: int, k: int) -> int:
 def enumerate_gl2(n: int) -> frozenset[Mat2]:
     """All of GL2(Z/nZ) by direct scan of the n**4 candidate matrices."""
     size = gl2_order(n)
-    if size > ENUMERATION_CAP:
-        raise EnumerationTooLargeError(size, ENUMERATION_CAP)
+    _check_enumeration(size)
     # streamed into Mat2, so no second element set is alive at the same time
     scan = frozenset(Mat2(n, *e) for e in _lifts(_TRIVIAL_MOD_1, 1, n))
     return _exact_size(scan, size, f"scan of GL2(Z/{n})")
@@ -268,8 +268,7 @@ def full_preimage(H: SubgroupModN, n: int) -> SubgroupModN:
     if n < 1 or n % m != 0:
         raise NotADivisorError(f"{m} does not divide {n}")
     size = H.order * (gl2_order(n) // gl2_order(m))
-    if size > ENUMERATION_CAP:
-        raise EnumerationTooLargeError(size, ENUMERATION_CAP)
+    _check_enumeration(size)
     elems = frozenset(_lifts(H.entries, m, n))
     return SubgroupModN(n, _exact_size(elems, size, f"preimage in GL2(Z/{n})"))
 

@@ -65,9 +65,7 @@ class SuiteReport:
 
 def subgroup_family(n: int):
     """A deterministic family of subgroups of GL2(Z/nZ) for the index tests."""
-    size = gl2_order(n)
-    if size > modmatrix.ENUMERATION_CAP:
-        raise modmatrix.EnumerationTooLargeError(size, modmatrix.ENUMERATION_CAP)
+    modmatrix._check_enumeration(gl2_order(n))
     out = []
     ident = Mat2.identity(n)
     out.append(("trivial", subgroup_closure([ident], n)))
@@ -102,9 +100,7 @@ def run_verification_suite(max_n: int = 16) -> SuiteReport:
     # |GL2(Z/n)| is not monotone in n, and every check enumerates only
     # moduli n <= max_n: refuse at the first one over the cap
     for n in range(1, max_n + 1):
-        if gl2_order(n) > modmatrix.ENUMERATION_CAP:
-            raise modmatrix.EnumerationTooLargeError(gl2_order(n),
-                                                     modmatrix.ENUMERATION_CAP)
+        modmatrix._check_enumeration(gl2_order(n))
     report = SuiteReport()
     _check_gl2_orders(report, max_n)
     _check_b1_index(report, max_n)

@@ -11,7 +11,6 @@ from torsionbounds.arith import (
     dedekind_psi,
     euler_phi,
     factorize,
-    primes,
 )
 from torsionbounds.exactvalue import PowerProduct
 
@@ -74,17 +73,12 @@ def test_phi_psi_product_identity(n):
     assert euler_phi(n) * dedekind_psi(n) == prod
 
 
-def test_primes_stream():
-    gen = primes()
-    assert [next(gen) for _ in range(10)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-
-
 # -- b_epsilon --------------------------------------------------------------
 
 def test_b_epsilon_trivial_at_large_epsilon():
     c = b_epsilon(2)
     assert c.witness == 1
-    assert c.value == PowerProduct.one
+    assert c.value == PowerProduct({})
 
 
 def test_b_epsilon_half():
@@ -100,6 +94,15 @@ def test_b_epsilon_tenth():
     expected = (PowerProduct.from_int(8)
                 * PowerProduct.from_int(30) ** Fraction(-9, 10))
     assert c.value == expected
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 132), Fraction(1, 1000),
+                                 Fraction(1, 100000)])
+def test_b_epsilon_refuses_at_the_cap(eps):
+    # the primorial walk stops once the witness passes 10**12: 37# = 7420738134810
+    with pytest.raises(ArithError, match="^input 7420738134810 exceeds "
+                       "factorization cap 1000000000000$"):
+        b_epsilon(eps)
 
 
 def test_b_epsilon_rejects_nonpositive():

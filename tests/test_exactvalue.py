@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torsionbounds.exactvalue import PowerProduct, _format_scaled, integer_nth_root
+from torsionbounds.exactvalue import (
+    PRIME_TEST_LIMIT,
+    PowerProduct,
+    _format_scaled,
+    _is_prime,
+    integer_nth_root,
+)
 
 
 # keep numerators and denominators small: construction factorizes them
@@ -23,8 +29,8 @@ def test_from_int_rejects_nonpositive():
 
 
 def test_one_is_empty_product():
-    assert PowerProduct.from_int(1) == PowerProduct.one
-    assert PowerProduct.one == Fraction(1)
+    assert PowerProduct.from_int(1) == PowerProduct({})
+    assert PowerProduct({}) == Fraction(1)
 
 
 @given(rationals, rationals)
@@ -64,7 +70,7 @@ def test_hash_agrees_with_eq():
                        max_size=4))
 def test_equal_values_hash_equal(factors):
     x = PowerProduct(factors)
-    canonical = PowerProduct.one
+    canonical = PowerProduct({})
     for base, e in factors.items():
         canonical = canonical * PowerProduct.from_int(base) ** e
     assert x == canonical and hash(x) == hash(canonical)
@@ -208,3 +214,49 @@ def test_decimal_takes_the_root_data_once(monkeypatch):
     monkeypatch.setattr(PowerProduct, "_root_data", counted)
     (PowerProduct.from_int(2) ** Fraction(1, 3)).decimal(12, round_up=True)
     assert len(calls) == 1
+
+
+# -- the primality test against trial division --------------------------------
+
+def _prime_by_trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_below_2e5():
+    assert all(_is_prime(n) == _prime_by_trial_division(n) for n in range(200_000))
+
+
+@given(st.integers(min_value=-10, max_value=10 ** 10))
+def test_is_prime_matches_trial_division(n):
+    assert _is_prime(n) == _prime_by_trial_division(n)
+
+
+PRIMES_NEAR_1E5 = [p for p in range(99_000, 101_000) if _prime_by_trial_division(p)]
+
+
+@given(st.sampled_from(PRIMES_NEAR_1E5), st.sampled_from(PRIMES_NEAR_1E5))
+def test_is_prime_rejects_products_of_two_primes(p, q):
+    assert not _is_prime(p * q)
+
+
+# the least strong pseudoprime to the first t prime bases, for t = 1..12
+# (some t share one); the last passes every base up to 37, so only base 41
+# rejects it
+@pytest.mark.parametrize("n", [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461])
+def test_strong_pseudoprimes_are_composite(n):
+    assert not _is_prime(n)
+
+
+@pytest.mark.parametrize("p", [10 ** 18 + 3, 10 ** 24 + 7,
+                               3317044064679887385961813])
+def test_large_primes_are_prime(p):
+    assert _is_prime(p)
+
+
+def test_is_prime_refuses_at_the_limit():
+    assert PRIME_TEST_LIMIT == 3317044064679887385961981
+    for n in (PRIME_TEST_LIMIT, PRIME_TEST_LIMIT + 2, 10 ** 30):
+        with pytest.raises(ValueError, match="past the primality-test limit"):
+            _is_prime(n)

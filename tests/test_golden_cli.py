@@ -75,8 +75,15 @@ CASES = {
     "baselines-digits-4301": ["baselines", "--degree", "9", "--digits", "4301"],
     "bounds-digits-4301": ["bounds", "records.csv", "--epsilon", "1/3", "--degree", "10",
                            "--digits", "4301"],
+    "lattice-check-prime-1e18": ["lattice-check", "--scenario-file", "prime_1e18.txt"],
+    "lattice-check-prime-1e18-json": ["lattice-check", "--scenario-file",
+                                      "prime_1e18.txt", "--format", "json"],
     "lattice-check-strong-pseudoprime": ["lattice-check", "--scenario-file",
                                          "strong_pseudoprime.txt"],
+    "lattice-check-past-prime-limit": ["lattice-check", "--scenario-file",
+                                       "past_prime_limit.txt"],
+    "bounds-not-utf8": ["bounds", "not_utf8.txt", "--epsilon", "1/2", "--degree", "10"],
+    "lattice-check-not-utf8": ["lattice-check", "--scenario-file", "not_utf8.txt"],
 }
 
 

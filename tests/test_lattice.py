@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torsionbounds import lattice, modmatrix
+from torsionbounds.exactvalue import PRIME_TEST_LIMIT
 from torsionbounds.lattice import (
     AdicGroup,
     LatticeBasis,
@@ -15,7 +16,6 @@ from torsionbounds.lattice import (
     SingularInputError,
     bundled_scenarios,
     expected_index,
-    lattice_index,
     parse_rational_matrix,
     parse_scenarios,
     rat_det,
@@ -55,7 +55,8 @@ def test_lattice_basis_validation():
 
 
 def test_prime_must_be_prime():
-    for l in (-3, 0, 1, 4, 6, 9):
+    # 3825123056546413051 is a strong pseudoprime to every base up to 37
+    for l in (-3, 0, 1, 4, 6, 9, 3825123056546413051):
         with pytest.raises(LatticeError, match=f"prime {l} is not a prime"):
             LatticeBasis(l, rat_mat((1, 0, 0, 1)))
         with pytest.raises(LatticeError, match=f"prime {l} is not a prime"):
@@ -64,6 +65,15 @@ def test_prime_must_be_prime():
             "generator 3,0;0,1\nlattice 1,0;0,1\nlattice2 1,0;0,4\nend\n")
     with pytest.raises(LatticeError, match="^line 8: prime 4 is not a prime$"):
         parse_scenarios(text)
+
+
+def test_prime_past_the_test_limit_is_refused():
+    top = 3317044064679887385961813  # the largest prime below the limit
+    assert LatticeBasis.standard(top).prime == top
+    for l in (PRIME_TEST_LIMIT, PRIME_TEST_LIMIT + 2):
+        with pytest.raises(LatticeError, match=f"prime {l} is past the "
+                           f"primality-test limit {PRIME_TEST_LIMIT}$"):
+            LatticeBasis.standard(l)
 
 
 def test_adic_group_validation():
@@ -229,6 +239,18 @@ def borel_group(l):
     return lattice._congruence_group(l, 1, 0)
 
 
+def lattice_index(G, T, k):
+    """Index of the precision-k image of G in GL2(Z/l^k), one lattice only."""
+    gens = lattice._checked_conjugates(G, T, k)
+    return lattice._index_in_gl2(subgroup_order_prime_power(gens, G.prime, k),
+                                 G.prime, k)
+
+
+def scaled(T, factor):
+    """The lattice T with its basis multiplied by `factor`."""
+    return LatticeBasis(T.prime, tuple(Fraction(factor) * q for q in T.basis))
+
+
 def test_image_of_identity_group_is_trivial():
     G = AdicGroup(2, (rat_mat((1, 0, 0, 1)),))
     assert lattice_index(G, LatticeBasis.standard(2), 1) == gl2_order(2) == 6
@@ -306,8 +328,8 @@ def test_scaling_lattice_leaves_index_unchanged():
     G = borel_group(3)
     T = LatticeBasis.standard(3)
     for k in (1, 2):
-        assert lattice_index(G, T, k) == lattice_index(G, T.scaled(3), k)
-        assert lattice_index(G, T, k) == lattice_index(G, T.scaled(Fraction(1, 3)), k)
+        assert lattice_index(G, T, k) == lattice_index(G, scaled(T, 3), k)
+        assert lattice_index(G, T, k) == lattice_index(G, scaled(T, Fraction(1, 3)), k)
 
 
 # -- layered order algorithm vs direct closure ------------------------------
