@@ -8,6 +8,7 @@ is < 1 exactly for an initial run of primes and is strictly increasing in p.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,10 +82,28 @@ def _b_exact(epsilon: Fraction) -> tuple[int, PowerProduct]:
     a, q = epsilon.numerator, epsilon.denominator
     witness = 1
     for p in filter(_is_prime, itertools.count(2)):
-        # (1 - 1/p) * p**eps < 1  <=>  (p-1)**q * p**a < p**q; a witness past
-        # the cap ends the scan too: euler_phi refuses it, as it would the full one
-        if a >= q or witness > FACTORIZATION_CAP or (p - 1) ** q * p ** a >= p ** q:
+        # a witness past the cap ends the scan too: euler_phi refuses it, as
+        # it would the full one
+        if a >= q or witness > FACTORIZATION_CAP or _factor_reaches_one(p, a, q):
             break
         witness *= p
     return witness, (PowerProduct.from_int(euler_phi(witness))
                      * PowerProduct.from_int(witness) ** (epsilon - 1))
+
+
+def _factor_reaches_one(p: int, a: int, q: int) -> bool:
+    """(1 - 1/p) * p**(a/q) >= 1, that is (p-1)**q * p**a >= p**q.
+
+    Decided as a*ln(p) against q*ln(p/(p-1)) in floating point, whose error
+    is a few units in the last place; only when the two sides are within a
+    relative 1e-9, or a float overflows, are the exact integer powers formed.
+    """
+    try:
+        lhs, rhs = a * math.log(p), q * math.log1p(1 / (p - 1))
+    except OverflowError:
+        pass
+    else:
+        # false when either side is infinite
+        if abs(lhs - rhs) > 1e-9 * max(lhs, rhs):
+            return lhs > rhs
+    return (p - 1) ** q * p ** a >= p ** q

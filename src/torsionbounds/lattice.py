@@ -388,10 +388,11 @@ def run_scenario(sc: LatticeScenario) -> ScenarioResult:
 
 
 def _primitive_root_sq(l: int) -> int:
-    """The least generator of the units mod l**2 (l odd): g prime to l
-    with g**(l(l-1)/q) != 1 for every prime q dividing l(l-1)."""
+    """The least generator of the units mod l**2 (l an odd prime): g prime
+    to l with g**(l(l-1)/q) != 1 for every prime q dividing l(l-1), which
+    are l and the primes of l - 1."""
     target = l * (l - 1)
-    primes = [q for q, _ in _factorize(target)]
+    primes = [l] + [q for q, _ in _factorize(l - 1)]
     for g in range(2, l * l):
         if g % l and all(pow(g, target // q, l * l) != 1 for q in primes):
             return g

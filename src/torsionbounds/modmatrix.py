@@ -1,23 +1,29 @@
 """Exact subgroup computations in GL2(Z/nZ).
 
-One integer kernel does the arithmetic: `_mul`, `_inv`, `_reduce` and
-`_closure` act on bare entry tuples (a, b, c, d) reduced to [0, m), and the
-l-adic filtration in `lattice` uses the same helpers.  `Mat2` is the
-validated type at the API boundary (entries reduced, unit determinant);
-its products, inverses and reductions compute through the kernel.
+One integer kernel does the arithmetic: `_mul`, `_inv` and `_reduce` act on
+bare entry tuples (a, b, c, d) reduced to [0, m), and the l-adic filtration
+in `lattice` uses the same helpers.  The loops that run once per element of
+a group (`_closure`, `reduce_subgroup`, `is_full_preimage`) write the same
+arithmetic inline on unpacked entries.  `Mat2` is the validated type at the
+API boundary (a slotted frozen dataclass: entries reduced, unit
+determinant); its products, inverses and reductions compute through the
+kernel.
 
-Subgroups carry their full element set as a frozenset of entry tuples
-(breadth-first closure of the generators), so orders and indices are exact
-by Lagrange; `SubgroupModN.elements` yields `Mat2` views made on demand.  An
-open subgroup of the profinite GL2 is always represented here by its image
-mod N for some multiple N of its level; reduction maps, full preimages and
-the level-within-N computation make the finite-level statements checkable
-by enumeration.
+Subgroups carry their full element set as a frozenset of entry tuples, so
+orders and indices are exact by Lagrange; `SubgroupModN.elements` yields
+`Mat2` views made on demand.  The closure is a breadth-first search over
+products with the generators only: a finite group is the monoid its
+generators span, so no inverse is taken.  An open subgroup of the
+profinite GL2 is always represented here by its image mod N for some
+multiple N of its level; reduction maps, full preimages and the
+level-within-N computation make the finite-level statements checkable by
+enumeration.  G is the full preimage of its image mod m iff it contains the
+kernel of reduction N -> m, which the full-preimage test decides by counting
+the elements of G that are the identity mod m.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -80,24 +86,26 @@ def _inv(x: Entries, m: int) -> Entries:
 
 
 def _closure(gens: Iterable[Entries], m: int) -> set[Entries]:
-    """Element set of the subgroup of GL2(Z/mZ) generated by `gens`."""
+    """Element set of the subgroup of GL2(Z/mZ) generated by `gens` (entry
+    tuples reduced mod m with unit determinant).  A finite group is the
+    monoid its generators span, so the breadth-first search multiplies by
+    the generators only, never by their inverses."""
     ident = (1 % m, 0, 0, 1 % m)
-    full = []
-    for g in gens:
-        full.append(g)
-        full.append(_inv(g, m))
-    full = list(dict.fromkeys(full))
+    gens = list(dict.fromkeys(gens))
     seen = {ident}
-    queue = deque([ident])
-    while queue:
-        x = queue.popleft()
-        for g in full:
-            y = _mul(x, g, m)
-            if y not in seen:
-                if len(seen) >= ENUMERATION_CAP:
-                    raise EnumerationTooLargeError(len(seen) + 1, ENUMERATION_CAP)
-                seen.add(y)
-                queue.append(y)
+    frontier = [ident]
+    while frontier:
+        grown = []
+        for a, b, c, d in frontier:
+            for e, f, g, h in gens:
+                y = ((a * e + b * g) % m, (a * f + b * h) % m,
+                     (c * e + d * g) % m, (c * f + d * h) % m)
+                if y not in seen:
+                    if len(seen) >= ENUMERATION_CAP:
+                        raise EnumerationTooLargeError(len(seen) + 1, ENUMERATION_CAP)
+                    seen.add(y)
+                    grown.append(y)
+        frontier = grown
     return seen
 
 
@@ -131,7 +139,7 @@ def _exact_size(elements: frozenset, size: int, what: str) -> frozenset:
     return elements
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Mat2:
     """A 2x2 matrix over Z/nZ with unit determinant."""
 
@@ -142,15 +150,18 @@ class Mat2:
     d: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidModulusError(f"modulus must be >= 1, got {self.n}")
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, getattr(self, name) % self.n)
-        det = (self.a * self.d - self.b * self.c) % self.n
-        if math.gcd(det, self.n) != 1:
-            raise NotInvertibleError(
-                f"determinant {det} is not a unit mod {self.n}"
-            )
+        n = self.n
+        if n < 1:
+            raise InvalidModulusError(f"modulus must be >= 1, got {n}")
+        a, b, c, d = self.a % n, self.b % n, self.c % n, self.d % n
+        det = (a * d - b * c) % n
+        if math.gcd(det, n) != 1:
+            raise NotInvertibleError(f"determinant {det} is not a unit mod {n}")
+        set_field = object.__setattr__
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "d", d)
 
     @staticmethod
     def identity(n: int) -> "Mat2":
@@ -259,7 +270,8 @@ def reduce_subgroup(G: SubgroupModN, m: int) -> SubgroupModN:
     """Image of G under entrywise reduction mod m (m | n)."""
     if m < 1 or G.n % m != 0:
         raise NotADivisorError(f"{m} does not divide modulus {G.n}")
-    return SubgroupModN(m, frozenset(_reduce(e, m) for e in G.entries))
+    return SubgroupModN(m, frozenset((a % m, b % m, c % m, d % m)
+                                     for a, b, c, d in G.entries))
 
 
 def full_preimage(H: SubgroupModN, n: int) -> SubgroupModN:
@@ -276,13 +288,16 @@ def full_preimage(H: SubgroupModN, n: int) -> SubgroupModN:
 def is_full_preimage(G: SubgroupModN, m: int) -> bool:
     """True iff G equals the full preimage of its own reduction mod m.
 
-    Equivalent, at finite level, to G containing the kernel of reduction
-    n -> m; checked by the order equation, no preimage enumeration needed.
+    At finite level that holds iff G contains the kernel of reduction
+    n -> m, so it is checked by counting the elements of G that are the
+    identity mod m: no image set or preimage enumeration is built.
     """
-    if m < 1 or G.n % m != 0:
-        raise NotADivisorError(f"{m} does not divide modulus {G.n}")
-    image_order = len({_reduce(e, m) for e in G.entries})
-    return G.order * gl2_order(m) == image_order * gl2_order(G.n)
+    n = G.n
+    if m < 1 or n % m != 0:
+        raise NotADivisorError(f"{m} does not divide modulus {n}")
+    kernel = sum(1 for a, b, c, d in G.entries
+                 if not b % m and not c % m and not (a - 1) % m and not (d - 1) % m)
+    return kernel * gl2_order(m) == gl2_order(n)
 
 
 def level_within(G: SubgroupModN) -> int:

@@ -3,10 +3,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from torsionbounds.arith import (
     ArithError,
+    _factor_reaches_one,
     b_epsilon,
     dedekind_psi,
     euler_phi,
@@ -97,12 +98,27 @@ def test_b_epsilon_tenth():
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 132), Fraction(1, 1000),
-                                 Fraction(1, 100000)])
+                                 Fraction(1, 100000), Fraction(1, 10**7)])
 def test_b_epsilon_refuses_at_the_cap(eps):
     # the primorial walk stops once the witness passes 10**12: 37# = 7420738134810
     with pytest.raises(ArithError, match="^input 7420738134810 exceeds "
                        "factorization cap 1000000000000$"):
         b_epsilon(eps)
+
+
+_SMALL_PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+
+
+@given(st.sampled_from(_SMALL_PRIMES), st.integers(min_value=2, max_value=3000),
+       st.integers(min_value=-2, max_value=2))
+@example(2, 2, 0)
+@example(3, 1000, 0)
+def test_float_first_factor_test_matches_exact(p, q, offset):
+    # a sits next to the crossover q*ln(p/(p-1))/ln(p), where the float
+    # decision is closest to failing
+    crossover = q * math.log1p(1 / (p - 1)) / math.log(p)
+    a = min(max(math.floor(crossover) + offset, 1), q - 1)
+    assert _factor_reaches_one(p, a, q) == ((p - 1) ** q * p ** a >= p ** q)
 
 
 def test_b_epsilon_rejects_nonpositive():

@@ -483,6 +483,12 @@ def test_primitive_root_sq_matches_walking_oracle():
         assert lattice._primitive_root_sq(l) == _walking_primitive_root_sq(l), l
 
 
+def test_primitive_root_sq_at_a_large_prime():
+    # l - 1 = 2 * 500000003: factoring l * (l - 1) by trial division took
+    # tens of seconds, factoring l - 1 alone takes milliseconds
+    assert lattice._primitive_root_sq(10**9 + 7) == 5
+
+
 # the bundled family's builders as they were written one per group type,
 # kept as an oracle for the generators and lattices of every scenario
 

@@ -1,9 +1,11 @@
 """GL2(Z/nZ) arithmetic: orders, closures, reductions, preimages, levels."""
+import dataclasses
 import math
+from collections import deque
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torsionbounds import modmatrix, verify
 from torsionbounds.bounds import BoundContext, sieve_modulus
@@ -15,6 +17,9 @@ from torsionbounds.modmatrix import (
     ModulusMismatchError,
     NotADivisorError,
     NotInvertibleError,
+    _inv,
+    _mul,
+    _reduce,
     b1_subgroup,
     enumerate_gl2,
     full_gl2,
@@ -38,6 +43,29 @@ def test_entries_are_canonicalized():
 def test_non_unit_determinant_rejected():
     with pytest.raises(NotInvertibleError):
         Mat2(4, 1, 0, 0, 2)  # det 2, not a unit mod 4
+
+
+def test_mat2_is_frozen_and_slotted():
+    g = Mat2(5, 1, 2, 3, 4)
+    for name in ("n", "a", "b", "c", "d"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, 0)
+    assert not hasattr(g, "__dict__")
+    assert (g.n, g.entries) == (5, (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mat2_order_equality_and_hash_match_tuples(n):
+    # the tuple (n, a, b, c, d) is the oracle for sorting, equality and hashing
+    tuples = sorted((n, a, b, c, d) for a in range(n) for b in range(n)
+                    for c in range(n) for d in range(n)
+                    if math.gcd(a * d - b * c, n) == 1)
+    elems = sorted(enumerate_gl2(n))
+    assert [(g.n, *g.entries) for g in elems] == tuples
+    for g, t in zip(elems, tuples):
+        again = Mat2(t[0], *(x + n for x in t[1:]))
+        assert g == again and hash(g) == hash(again) == hash(t)
+    assert all(x < y and x != y for x, y in zip(elems, elems[1:]))
 
 
 def test_invalid_modulus():
@@ -365,6 +393,53 @@ def test_kernel_closure_matches_oracle(case, data):
     assert set(reduce_subgroup(G, m).elements) == image
     lifted = {g for g in _oracle_gl2(n) if Mat2(m, g.a, g.b, g.c, g.d) in image}
     assert set(full_preimage(reduce_subgroup(G, m), n).elements) == lifted
+
+
+# -- differential: the inline kernel loops against the code they replaced ---
+#
+# The closure once multiplied by the generators and their inverses, queued in
+# a deque; the full-preimage test compared |G| * |GL2(Z/m)| with |image| *
+# |GL2(Z/n)|; the reduction called _reduce per element.
+
+def _oracle_inverse_closure(gens, m):
+    ident = (1 % m, 0, 0, 1 % m)
+    full = list(dict.fromkeys(x for g in gens for x in (g, _inv(g, m))))
+    seen = {ident}
+    queue = deque([ident])
+    while queue:
+        x = queue.popleft()
+        for g in full:
+            y = _mul(x, g, m)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
+def _oracle_image_order_test(G, m):
+    image_order = len({_reduce(e, m) for e in G.entries})
+    return G.order * gl2_order(m) == image_order * gl2_order(G.n)
+
+
+@st.composite
+def generator_lists_with_repeats(draw):
+    n, gens = draw(generator_sets())
+    extra = draw(st.lists(st.sampled_from(gens + [Mat2.identity(n)]), max_size=3))
+    return n, draw(st.permutations(gens + extra))
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_lists_with_repeats())
+@example((1, [Mat2.identity(1), Mat2.identity(1)]))
+@example((6, [Mat2.identity(6), Mat2(6, 1, 1, 0, 1), Mat2(6, 1, 1, 0, 1)]))
+@example((12, [Mat2(12, 5, 0, 0, 1), Mat2(12, 5, 0, 0, 1), Mat2(12, 0, 11, 1, 0)]))
+def test_kernel_loops_match_their_earlier_versions(case):
+    n, gens = case
+    G = subgroup_closure(gens, n)
+    assert G.entries == _oracle_inverse_closure([g.entries for g in gens], n)
+    for m in _divisors(n):
+        assert is_full_preimage(G, m) == _oracle_image_order_test(G, m), m
+        assert reduce_subgroup(G, m).entries == {_reduce(e, m) for e in G.entries}
 
 
 def test_membership_needs_matching_modulus():
