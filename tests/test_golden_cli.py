@@ -84,6 +84,13 @@ CASES = {
                                        "past_prime_limit.txt"],
     "bounds-not-utf8": ["bounds", "not_utf8.txt", "--epsilon", "1/2", "--degree", "10"],
     "lattice-check-not-utf8": ["lattice-check", "--scenario-file", "not_utf8.txt"],
+    "lattice-check-deep-l2": ["lattice-check", "--scenario-file", "deep_l2.txt"],
+    "lattice-check-deep-l2-json": ["lattice-check", "--scenario-file", "deep_l2.txt",
+                                   "--format", "json"],
+    "lattice-check-unsorted-precisions": ["lattice-check", "--scenario-file",
+                                          "unsorted_precisions.txt"],
+    "lattice-check-unsorted-precisions-json": ["lattice-check", "--scenario-file",
+                                               "unsorted_precisions.txt", "--format", "json"],
 }
 
 
