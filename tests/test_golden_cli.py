@@ -91,6 +91,9 @@ CASES = {
                                           "unsorted_precisions.txt"],
     "lattice-check-unsorted-precisions-json": ["lattice-check", "--scenario-file",
                                                "unsorted_precisions.txt", "--format", "json"],
+    "lattice-check-precision-0": ["lattice-check", "--scenario-file", "precision_0.txt"],
+    "lattice-check-precision-800": ["lattice-check", "--scenario-file",
+                                    "precision_800.txt"],
 }
 
 

@@ -9,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 from torsionbounds import lattice, modmatrix
 from torsionbounds.exactvalue import PRIME_TEST_LIMIT
 from torsionbounds.lattice import (
+    MAX_PRECISION,
     AdicGroup,
+    IndexReport,
     LatticeBasis,
     LatticeError,
+    LatticeScenario,
     NotInvariantError,
     SingularInputError,
     bundled_scenarios,
@@ -23,7 +26,7 @@ from torsionbounds.lattice import (
     rat_mul,
     run_scenario,
     stabilizes,
-    subgroup_order_prime_power,
+    subgroup_orders,
     valuation,
     verify_index_equality,
 )
@@ -242,8 +245,7 @@ def borel_group(l):
 def lattice_index(G, T, k):
     """Index of the precision-k image of G in GL2(Z/l^k), one lattice only."""
     gens = lattice._checked_conjugates(G, T, k)
-    return lattice._index_in_gl2(subgroup_order_prime_power(gens, G.prime, k),
-                                 G.prime, k)
+    return lattice._index_in_gl2(subgroup_orders(gens, G.prime, k)[-1], G.prime, k)
 
 
 def scaled(T, factor):
@@ -343,8 +345,9 @@ def test_layered_order_matches_closure(l, k):
         [Mat2(m, 0, m - 1, 1, 0), Mat2(m, 1, 1, 0, 1)],
     ]
     for gens in cases:
-        brute = subgroup_closure(gens, m).order
-        assert subgroup_order_prime_power(gens, l, k) == brute
+        brute = [subgroup_closure([Mat2(l ** j, *g.entries) for g in gens], l ** j).order
+                 for j in range(1, k + 1)]
+        assert subgroup_orders(gens, l, k) == brute
 
 
 def _filtration_oracle(gens, l, k):
@@ -422,7 +425,7 @@ ORACLE_CAP = 20_000
 @given(prime_power_generators())
 def test_layered_order_matches_oracles(case):
     l, k, gens = case
-    order = subgroup_order_prime_power(gens, l, k)
+    order = subgroup_orders(gens, l, k)[-1]
     assert gl2_order(l ** k) % order == 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modmatrix, "ENUMERATION_CAP", ORACLE_CAP)
@@ -442,15 +445,125 @@ def test_layered_order_cap_guards_the_mod_l_scan(monkeypatch):
     monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", 5)
     for k in (1, 3):
         with pytest.raises(EnumerationTooLargeError, match="6 elements exceeds cap 5"):
-            subgroup_order_prime_power(gl2_gens(2 ** k), 2, k)
+            subgroup_orders(gl2_gens(2 ** k), 2, k)
     # depth costs no enumeration: 7 elements suffice for the 1536 mod 8
     monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", 7)
-    assert subgroup_order_prime_power(gl2_gens(8), 2, 3) == gl2_order(8) == 1536
+    assert subgroup_orders(gl2_gens(8), 2, 3) == [6, 96, 1536]
+    assert gl2_order(8) == 1536
 
 
 def test_layered_order_rejects_wrong_modulus():
     with pytest.raises(LatticeError):
-        subgroup_order_prime_power([Mat2(4, 1, 1, 0, 1)], 2, 3)
+        subgroup_orders([Mat2(4, 1, 1, 0, 1)], 2, 3)
+    with pytest.raises(LatticeError, match="precision must be >= 1, got 0"):
+        subgroup_orders([Mat2(1, 1, 0, 0, 1)], 2, 0)
+
+
+# -- one sift per lattice against the per-precision path --------------------
+
+def _subgroup_order_prime_power(gens, l, k):
+    """The order of <gens> in GL2(Z/l^k) alone, from its own coset scan and
+    sift: the function `subgroup_orders` replaced, kept as an oracle."""
+    top = l ** k
+    raw = list(dict.fromkeys(g.entries for g in gens))
+    ident = (1, 0, 0, 1)
+    sifter = lattice._LayeredBasis(l, k)
+    reps = {_reduce(ident, l): (ident, ident)}
+    queue = deque([ident])
+    while queue:
+        rep = queue.popleft()
+        for g in raw:
+            prod = _mul(rep, g, top)
+            key = _reduce(prod, l)
+            known = reps.get(key)
+            if known is None:
+                reps[key] = (prod, _inv(prod, top))
+                queue.append(prod)
+            elif not sifter.full:
+                sifter.add(_mul(prod, known[1], top))
+    return len(reps) * l ** len(sifter.elements)
+
+
+def _per_precision_reports(sc):
+    """The reports of `run_scenario(sc)` as the earlier code made them: both
+    lattices conjugated and sifted again at each precision."""
+    l, out = sc.prime, []
+    for k in sc.precisions:
+        gens_t = lattice._checked_conjugates(sc.group, sc.lattice, k, "first lattice")
+        gens_t2 = lattice._checked_conjugates(sc.group, sc.lattice2, k, "second lattice")
+        out.append(IndexReport(
+            *(lattice._index_in_gl2(_subgroup_order_prime_power(g, l, k), l, k)
+              for g in (gens_t, gens_t2)), k))
+    return tuple(out)
+
+
+@st.composite
+def conjugated_bundled_scenarios(draw):
+    """A bundled scenario with its group and both lattices moved by an
+    integer matrix U of determinant +-1 (g -> U g U^-1, T -> U T), which
+    keeps every index, and precisions over 1..8 in any order with repeats."""
+    l = draw(st.sampled_from([2, 3, 5, 7]))
+    sc = draw(st.sampled_from(bundled_scenarios(primes=(l,))))
+    U = draw(_unimodular(l))
+    gens = tuple(rat_mul(rat_mul(U, g), _inverse(U)) for g in sc.group.generators)
+    ks = draw(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=5))
+    return LatticeScenario(sc.ident, AdicGroup(l, gens), sc.lattice.transformed(U),
+                           sc.lattice2.transformed(U), tuple(ks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(conjugated_bundled_scenarios())
+def test_one_pass_matches_per_precision_oracle(sc):
+    res = run_scenario(sc)
+    assert res.reports == _per_precision_reports(sc)
+    gtype, _, stype = sc.ident.partition(f"-l{sc.prime}-")
+    assert [(r.precision, r.index_T, r.index_Tprime) for r in res.reports] == [
+        (k, *(expected_index(sc.prime, gtype, stype, k),) * 2) for k in sc.precisions]
+
+
+def test_run_scenario_conjugates_and_sifts_each_lattice_once(monkeypatch):
+    sc = bundled_scenarios(primes=(3,), precisions=range(1, 7))[0]
+    expected = _per_precision_reports(sc)
+    calls = {"conjugate": 0, "sift": 0}
+    real_conjugates = lattice._checked_conjugates
+
+    def counted_conjugates(*args):
+        calls["conjugate"] += 1
+        return real_conjugates(*args)
+
+    class CountedBasis(lattice._LayeredBasis):
+        def __init__(self, *args):
+            calls["sift"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(lattice, "_checked_conjugates", counted_conjugates)
+    monkeypatch.setattr(lattice, "_LayeredBasis", CountedBasis)
+    assert run_scenario(sc).reports == expected
+    assert calls == {"conjugate": 2, "sift": 2}
+
+
+def test_second_lattice_failure_comes_before_any_sift(monkeypatch):
+    T = LatticeBasis.standard(2)
+    T2 = T.transformed(rat_mat((1, 0, 0, 2)))
+    # 1,0;1,1 stabilizes T but not T2
+    G = AdicGroup(2, (rat_mat((3, 0, 0, 1)), rat_mat((1, 0, 1, 1))))
+
+    def no_sift(*args):
+        raise AssertionError("sifted before both lattices were conjugated")
+
+    monkeypatch.setattr(lattice, "subgroup_orders", no_sift)
+    monkeypatch.setattr(lattice, "_LayeredBasis", no_sift)
+    with pytest.raises(NotInvariantError, match="1,0;1,1 does not stabilize "
+                       "the second lattice$"):
+        run_scenario(LatticeScenario("s", G, T, T2, (3, 1, 40)))
+
+
+def test_precision_below_one_is_refused():
+    T = LatticeBasis.standard(2)
+    with pytest.raises(LatticeError, match="^precision must be >= 1, got 0$"):
+        verify_index_equality(borel_group(2), T, T, 0)
+    with pytest.raises(LatticeError, match="^precision must be >= 1, got -2$"):
+        run_scenario(LatticeScenario("s", borel_group(2), T, T, (1, -2)))
 
 
 # -- bundled scenarios ------------------------------------------------------
@@ -647,7 +760,22 @@ def test_scenario_format_parse_roundtrip():
     ("scenario a\nprime 3", "unterminated"),
     ("scenario a\nprime 3\nprecisions\ngenerator 1,1;0,1\nlattice 1,0;0,1\n"
      "lattice2 1,0;0,1\nend", "^line 7: scenario 'a' has no precisions$"),
+    ("scenario a\nprime 3\nprecisions 0\ngenerator 1,1;0,1",
+     f"^line 3: precision 0 is outside 1..{MAX_PRECISION}$"),
+    ("scenario a\nprime 3\nprecisions 1 -2\ngenerator 1,1;0,1",
+     f"^line 3: precision -2 is outside 1..{MAX_PRECISION}$"),
+    ("scenario a\nprime 2\nprecisions 1 2 800 0\ngenerator 1,2;0,1",
+     f"^line 3: precision 800 is outside 1..{MAX_PRECISION}$"),
 ])
 def test_parse_scenarios_errors(text, message):
     with pytest.raises(LatticeError, match=message):
         parse_scenarios(text)
+
+
+def test_precision_limit_is_checked_at_parse_time():
+    deepest = SCENARIO_TEXT.replace("precisions 1 2", f"precisions 1 {MAX_PRECISION}")
+    assert parse_scenarios(deepest)[0].precisions == (1, MAX_PRECISION)
+    past = SCENARIO_TEXT.replace("precisions 1 2", f"precisions {MAX_PRECISION + 1}")
+    with pytest.raises(LatticeError, match=f"^line 4: precision {MAX_PRECISION + 1} "
+                       f"is outside 1..{MAX_PRECISION}$"):
+        parse_scenarios(past)
