@@ -342,9 +342,9 @@ def verify_index_equality(G: AdicGroup, T: LatticeBasis, Tprime: LatticeBasis,
 def _index_reports(G: AdicGroup, T: LatticeBasis, Tprime: LatticeBasis,
                    ks: Sequence[int]) -> list[IndexReport]:
     """A report per precision in ks, from one conjugation and sift per lattice."""
-    if min(ks) < 1:
+    if min(ks, default=1) < 1:
         raise LatticeError(f"precision must be >= 1, got {min(ks)}")
-    l, top = G.prime, max(ks)
+    l, top = G.prime, max(ks, default=1)
     gens = [_checked_conjugates(G, T, top, "first lattice"),
             _checked_conjugates(G, Tprime, top, "second lattice")]
     orders_t, orders_t2 = (subgroup_orders(g, l, top) for g in gens)

@@ -564,6 +564,8 @@ def test_precision_below_one_is_refused():
         verify_index_equality(borel_group(2), T, T, 0)
     with pytest.raises(LatticeError, match="^precision must be >= 1, got -2$"):
         run_scenario(LatticeScenario("s", borel_group(2), T, T, (1, -2)))
+    # no precisions, no reports, as when each precision had its own pass
+    assert run_scenario(LatticeScenario("s", borel_group(2), T, T, ())).reports == ()
 
 
 # -- bundled scenarios ------------------------------------------------------
