@@ -94,6 +94,9 @@ CASES = {
     "lattice-check-precision-0": ["lattice-check", "--scenario-file", "precision_0.txt"],
     "lattice-check-precision-800": ["lattice-check", "--scenario-file",
                                     "precision_800.txt"],
+    "bounds-epsilon-1-50": ["bounds", "records.csv", "--epsilon", "1/50", "--degree", "10"],
+    "b-epsilon-1-132": ["b-epsilon", "--epsilon", "1/132"],
+    "bounds-epsilon-1-66": ["bounds", "records.csv", "--epsilon", "1/66", "--degree", "10"],
 }
 
 
