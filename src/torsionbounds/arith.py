@@ -26,9 +26,13 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     inputs capped at 10**12."""
     if n < 1:
         raise ArithError(f"can only factor integers >= 1, got {n}")
+    _check_cap(n)
+    return _factorize(n)
+
+
+def _check_cap(n: int) -> None:
     if n > FACTORIZATION_CAP:
         raise ArithError(f"input {n} exceeds factorization cap {FACTORIZATION_CAP}")
-    return _factorize(n)
 
 
 def euler_phi(n: int) -> int:
@@ -80,15 +84,24 @@ def _b_exact(epsilon: Fraction) -> tuple[int, PowerProduct]:
     if epsilon <= 0:
         raise ArithError("epsilon must be > 0 (the infimum is 0 otherwise)")
     a, q = epsilon.numerator, epsilon.denominator
+    primes = []
     witness = 1
     for p in filter(_is_prime, itertools.count(2)):
-        # a witness past the cap ends the scan too: euler_phi refuses it, as
-        # it would the full one
         if a >= q or witness > FACTORIZATION_CAP or _factor_reaches_one(p, a, q):
             break
+        primes.append(p)
         witness *= p
-    return witness, (PowerProduct.from_int(euler_phi(witness))
-                     * PowerProduct.from_int(witness) ** (epsilon - 1))
+    # past the cap the exact value takes minutes to render: refuse the
+    # witness as factorize refuses its inputs
+    _check_cap(witness)
+    # phi(w) * w**(eps - 1) over the denominator q: each p of the squarefree
+    # w adds a - q, and phi(w) = prod(p - 1) adds q times the factors of
+    # p - 1; with 0 < a < q no exponent sums to 0
+    exps = dict.fromkeys(primes, a - q)
+    for p in primes:
+        for r, k in _factorize(p - 1):
+            exps[r] = exps.get(r, 0) + k * q
+    return witness, PowerProduct._reduced(q, sorted(exps.items()))
 
 
 def _factor_reaches_one(p: int, a: int, q: int) -> bool:

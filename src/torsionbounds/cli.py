@@ -46,11 +46,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _rational(text: str) -> Fraction:
+# past the float range (about 10**308) the primorial walk of b_epsilon
+# decides its steps by exact powers of size q, which do not finish
+MAX_EPSILON_DENOMINATOR = 10 ** 300
+
+
+def _epsilon(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+    if value.denominator > MAX_EPSILON_DENOMINATOR:
+        raise argparse.ArgumentTypeError("denominator must be <= 10**300")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -107,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate bounds per curve record")
     p.add_argument("records", help="curve-record CSV file, or - for stdin")
-    p.add_argument("--epsilon", type=_rational, required=True,
+    p.add_argument("--epsilon", type=_epsilon, required=True,
                    help="rational epsilon in (0, 2), e.g. 1/2")
     p.add_argument("--degree", type=_positive_int, required=True,
                    help="target extension degree d")
@@ -124,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("b-epsilon", help="extremal totient constant")
-    p.add_argument("--epsilon", type=_rational, required=True)
+    p.add_argument("--epsilon", type=_epsilon, required=True)
     p.add_argument("--digits", type=_digits, default=12)
     add_format(p)
 

@@ -1,16 +1,19 @@
 """Exact positive reals of the form prod(p_i ** e_i) with rational exponents.
 
 All bound constants produced by this package are products of integer bases
-raised to rational powers.  Carrying them symbolically lets us compare two
-values exactly (raise both sides to the lcm of the exponent denominators and
-compare integers) and render decimals with directed rounding, so an emitted
-upper bound is never understated and a constant sitting in a denominator is
-never overstated.
+raised to rational powers.  A PowerProduct factors its bases once, when it
+is built, and keeps the value as prod(p_i ** (k_i / L)): one exponent
+denominator L and sorted (prime, integer k) pairs, reduced so that equal
+values have one form.  Multiplication, division and rational powers are
+then integer arithmetic on that form.  Two values compare exactly (raise
+both sides to L and compare integers), and decimals render with directed
+rounding, so an emitted upper bound is never understated and a constant
+sitting in a denominator is never overstated.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -98,87 +101,122 @@ def integer_nth_root(a: int, n: int) -> int:
         x = y
 
 
-@dataclass(frozen=True)
 class PowerProduct:
-    """A positive real number prod(p ** e) with prime p and rational e."""
+    """A positive real number prod(p ** (k / L)) with prime p and integer k.
 
-    factors: Mapping[int, Fraction] = field(default_factory=dict)
+    Stored as one exponent denominator L >= 1 and a tuple of (p, k) pairs,
+    primes increasing, every k nonzero, gcd(L, all k) = 1; so each value has
+    exactly one form, and arithmetic on it is integer arithmetic.
+    """
+
+    __slots__ = ("_L", "_pairs")
+
+    def __new__(cls, factors: Mapping[int, Rational] | None = None) -> "PowerProduct":
+        exps: dict[int, Fraction] = {}
+        for base, e in (factors or {}).items():
+            if base < 1:
+                raise ValueError(f"PowerProduct bases must be >= 1, got {base}")
+            e = Fraction(e)
+            for p, k in _factorize(base):
+                exps[p] = exps.get(p, 0) + k * e
+        L = math.lcm(*(e.denominator for e in exps.values()))
+        return cls._reduced(L, [(p, e.numerator * (L // e.denominator))
+                                for p, e in sorted(exps.items()) if e])
+
+    @classmethod
+    def _reduced(cls, L: int, pairs: list[tuple[int, int]]) -> "PowerProduct":
+        """The value prod(p ** (k / L)) over sorted pairs with k nonzero,
+        in its reduced form."""
+        g = math.gcd(L, *[k for _, k in pairs]) if L > 1 else 1
+        x = object.__new__(cls)
+        x._L = L // g
+        x._pairs = tuple(pairs) if g == 1 else tuple((p, k // g) for p, k in pairs)
+        return x
+
+    @property
+    def factors(self) -> dict[int, Fraction]:
+        """{prime: exponent}, a new dict on every read."""
+        return {p: Fraction(k, self._L) for p, k in self._pairs}
 
     @staticmethod
     def from_int(n: int) -> "PowerProduct":
         if n <= 0:
             raise ValueError("PowerProduct represents positive values only")
-        return PowerProduct({p: Fraction(k) for p, k in _factorize(n)})
+        return PowerProduct._reduced(1, _factorize(n))
 
     @staticmethod
     def from_fraction(q: Rational) -> "PowerProduct":
         q = Fraction(q)
         if q <= 0:
             raise ValueError("PowerProduct represents positive values only")
-        f = {p: Fraction(k) for p, k in _factorize(q.numerator)}
-        for p, k in _factorize(q.denominator):
-            f[p] = f.get(p, Fraction(0)) - k
-        return PowerProduct({p: e for p, e in f.items() if e})
+        # numerator and denominator are coprime: no prime occurs twice
+        pairs = _factorize(q.numerator) + tuple(
+            (p, -k) for p, k in _factorize(q.denominator))
+        return PowerProduct._reduced(1, sorted(pairs))
+
+    def _merge(self, other: "PowerProduct", sign: int) -> "PowerProduct":
+        """self * other ** sign, sign = 1 or -1."""
+        L = math.lcm(self._L, other._L)
+        s1, s2 = L // self._L, L // other._L * sign
+        exps = {p: k * s1 for p, k in self._pairs}
+        for p, k in other._pairs:
+            exps[p] = exps.get(p, 0) + k * s2
+        return PowerProduct._reduced(L, sorted((p, k) for p, k in exps.items() if k))
 
     def __mul__(self, other: "PowerProduct | Rational") -> "PowerProduct":
-        other = _coerce(other)
-        f = dict(self.factors)
-        for p, e in other.factors.items():
-            e2 = f.get(p, Fraction(0)) + e
-            if e2:
-                f[p] = e2
-            else:
-                f.pop(p, None)
-        return PowerProduct(f)
+        return self._merge(_coerce(other), 1)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "PowerProduct | Rational") -> "PowerProduct":
-        return self * _coerce(other) ** -1
+        return self._merge(_coerce(other), -1)
 
     def __pow__(self, exponent: Rational) -> "PowerProduct":
-        exponent = Fraction(exponent)
-        if exponent == 0:
-            return PowerProduct({})
-        return PowerProduct({p: e * exponent for p, e in self.factors.items()})
+        if not isinstance(exponent, (int, Fraction)):
+            exponent = Fraction(exponent)
+        a, b = exponent.numerator, exponent.denominator
+        if a == 0:
+            return PowerProduct._reduced(1, [])
+        return PowerProduct._reduced(self._L * b, [(p, k * a) for p, k in self._pairs])
 
     # -- exact comparison ------------------------------------------------
 
     def _root_data(self) -> tuple[int, int, int]:
         """Return (num, den, L) with value == (num/den) ** (1/L)."""
-        L = 1
-        for e in self.factors.values():
-            L = math.lcm(L, e.denominator)
         num = den = 1
-        for p, e in self.factors.items():
-            k = int(e * L)
-            if k >= 0:
+        for p, k in self._pairs:
+            if k > 0:
                 num *= p ** k
             else:
-                den *= p ** (-k)
-        return num, den, L
+                den *= p ** -k
+        return num, den, self._L
 
     def compare(self, other: "PowerProduct | Rational") -> int:
-        ratio = self / _coerce(other)
-        num, den, _ = ratio._root_data()
+        num, den, _ = (self / other)._root_data()
         return (num > den) - (num < den)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (PowerProduct, int, Fraction)):
-            return self.compare(other) == 0
+            other = _coerce(other)
+            return self._L == other._L and self._pairs == other._pairs
         return NotImplemented
 
     def __hash__(self) -> int:
-        # equal values have equal prime factorizations; a rational value
-        # hashes as its Fraction, since __eq__ accepts ints and Fractions
-        primes: dict[int, Fraction] = {}
-        for base, e in self.factors.items():
-            for p, k in _factorize(base):
-                primes[p] = primes.get(p, 0) + k * e
-        primes = {p: e for p, e in primes.items() if e}
-        if all(e.denominator == 1 for e in primes.values()):
-            return hash(math.prod(Fraction(p) ** int(e) for p, e in primes.items()))
-        return hash(frozenset(primes.items()))
+        if self._L > 1:
+            return hash((self._L, self._pairs))
+        # a rational value hashes as its Fraction, since __eq__ accepts ints
+        # and Fractions: num * den**-1 modulo the hash modulus P, found
+        # prime by prime without forming num and den (Python's numeric hash)
+        P = sys.hash_info.modulus
+        num = den = 1
+        for p, k in self._pairs:
+            if k > 0:
+                num = num * pow(p, k, P) % P
+            else:
+                den = den * pow(p, -k, P) % P
+        if den == 0:
+            return hash(num * sys.hash_info.inf)
+        return num * pow(den, -1, P) % P
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -225,9 +263,9 @@ class PowerProduct:
         return float(self.decimal(17))
 
     def __repr__(self) -> str:
-        if not self.factors:
+        if not self._pairs:
             return "PowerProduct(1)"
-        parts = [f"{p}^{e}" for p, e in sorted(self.factors.items())]
+        parts = [f"{p}^{e}" for p, e in self.factors.items()]
         return "PowerProduct(" + " * ".join(parts) + ")"
 
 

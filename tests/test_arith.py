@@ -1,19 +1,23 @@
 """Multiplicative functions and the extremal totient constant."""
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from torsionbounds import arith
 from torsionbounds.arith import (
+    FACTORIZATION_CAP,
     ArithError,
+    _b_exact,
     _factor_reaches_one,
     b_epsilon,
     dedekind_psi,
     euler_phi,
     factorize,
 )
-from torsionbounds.exactvalue import PowerProduct
+from torsionbounds.exactvalue import PowerProduct, _is_prime
 
 
 def test_factorize_small():
@@ -104,6 +108,47 @@ def test_b_epsilon_refuses_at_the_cap(eps):
     with pytest.raises(ArithError, match="^input 7420738134810 exceeds "
                        "factorization cap 1000000000000$"):
         b_epsilon(eps)
+
+
+def _b_exact_by_euler_phi(epsilon):
+    """_b_exact as it was: the primorial walk, then phi and the witness
+    re-factored, under the cap of factorize."""
+    a, q = epsilon.numerator, epsilon.denominator
+    witness = 1
+    for p in filter(_is_prime, itertools.count(2)):
+        if a >= q or witness > FACTORIZATION_CAP or _factor_reaches_one(p, a, q):
+            break
+        witness *= p
+    return witness, (PowerProduct.from_int(euler_phi(witness))
+                     * PowerProduct.from_int(witness) ** (epsilon - 1))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ArithError as exc:
+        return str(exc)
+
+
+def test_b_exact_matches_the_euler_phi_path():
+    for a in range(1, 8):
+        for q in range(1, 600):
+            eps = Fraction(a, q)
+            new, old = _outcome(_b_exact, eps), _outcome(_b_exact_by_euler_phi, eps)
+            assert new == old, eps
+            if isinstance(new, tuple):
+                assert new[1].factors == old[1].factors, eps
+
+
+def test_b_exact_builds_from_the_primes_it_walked(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(arith, "euler_phi", refuse)
+    monkeypatch.setattr(PowerProduct, "from_int", refuse)
+    assert _b_exact(Fraction(1, 10)) == (30, PowerProduct({2: 3, 30: Fraction(-9, 10)}))
+    with pytest.raises(ArithError, match="^input 7420738134810 exceeds"):
+        _b_exact(Fraction(1, 132))
 
 
 _SMALL_PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, p))]

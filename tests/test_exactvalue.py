@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from torsionbounds import exactvalue
 from torsionbounds.exactvalue import (
     PRIME_TEST_LIMIT,
     PowerProduct,
+    _factorize,
     _format_scaled,
     _is_prime,
     integer_nth_root,
@@ -31,6 +33,22 @@ def test_from_int_rejects_nonpositive():
 def test_one_is_empty_product():
     assert PowerProduct.from_int(1) == PowerProduct({})
     assert PowerProduct({}) == Fraction(1)
+
+
+@pytest.mark.parametrize("base", [0, -1, -12])
+def test_bases_below_one_are_refused(base):
+    with pytest.raises(ValueError, match="bases must be >= 1"):
+        PowerProduct({base: 1})
+
+
+def test_factors_are_computed_over_prime_bases():
+    x = PowerProduct({12: Fraction(1, 2), 3: Fraction(-1, 6), 1: 5})
+    assert x.factors == {2: Fraction(1), 3: Fraction(1, 3)}
+    x.factors[2] = Fraction(7)  # a new dict on every read
+    assert x.factors == {2: Fraction(1), 3: Fraction(1, 3)}
+    with pytest.raises(AttributeError):
+        x.factors = {}
+    assert PowerProduct({6: 1, 2: -1, 3: -1}).factors == {}
 
 
 @given(rationals, rationals)
@@ -214,6 +232,183 @@ def test_decimal_takes_the_root_data_once(monkeypatch):
     monkeypatch.setattr(PowerProduct, "_root_data", counted)
     (PowerProduct.from_int(2) ** Fraction(1, 3)).decimal(12, round_up=True)
     assert len(calls) == 1
+
+
+def test_hash_and_root_data_neither_factor_nor_build_fractions(monkeypatch):
+    values = [PowerProduct({12: Fraction(1, 3), 5: -2}), PowerProduct({6: 2, 7: -1})]
+
+    def refuse(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(exactvalue, "_factorize", refuse)
+    monkeypatch.setattr(exactvalue, "Fraction", refuse)
+    for x in values:
+        hash(x)
+        x._root_data()
+
+
+# -- the {base: Fraction} PowerProduct from before the integer form: kept as
+# the oracle for arithmetic, comparison, hashing and rendering --------------
+
+class DictPowerProduct:
+    """A positive real number prod(b ** e), integer b >= 1, rational e."""
+
+    def __init__(self, factors):
+        self.factors = factors
+
+    @staticmethod
+    def from_fraction(q):
+        q = Fraction(q)
+        if q <= 0:
+            raise ValueError("PowerProduct represents positive values only")
+        f = {p: Fraction(k) for p, k in _factorize(q.numerator)}
+        for p, k in _factorize(q.denominator):
+            f[p] = f.get(p, Fraction(0)) - k
+        return DictPowerProduct({p: e for p, e in f.items() if e})
+
+    def __mul__(self, other):
+        other = _dict_coerce(other)
+        f = dict(self.factors)
+        for p, e in other.factors.items():
+            e2 = f.get(p, Fraction(0)) + e
+            if e2:
+                f[p] = e2
+            else:
+                f.pop(p, None)
+        return DictPowerProduct(f)
+
+    def __truediv__(self, other):
+        return self * _dict_coerce(other) ** -1
+
+    def __pow__(self, exponent):
+        exponent = Fraction(exponent)
+        if exponent == 0:
+            return DictPowerProduct({})
+        return DictPowerProduct({p: e * exponent for p, e in self.factors.items()})
+
+    def _root_data(self):
+        L = 1
+        for e in self.factors.values():
+            L = math.lcm(L, e.denominator)
+        num = den = 1
+        for p, e in self.factors.items():
+            k = int(e * L)
+            if k >= 0:
+                num *= p ** k
+            else:
+                den *= p ** (-k)
+        return num, den, L
+
+    def compare(self, other):
+        num, den, _ = (self / _dict_coerce(other))._root_data()
+        return (num > den) - (num < den)
+
+    def __eq__(self, other):
+        if isinstance(other, (DictPowerProduct, int, Fraction)):
+            return self.compare(other) == 0
+        return NotImplemented
+
+    def __hash__(self):
+        primes = {}
+        for base, e in self.factors.items():
+            for p, k in _factorize(base):
+                primes[p] = primes.get(p, 0) + k * e
+        primes = {p: e for p, e in primes.items() if e}
+        if all(e.denominator == 1 for e in primes.values()):
+            return hash(math.prod(Fraction(p) ** int(e) for p, e in primes.items()))
+        return hash(frozenset(primes.items()))
+
+    def decimal(self, digits, round_up=False):
+        num, den, L = self._root_data()
+        s = digits - 1 - math.floor(math.log10(num) - math.log10(den)) // L
+        while True:
+            tn, td = (num * 10 ** (s * L), den) if s >= 0 else (num, den * 10 ** (-s * L))
+            m = integer_nth_root(tn // td, L)
+            if m < 10 ** (digits - 1):
+                s += 1
+            elif m >= 10 ** digits:
+                s -= 1
+            else:
+                break
+        if round_up and m ** L * td != tn:
+            m += 1
+        return _format_scaled(m, -s)
+
+
+def _dict_coerce(x):
+    return x if isinstance(x, DictPowerProduct) else DictPowerProduct.from_fraction(x)
+
+
+def _prime_exponents(x: DictPowerProduct) -> dict:
+    primes = {}
+    for base, e in x.factors.items():
+        for p, k in _factorize(base):
+            primes[p] = primes.get(p, 0) + k * e
+    return {p: e for p, e in primes.items() if e}
+
+
+# composite bases 2..60 with exponents of denominator <= 12, then a chain
+# of products, quotients and rational powers; all exponents of one value
+# share a set of denominators whose lcm is at most 12, so that L, and with
+# it the cost of a 40-digit render, stays small
+DENOMINATOR_SETS = [(1, 2, 3, 4, 6, 12), (1, 2, 5, 10), (1, 7), (1, 8), (1, 9), (1, 11)]
+
+
+@st.composite
+def chained_values(draw):
+    dens = draw(st.sampled_from(DENOMINATOR_SETS))
+
+    def factors(max_size):
+        return st.dictionaries(
+            st.integers(min_value=2, max_value=60),
+            st.builds(Fraction, st.integers(-36, 36), st.sampled_from(dens)),
+            max_size=max_size)
+
+    chain = draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(["mul", "div"]), factors(2)),
+        st.tuples(st.just("pow"), st.builds(Fraction, st.integers(-3, 3),
+                                            st.integers(1, 3)))),
+        max_size=3))
+    return draw(factors(4)), chain
+
+
+def _apply(x, chain, cls):
+    for op, arg in chain:
+        if op == "pow":
+            x = x ** arg
+        elif op == "mul":
+            x = x * cls(arg)
+        else:
+            x = x / cls(arg)
+    return x
+
+
+def _both(value):
+    f, chain = value
+    return (_apply(PowerProduct(f), chain, PowerProduct),
+            _apply(DictPowerProduct(f), chain, DictPowerProduct))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chained_values(), chained_values(), st.integers(min_value=1, max_value=40))
+def test_integer_form_matches_the_dict_oracle(value, other, digits):
+    x, old = _both(value)
+    y, old_y = _both(other)
+    assert x.factors == _prime_exponents(old)
+    for round_up in (False, True):
+        assert x.decimal(digits, round_up) == old.decimal(digits, round_up)
+    assert x.compare(y) == old.compare(old_y)
+    assert (x == y) == (old == old_y)
+    # the same value by another path has the same form and hash
+    same = PowerProduct(old.factors)
+    assert x == same and hash(x) == hash(same) and repr(x) == repr(same)
+    if all(e.denominator == 1 for e in x.factors.values()):
+        q = math.prod(Fraction(p) ** int(e) for p, e in x.factors.items())
+        assert x == q and old == q
+        assert hash(x) == hash(q) == hash(old)
+    else:
+        # three digits keep the Fraction cheap to factor
+        assert x != Fraction(x.decimal(3)) and old != Fraction(old.decimal(3))
 
 
 # -- the primality test against trial division --------------------------------

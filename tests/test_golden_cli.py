@@ -97,6 +97,9 @@ CASES = {
     "bounds-epsilon-1-50": ["bounds", "records.csv", "--epsilon", "1/50", "--degree", "10"],
     "b-epsilon-1-132": ["b-epsilon", "--epsilon", "1/132"],
     "bounds-epsilon-1-66": ["bounds", "records.csv", "--epsilon", "1/66", "--degree", "10"],
+    "b-epsilon-denominator-1e400": ["b-epsilon", "--epsilon", "1/1" + "0" * 400],
+    "bounds-denominator-1e400": ["bounds", "records.csv", "--epsilon", "1/1" + "0" * 400,
+                                 "--degree", "10"],
 }
 
 

@@ -134,6 +134,24 @@ def test_b_epsilon_command(capsys):
     assert "0.707106781186" in out
 
 
+@pytest.mark.parametrize("epsilon", [f"1/{10 ** 300 + 1}", "1e-301",
+                                     f"{10 ** 400 - 1}/{10 ** 400}"])
+def test_epsilon_denominator_past_1e300_is_a_usage_error(capsys, epsilon):
+    code, out, err = run_cli(capsys, "b-epsilon", "--epsilon", epsilon)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == ("torsionbounds b-epsilon: error: argument "
+                                    "--epsilon: denominator must be <= 10**300")
+
+
+def test_epsilon_denominator_1e300_is_accepted(capsys):
+    # 2/(2 * 10**300) reduces to 1/10**300; the walk refuses it past the cap
+    for epsilon in (f"1/{10 ** 300}", f"2/{2 * 10 ** 300}"):
+        code, _, err = run_cli(capsys, "b-epsilon", "--epsilon", epsilon)
+        assert code == 1
+        assert err == ("torsionbounds: error: input 7420738134810 exceeds "
+                       "factorization cap 1000000000000\n")
+
+
 def test_b1_index_with_verification(capsys):
     code, out, _ = run_cli(capsys, "b1-index", "--n", "12", "--verify")
     assert code == 0
