@@ -50,6 +50,8 @@ CASES = {
     "lattice-check-json": ["lattice-check", "--format", "json"],
     "verify-2": ["verify", "--max-n", "2"],
     "verify-2-json": ["verify", "--max-n", "2", "--format", "json"],
+    "verify-12": ["verify", "--max-n", "12"],
+    "verify-12-json": ["verify", "--max-n", "12", "--format", "json"],
     "baselines-d6112": ["baselines", "--degree", "6112"],
     "baselines-d6113": ["baselines", "--degree", "6113"],
     "bounds-d6113": ["bounds", "records.csv", "--epsilon", "1/2", "--degree", "6113"],
