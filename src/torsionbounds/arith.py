@@ -7,9 +7,11 @@ is < 1 exactly for an initial run of primes and is strictly increasing in p.
 """
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .exactvalue import PowerProduct, Rational, _factorize, _is_prime
@@ -105,12 +107,18 @@ def _b_exact(epsilon: Fraction) -> tuple[int, PowerProduct]:
 
 
 def _factor_reaches_one(p: int, a: int, q: int) -> bool:
-    """(1 - 1/p) * p**(a/q) >= 1, that is (p-1)**q * p**a >= p**q.
+    """(1 - 1/p) * p**(a/q) >= 1, that is (p-1)**q * p**a >= p**q, for a
+    prime p and integers a, q >= 1.
 
-    Decided as a*ln(p) against q*ln(p/(p-1)) in floating point, whose error
-    is a few units in the last place; only when the two sides are within a
-    relative 1e-9, or a float overflows, are the exact integer powers formed.
+    For p = 2 that is a >= q.  For p > 2 the two sides are never equal (p - 1
+    has a prime factor other than p), so the sign of
+    q*ln(p-1) + a*ln(p) - q*ln(p) decides it.  Floating point decides first,
+    with an error of a few units in the last place; when the two sides are
+    within a relative 1e-9, or a float overflows, `decimal` logarithms of
+    growing precision decide, and no power of size q is formed.
     """
+    if p == 2:
+        return a >= q
     try:
         lhs, rhs = a * math.log(p), q * math.log1p(1 / (p - 1))
     except OverflowError:
@@ -119,4 +127,18 @@ def _factor_reaches_one(p: int, a: int, q: int) -> bool:
         # false when either side is infinite
         if abs(lhs - rhs) > 1e-9 * max(lhs, rhs):
             return lhs > rhs
-    return (p - 1) ** q * p ** a >= p ** q
+    digits = 32
+    while True:
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emax = digits, decimal.MAX_EMAX
+            ln_p = Decimal(p).ln()
+            u = Decimal(q) * Decimal(p - 1).ln() + Decimal(a) * ln_p
+            v = Decimal(q) * ln_p
+        # ln is correctly rounded, and each product and the sum round once
+        # more, each by half an ulp: u and v, sums of positive terms, are
+        # within a relative 2 * 10**(1 - digits) of their exact values, so a
+        # gap over 10**(2 - digits) * (u + v) has the sign of the exact one
+        gap, scale = Fraction(u) - Fraction(v), Fraction(u) + Fraction(v)
+        if abs(gap) * 10 ** (digits - 2) > scale:
+            return gap > 0
+        digits *= 2

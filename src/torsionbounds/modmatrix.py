@@ -5,21 +5,25 @@ bare entry tuples (a, b, c, d) reduced to [0, m), and the l-adic filtration
 in `lattice` uses the same helpers.  The loops that run once per element of
 a group (`_closure`, `reduce_subgroup`, `is_full_preimage`) write the same
 arithmetic inline on unpacked entries.  `Mat2` is the validated type at the
-API boundary (a slotted frozen dataclass: entries reduced, unit
-determinant); its products, inverses and reductions compute through the
-kernel.
+API boundary (a slotted frozen dataclass with one validating constructor:
+entries reduced, unit determinant); its products and inverses compute
+through the kernel.
 
 Subgroups carry their full element set as a frozenset of entry tuples, so
 orders and indices are exact by Lagrange; `SubgroupModN.elements` yields
-`Mat2` views made on demand.  The closure is a breadth-first search over
-products with the generators only: a finite group is the monoid its
-generators span, so no inverse is taken.  An open subgroup of the
-profinite GL2 is always represented here by its image mod N for some
-multiple N of its level; reduction maps, full preimages and the
-level-within-N computation make the finite-level statements checkable by
-enumeration.  G is the full preimage of its image mod m iff it contains the
-kernel of reduction N -> m, which the full-preimage test decides by counting
-the elements of G that are the identity mod m.
+`Mat2` views made on demand.  The closure is Dimino's algorithm: it grows
+the group one generator at a time by right cosets of the group so far, so
+each element is computed once, and it multiplies by the generators only: a
+finite group is the monoid its generators span, so no inverse is taken
+(Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991;
+Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005).
+An open subgroup of the profinite GL2 is always represented here by its
+image mod N for some multiple N of its level; reduction maps, full
+preimages and the level-within-N computation make the finite-level
+statements checkable by enumeration.  G is the full preimage of its image
+mod m iff it contains the kernel of reduction N -> m, which the
+full-preimage test decides by counting the elements of G that are the
+identity mod m.
 """
 from __future__ import annotations
 
@@ -87,25 +91,35 @@ def _inv(x: Entries, m: int) -> Entries:
 
 def _closure(gens: Iterable[Entries], m: int) -> set[Entries]:
     """Element set of the subgroup of GL2(Z/mZ) generated by `gens` (entry
-    tuples reduced mod m with unit determinant).  A finite group is the
-    monoid its generators span, so the breadth-first search multiplies by
-    the generators only, never by their inverses."""
+    tuples reduced mod m with unit determinant), by Dimino's algorithm.
+
+    Each generator g not yet in the group so far, H, grows it to <H, g> by
+    right cosets H*x, starting from x = g.  The group so far is always a
+    union of such cosets, so a candidate x*s (s a generator used so far)
+    already present names a coset already present and is skipped; every
+    element is computed exactly once, as h*x.  A finite group is the monoid
+    its generators span, so no inverse is taken.
+    """
     ident = (1 % m, 0, 0, 1 % m)
-    gens = list(dict.fromkeys(gens))
     seen = {ident}
-    frontier = [ident]
-    while frontier:
-        grown = []
-        for a, b, c, d in frontier:
-            for e, f, g, h in gens:
-                y = ((a * e + b * g) % m, (a * f + b * h) % m,
-                     (c * e + d * g) % m, (c * f + d * h) % m)
-                if y not in seen:
-                    if len(seen) >= ENUMERATION_CAP:
-                        raise EnumerationTooLargeError(len(seen) + 1, ENUMERATION_CAP)
-                    seen.add(y)
-                    grown.append(y)
-        frontier = grown
+    used = []
+    for gen in dict.fromkeys(gens):
+        if gen in seen:
+            continue
+        used.append(gen)
+        H = list(seen)
+        candidates = [gen]
+        while candidates:
+            x = candidates.pop()
+            if x in seen:
+                continue
+            if len(seen) + len(H) > ENUMERATION_CAP:
+                raise EnumerationTooLargeError(ENUMERATION_CAP + 1, ENUMERATION_CAP)
+            e, f, g, h = x
+            seen.update([((a * e + b * g) % m, (a * f + b * h) % m,
+                          (c * e + d * g) % m, (c * f + d * h) % m)
+                         for a, b, c, d in H])
+            candidates.extend([_mul(x, s, m) for s in used])
     return seen
 
 
@@ -139,7 +153,7 @@ def _exact_size(elements: frozenset, size: int, what: str) -> frozenset:
     return elements
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class Mat2:
     """A 2x2 matrix over Z/nZ with unit determinant."""
 
@@ -149,19 +163,19 @@ class Mat2:
     c: int
     d: int
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, a: int, b: int, c: int, d: int):
         if n < 1:
             raise InvalidModulusError(f"modulus must be >= 1, got {n}")
-        a, b, c, d = self.a % n, self.b % n, self.c % n, self.d % n
+        a, b, c, d = a % n, b % n, c % n, d % n
         det = (a * d - b * c) % n
         if math.gcd(det, n) != 1:
             raise NotInvertibleError(f"determinant {det} is not a unit mod {n}")
-        set_field = object.__setattr__
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "c", c)
-        set_field(self, "d", d)
+        # each slot written once, past the frozen __setattr__
+        _set_n(self, n)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
 
     @staticmethod
     def identity(n: int) -> "Mat2":
@@ -181,6 +195,10 @@ class Mat2:
 
     def __repr__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]] mod {self.n}"
+
+
+_set_n, _set_a, _set_b, _set_c, _set_d = (
+    Mat2.__dict__[name].__set__ for name in ("n", "a", "b", "c", "d"))
 
 
 @dataclass(frozen=True)

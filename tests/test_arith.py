@@ -1,8 +1,10 @@
 """Multiplicative functions and the extremal totient constant."""
 import itertools
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -164,6 +166,37 @@ def test_float_first_factor_test_matches_exact(p, q, offset):
     crossover = q * math.log1p(1 / (p - 1)) / math.log(p)
     a = min(max(math.floor(crossover) + offset, 1), q - 1)
     assert _factor_reaches_one(p, a, q) == ((p - 1) ** q * p ** a >= p ** q)
+
+
+def _near_crossover(p, q, offset):
+    """(p, a, q) with a = floor(q*ln(p/(p-1))/ln(p)) + offset, and the truth of
+    a*ln(p) > q*ln(p/(p-1)) by mpmath at three times the digits of q."""
+    with mpmath.workdps(3 * len(str(q)) + 50):
+        c = mpmath.log(mpmath.mpf(p) / (p - 1))
+        a = int(mpmath.floor(q * c / mpmath.log(p))) + offset
+        gap = a * mpmath.log(p) - q * c
+        # the reference itself is far from its own rounding error
+        assert abs(gap) > mpmath.mpf(10) ** (-len(str(q)))
+        return p, a, q, gap > 0
+
+
+@pytest.mark.parametrize("p,a,q,truth", [
+    (2, 10**300 - 1, 10**300, False),
+    (2, 10**300, 10**300, True),
+    _near_crossover(3, 10**300, 0),
+    _near_crossover(3, 10**300, 1),
+    _near_crossover(5, 10**300, 0),
+    _near_crossover(41, 10**300, 1),
+    _near_crossover(7, 10**40, 0),
+    # past the float range: the float test overflows
+    _near_crossover(3, 10**400, 0),
+    _near_crossover(3, 10**400, 1),
+])
+def test_factor_test_decides_huge_denominators_at_once(p, a, q, truth):
+    # the exact powers here have about q digits: forming them never ends
+    start = time.perf_counter()
+    assert _factor_reaches_one(p, a, q) == truth
+    assert time.perf_counter() - start < 1.0
 
 
 def test_b_epsilon_rejects_nonpositive():

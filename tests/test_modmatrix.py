@@ -1,6 +1,7 @@
 """GL2(Z/nZ) arithmetic: orders, closures, reductions, preimages, levels."""
 import dataclasses
 import math
+import pickle
 from collections import deque
 from functools import lru_cache
 
@@ -17,6 +18,7 @@ from torsionbounds.modmatrix import (
     ModulusMismatchError,
     NotADivisorError,
     NotInvertibleError,
+    _closure,
     _inv,
     _mul,
     _reduce,
@@ -41,8 +43,27 @@ def test_entries_are_canonicalized():
 
 
 def test_non_unit_determinant_rejected():
-    with pytest.raises(NotInvertibleError):
+    with pytest.raises(NotInvertibleError, match="^determinant 2 is not a unit mod 4$"):
         Mat2(4, 1, 0, 0, 2)  # det 2, not a unit mod 4
+    # the determinant of the reduced entries is named
+    with pytest.raises(NotInvertibleError, match="^determinant 0 is not a unit mod 6$"):
+        Mat2(6, 8, 3, 4, -9)
+
+
+def test_mat2_keywords_replace_and_pickle():
+    g = Mat2(n=5, a=7, b=-1, c=10, d=6)
+    assert g == Mat2(5, 7, -1, 10, 6) and g.entries == (2, 4, 0, 1)
+    # replace goes through the same validating constructor
+    assert dataclasses.replace(g, b=-6) == Mat2(5, 2, 4, 0, 1)
+    assert dataclasses.replace(g, n=3).entries == (2, 1, 0, 1)
+    with pytest.raises(NotInvertibleError, match="^determinant 0 is not a unit mod 5$"):
+        dataclasses.replace(g, d=0)
+    with pytest.raises(TypeError):
+        Mat2(5, 1, 0, 0)
+    for h in (g, Mat2.identity(1), Mat2(36, 35, 1, 6, 5)):
+        again = pickle.loads(pickle.dumps(h))
+        assert again == h and hash(again) == hash(h)
+        assert (again.n, again.entries) == (h.n, h.entries)
 
 
 def test_mat2_is_frozen_and_slotted():
@@ -69,8 +90,9 @@ def test_mat2_order_equality_and_hash_match_tuples(n):
 
 
 def test_invalid_modulus():
-    with pytest.raises(InvalidModulusError):
-        Mat2(0, 1, 0, 0, 1)
+    for n in (0, -3):
+        with pytest.raises(InvalidModulusError, match=f"^modulus must be >= 1, got {n}$"):
+            Mat2(n, 1, 0, 0, 1)
     with pytest.raises(InvalidModulusError):
         gl2_order(0)
 
@@ -203,6 +225,23 @@ def test_closure_idempotent():
     G = subgroup_closure([Mat2(8, 1, 1, 0, 1), Mat2(8, 3, 0, 0, 1)], 8)
     again = subgroup_closure(list(G.elements), 8)
     assert G == again
+
+
+@pytest.mark.parametrize("gens,n", [
+    ([(1, 1, 0, 1), (0, 2, 1, 0), (2, 0, 0, 1)], 3),
+    ([(1, 1, 0, 1), (0, 5, 1, 0)], 6),
+    ([(2, 0, 0, 1), (1, 1, 0, 1)], 5),
+    ([(1, 0, 0, 1)], 4),
+])
+def test_closure_cap_boundary(monkeypatch, gens, n):
+    order = len(_bfs_closure(gens, n))
+    monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", order)
+    assert len(_closure(gens, n)) == order
+    if order > 1:
+        monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", order - 1)
+        with pytest.raises(EnumerationTooLargeError,
+                           match=f"^enumeration of {order} elements exceeds cap {order - 1}$"):
+            _closure(gens, n)
 
 
 def test_closure_rejects_mixed_moduli():
@@ -416,6 +455,26 @@ def _oracle_inverse_closure(gens, m):
     return seen
 
 
+def _bfs_closure(gens, m):
+    """The closure before Dimino's algorithm: a breadth-first search over
+    products with the generators only, each element computed once per
+    generator."""
+    ident = (1 % m, 0, 0, 1 % m)
+    gens = list(dict.fromkeys(gens))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        grown = []
+        for x in frontier:
+            for g in gens:
+                y = _mul(x, g, m)
+                if y not in seen:
+                    seen.add(y)
+                    grown.append(y)
+        frontier = grown
+    return seen
+
+
 def _oracle_image_order_test(G, m):
     image_order = len({_reduce(e, m) for e in G.entries})
     return G.order * gl2_order(m) == image_order * gl2_order(G.n)
@@ -440,6 +499,29 @@ def test_kernel_loops_match_their_earlier_versions(case):
     for m in _divisors(n):
         assert is_full_preimage(G, m) == _oracle_image_order_test(G, m), m
         assert reduce_subgroup(G, m).entries == {_reduce(e, m) for e in G.entries}
+
+
+_T9, _T9_SQ, _S9 = Mat2(9, 1, 1, 0, 1), Mat2(9, 1, 2, 0, 1), Mat2(9, 0, 8, 1, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_lists_with_repeats())
+# a generator already in the group so far: t, then t squared
+@example((9, [_T9, _T9_SQ]))
+@example((9, [_T9, _T9_SQ, _S9, _T9_SQ]))
+# the first generator generates the whole group: 2 has order 4 mod 5
+@example((5, [Mat2(5, 2, 0, 0, 2), Mat2(5, 4, 0, 0, 4), Mat2(5, 3, 0, 0, 3)]))
+# the identity first and last, and duplicates
+@example((6, [Mat2.identity(6), Mat2(6, 1, 1, 0, 1), Mat2(6, 0, 5, 1, 0),
+              Mat2.identity(6)]))
+@example((12, [Mat2(12, 5, 0, 0, 1), Mat2(12, 0, 11, 1, 0), Mat2(12, 5, 0, 0, 1),
+               Mat2(12, 0, 11, 1, 0)]))
+@example((1, [Mat2.identity(1)]))
+@example((1, [Mat2.identity(1), Mat2.identity(1)]))
+def test_closure_matches_breadth_first_search(case):
+    n, gens = case
+    entries = [g.entries for g in gens]
+    assert subgroup_closure(gens, n).entries == _bfs_closure(entries, n)
 
 
 def test_membership_needs_matching_modulus():
