@@ -28,6 +28,8 @@ CASES = {
     "b1-index-12": ["b1-index", "--n", "12", "--verify"],
     "b1-index-12-json": ["b1-index", "--n", "12", "--verify", "--format", "json"],
     "b1-index-100": ["b1-index", "--n", "100", "--verify"],
+    "b1-index-58": ["b1-index", "--n", "58", "--verify"],
+    "b1-index-59": ["b1-index", "--n", "59", "--verify"],
     "baselines-d9": ["baselines", "--degree", "9"],
     "baselines-d10": ["baselines", "--degree", "10"],
     "bounds": ["bounds", "records.csv", "--epsilon", "1/2", "--degree", "10"],
