@@ -52,7 +52,6 @@ from .modmatrix import (
     SubgroupModN,
     b1_subgroup,
     enumerate_gl2,
-    full_gl2,
     full_preimage,
     gl2_order,
     is_full_preimage,
@@ -109,7 +108,6 @@ __all__ = [
     "exponent_candidates",
     "factorize",
     "format_report",
-    "full_gl2",
     "full_preimage",
     "gl2_order",
     "is_full_preimage",

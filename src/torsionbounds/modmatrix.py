@@ -23,12 +23,18 @@ preimages and the level-within-N computation make the finite-level
 statements checkable by enumeration.  G is the full preimage of its image
 mod m iff it contains the kernel of reduction N -> m, which the
 full-preimage test decides by counting the elements of G that are the
-identity mod m.
+identity mod m; at m = N (kernel {I}) and m = 1 (kernel GL2(Z/N)) the
+answers, yes and |G| = |GL2(Z/N)|, need no scan.  One scan kernel, `_lifts`,
+lists the lifts mod n of entry tuples mod m with unit determinant: their
+admissible (b, c) depend only on a*d mod n and b, c mod m, so each call
+tabulates them once per such key against a byte table of units and zips
+each (a, d) with its row.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .exactvalue import _divisors, _factorize
@@ -126,14 +132,21 @@ def _closure(gens: Iterable[Entries], m: int) -> set[Entries]:
 def _lifts(entries: Iterable[Entries], m: int, n: int) -> Iterator[Entries]:
     """Entry tuples mod n with unit determinant whose reduction mod m (m | n)
     is in `entries`.  With m = 1 and entries {(0, 0, 0, 0)}: all of GL2(Z/nZ)."""
-    gcd = math.gcd
-    return ((a, b, c, d)
-            for ha, hb, hc, hd in entries
-            for a in range(ha, n, m)
-            for d in range(hd, n, m)
-            for b in range(hb, n, m)
-            for c in range(hc, n, m)
-            if gcd((a * d - b * c) % n, n) == 1)
+    unit = bytes(math.gcd(x, n) == 1 for x in range(n))
+    rows = {}  # (a*d mod n, b mod m, c mod m) -> (admissible b's, their c's)
+
+    def row_lifts():
+        for ha, hb, hc, hd in entries:
+            for a in range(ha, n, m):
+                for d in range(hd, n, m):
+                    ad = a * d % n
+                    row = rows.get((ad, hb, hc))
+                    if row is None:
+                        pairs = [(b, c) for b in range(hb, n, m)
+                                 for c in range(hc, n, m) if unit[(ad - b * c) % n]]
+                        row = rows[ad, hb, hc] = tuple(zip(*pairs)) or ((), ())
+                    yield zip(repeat(a), *row, repeat(d))
+    return chain.from_iterable(row_lifts())
 
 
 _TRIVIAL_MOD_1 = frozenset({(0, 0, 0, 0)})
@@ -141,16 +154,9 @@ _TRIVIAL_MOD_1 = frozenset({(0, 0, 0, 0)})
 
 def _scan_gl2_size(n: int) -> int:
     """|GL2(Z/n)| counted by the determinant scan, holding no elements; the
-    closed form sets only the cap (`full_gl2` raises if the two differ)."""
+    closed form sets only the cap (`enumerate_gl2` raises if the two differ)."""
     _check_enumeration(gl2_order(n))
     return sum(1 for _ in _lifts(_TRIVIAL_MOD_1, 1, n))
-
-
-def _exact_size(elements: frozenset, size: int, what: str) -> frozenset:
-    if len(elements) != size:
-        raise ModMatrixError(
-            f"{what} produced {len(elements)} elements, expected {size}")
-    return elements
 
 
 @dataclass(frozen=True, order=True, slots=True, init=False)
@@ -218,6 +224,12 @@ class SubgroupModN:
         n = self.n
         return (Mat2(n, *e) for e in self.entries)
 
+    def __iter__(self) -> Iterator[Mat2]:
+        return self.elements
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
     def __contains__(self, g: Mat2) -> bool:
         return g.n == self.n and g.entries in self.entries
 
@@ -240,17 +252,8 @@ def _gl2_prime_power_order(p: int, k: int) -> int:
     return p ** (4 * (k - 1)) * (p * p - 1) * (p * p - p)
 
 
-def enumerate_gl2(n: int) -> frozenset[Mat2]:
-    """All of GL2(Z/nZ) by direct scan of the n**4 candidate matrices."""
-    size = gl2_order(n)
-    _check_enumeration(size)
-    # streamed into Mat2, so no second element set is alive at the same time
-    scan = frozenset(Mat2(n, *e) for e in _lifts(_TRIVIAL_MOD_1, 1, n))
-    return _exact_size(scan, size, f"scan of GL2(Z/{n})")
-
-
-def full_gl2(n: int) -> SubgroupModN:
-    """GL2(Z/nZ) as a SubgroupModN: the full preimage of the trivial group mod 1."""
+def enumerate_gl2(n: int) -> SubgroupModN:
+    """All of GL2(Z/nZ) by the determinant scan, as the preimage of {I} mod 1."""
     return full_preimage(SubgroupModN(1, _TRIVIAL_MOD_1), n)
 
 
@@ -295,12 +298,17 @@ def reduce_subgroup(G: SubgroupModN, m: int) -> SubgroupModN:
 def full_preimage(H: SubgroupModN, n: int) -> SubgroupModN:
     """Preimage of H under GL2(Z/nZ) -> GL2(Z/mZ), where m = H.n divides n."""
     m = H.n
-    if n < 1 or n % m != 0:
+    if n < 1:
+        raise InvalidModulusError(f"modulus must be >= 1, got {n}")
+    if n % m != 0:
         raise NotADivisorError(f"{m} does not divide {n}")
     size = H.order * (gl2_order(n) // gl2_order(m))
     _check_enumeration(size)
     elems = frozenset(_lifts(H.entries, m, n))
-    return SubgroupModN(n, _exact_size(elems, size, f"preimage in GL2(Z/{n})"))
+    if len(elems) != size:
+        raise ModMatrixError(
+            f"preimage in GL2(Z/{n}) produced {len(elems)} elements, expected {size}")
+    return SubgroupModN(n, elems)
 
 
 def is_full_preimage(G: SubgroupModN, m: int) -> bool:
@@ -313,6 +321,10 @@ def is_full_preimage(G: SubgroupModN, m: int) -> bool:
     n = G.n
     if m < 1 or n % m != 0:
         raise NotADivisorError(f"{m} does not divide modulus {n}")
+    if m == n:  # the kernel is {I}
+        return True
+    if m == 1:  # the kernel is all of GL2(Z/n)
+        return G.order == gl2_order(n)
     kernel = sum(1 for a, b, c, d in G.entries
                  if not b % m and not c % m and not (a - 1) % m and not (d - 1) % m)
     return kernel * gl2_order(m) == gl2_order(n)

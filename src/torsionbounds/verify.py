@@ -166,19 +166,7 @@ def _check_preimage_suite(report, max_n):
 
 def _reduction_kernel(n: int, m: int) -> list[tuple[int, int, int, int]]:
     """Entry tuples of all matrices = I mod m with unit determinant mod n."""
-    q = n // m
-    out = []
-    for xa in range(q):
-        a = (1 + m * xa) % n
-        for xd in range(q):
-            d = (1 + m * xd) % n
-            for xb in range(q):
-                b = m * xb
-                for xc in range(q):
-                    c = m * xc
-                    if math.gcd((a * d - b * c) % n, n) == 1:
-                        out.append((a, b, c, d))
-    return out
+    return list(_lifts([(1 % m, 0, 0, 1 % m)], m, n))
 
 
 def _check_crt_orders(report, max_n):

@@ -21,7 +21,7 @@ from torsionbounds.exactvalue import PowerProduct
 from torsionbounds.lattice import bundled_scenarios, run_scenario
 from torsionbounds.modmatrix import (
     b1_subgroup,
-    full_gl2,
+    enumerate_gl2,
     is_full_preimage,
     reduce_subgroup,
     subgroup_index,
@@ -36,7 +36,7 @@ def _divisors(n):
 def test_b1_index_formula_up_to_30():
     """Index of B1(n) in GL2(Z/nZ) equals phi(n)*psi(n) for 2 <= n <= 30."""
     for n in range(2, 31):
-        brute = full_gl2(n).order // b1_subgroup(n).order
+        brute = enumerate_gl2(n).order // b1_subgroup(n).order
         assert brute == euler_phi(n) * dedekind_psi(n), f"n={n}"
 
 

@@ -18,13 +18,14 @@ from torsionbounds.modmatrix import (
     ModulusMismatchError,
     NotADivisorError,
     NotInvertibleError,
+    _TRIVIAL_MOD_1,
     _closure,
     _inv,
+    _lifts,
     _mul,
     _reduce,
     b1_subgroup,
     enumerate_gl2,
-    full_gl2,
     full_preimage,
     gl2_order,
     is_full_preimage,
@@ -95,6 +96,9 @@ def test_invalid_modulus():
             Mat2(n, 1, 0, 0, 1)
     with pytest.raises(InvalidModulusError):
         gl2_order(0)
+    for build in (lambda: enumerate_gl2(0), lambda: full_preimage(b1_subgroup(2), 0)):
+        with pytest.raises(InvalidModulusError, match="^modulus must be >= 1, got 0$"):
+            build()
 
 
 @st.composite
@@ -161,8 +165,6 @@ def test_every_enumeration_guard_reads_the_cap(monkeypatch):
     # size pre-checks
     with pytest.raises(EnumerationTooLargeError, match="48 elements exceeds cap 10"):
         enumerate_gl2(3)
-    with pytest.raises(EnumerationTooLargeError, match="48 elements exceeds cap 10"):
-        full_gl2(3)
     with pytest.raises(EnumerationTooLargeError, match="36 elements exceeds cap 10"):
         full_preimage(b1_subgroup(3), 6)
     with pytest.raises(EnumerationTooLargeError, match="48 elements exceeds cap 10"):
@@ -218,7 +220,7 @@ def test_closure_unipotent_mod3():
 def test_closure_generates_full_gl2_mod2():
     G = subgroup_closure([Mat2(2, 0, 1, 1, 0), Mat2(2, 1, 1, 0, 1)], 2)
     assert G.order == 6
-    assert G == full_gl2(2)
+    assert G == enumerate_gl2(2)
 
 
 def test_closure_idempotent():
@@ -273,7 +275,7 @@ def test_b1_index_examples(n, index):
 
 
 def test_full_group_has_index_one():
-    assert subgroup_index(full_gl2(6)) == 1
+    assert subgroup_index(enumerate_gl2(6)) == 1
 
 
 # -- reduction and preimages ------------------------------------------------
@@ -287,7 +289,7 @@ def test_reduce_to_1_is_trivial():
 
 
 def test_reduce_full_6_to_3_is_full():
-    assert reduce_subgroup(full_gl2(6), 3) == full_gl2(3)
+    assert reduce_subgroup(enumerate_gl2(6), 3) == enumerate_gl2(3)
 
 
 def test_reduce_rejects_non_divisor():
@@ -297,7 +299,7 @@ def test_reduce_rejects_non_divisor():
 
 def test_preimage_of_trivial_mod1_is_full():
     trivial = subgroup_closure([Mat2.identity(1)], 1)
-    assert full_preimage(trivial, 3) == full_gl2(3)
+    assert full_preimage(trivial, 3) == enumerate_gl2(3)
 
 
 def test_preimage_b1_2_in_4():
@@ -324,11 +326,11 @@ def test_reduce_then_preimage_contains_original():
 def test_is_full_preimage_examples():
     assert is_full_preimage(full_preimage(b1_subgroup(2), 4), 2)
     assert not is_full_preimage(b1_subgroup(4), 2)
-    assert is_full_preimage(full_gl2(4), 1)
+    assert is_full_preimage(enumerate_gl2(4), 1)
 
 
 def test_level_within_examples():
-    assert level_within(full_gl2(12)) == 1
+    assert level_within(enumerate_gl2(12)) == 1
     assert level_within(full_preimage(b1_subgroup(2), 8)) == 2
     assert level_within(b1_subgroup(4)) == 4
 
@@ -524,9 +526,55 @@ def test_closure_matches_breadth_first_search(case):
     assert subgroup_closure(gens, n).entries == _bfs_closure(entries, n)
 
 
+# -- differential: the row-tabulated lift scan against the gcd scan ---------
+
+def _oracle_lifts(entries, m, n):
+    """The lift scan before its rows were tabulated: one gcd per candidate."""
+    gcd = math.gcd
+    return ((a, b, c, d)
+            for ha, hb, hc, hd in entries
+            for a in range(ha, n, m)
+            for d in range(hd, n, m)
+            for b in range(hb, n, m)
+            for c in range(hc, n, m)
+            if gcd((a * d - b * c) % n, n) == 1)
+
+
+@st.composite
+def lift_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=24))
+    m = draw(st.sampled_from(_divisors(n)))
+    # any subset, not only subgroups, so rows with different c starts meet
+    pool = [g.entries for g in _oracle_gl2(m)]
+    entries = draw(st.sets(st.sampled_from(pool), max_size=6))
+    return entries, m, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(lift_cases())
+@example((_TRIVIAL_MOD_1, 1, 24))
+@example((frozenset(), 1, 24))
+@example((_TRIVIAL_MOD_1, 1, 1))
+@example((frozenset({(1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1)}), 24, 24))
+@example((frozenset({(1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 0), (2, 1, 1, 1)}), 3, 24))
+def test_lifts_match_the_gcd_scan(case):
+    entries, m, n = case
+    assert frozenset(_lifts(entries, m, n)) == frozenset(_oracle_lifts(entries, m, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 12])
+def test_full_preimage_test_at_the_trivial_kernels(n):
+    groups = [subgroup_closure([Mat2.identity(n)], n), enumerate_gl2(n)]
+    if n >= 2:
+        groups.append(b1_subgroup(n))
+    for G in groups:
+        for m in (1, n):
+            assert is_full_preimage(G, m) == _oracle_image_order_test(G, m), (G, m)
+
+
 def test_membership_needs_matching_modulus():
-    assert Mat2(4, 1, 1, 0, 1) in full_gl2(4)
-    assert Mat2(2, 1, 1, 0, 1) not in full_gl2(4)
+    assert Mat2(4, 1, 1, 0, 1) in enumerate_gl2(4)
+    assert Mat2(2, 1, 1, 0, 1) not in enumerate_gl2(4)
     assert Mat2(4, 0, 1, 1, 0) not in b1_subgroup(4)
 
 
