@@ -104,6 +104,10 @@ CASES = {
     "b-epsilon-denominator-1e400": ["b-epsilon", "--epsilon", "1/1" + "0" * 400],
     "bounds-denominator-1e400": ["bounds", "records.csv", "--epsilon", "1/1" + "0" * 400,
                                  "--degree", "10"],
+    "lattice-check-full-image-l13": ["lattice-check", "--scenario-file",
+                                     "full_image_l13.txt"],
+    "lattice-check-full-image-l13-json": ["lattice-check", "--scenario-file",
+                                          "full_image_l13.txt", "--format", "json"],
 }
 
 
