@@ -8,19 +8,24 @@ at a chosen precision k and reports whether they agree.
 
 Stabilization is tested exactly in integer arithmetic.  Subgroup orders mod
 l^k are |image mod l| * |G cap K_1|, K_1 the kernel of GL2(Z/l^k) ->
-GL2(Z/l).  Only the image mod l is enumerated; its Schreier generators,
-which lie in K_1, are sifted into a basis layered by the filtration
+GL2(Z/l).  Only the image mod l is enumerated, by Dimino's closure (as in
+`modmatrix._closure`) with each element kept as a lift mod l^k.  A
+generator already in the image, or a Dimino candidate that lands on an
+element already there, gives a relator in K_1: the product with the
+inverse of the lift kept there.  G cap K_1 is the normal closure of these
+relators (see `subgroup_orders`), far fewer than the |image| * r Schreier
+generators.  They are sifted into a basis layered by the filtration
 K_1 > K_2 > ... (each layer a subspace of K_j/K_{j+1} = M2(F_l)) and closed
 under l-th powers and commutators, as for an induced polycyclic sequence
-(Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 8).
-The cost is polynomial in k and does not grow with |G|.  Layer j depends
-only on G mod l^(j+1), so one sift serves every smaller precision.  The
-matrix arithmetic mod l^k is the entry-tuple kernel of `modmatrix`.
+(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005, 4.1
+and ch. 8), then under conjugation by the generators.  The cost is
+polynomial in k and does not grow with |G cap K_1|.  Layer j depends only
+on G mod l^(j+1), so one sift serves every smaller precision.  The matrix
+arithmetic mod l^k is the entry-tuple kernel of `modmatrix`.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -37,7 +42,8 @@ from .modmatrix import (
 )
 
 RatMat = tuple[Fraction, Fraction, Fraction, Fraction]  # row-major 2x2
-# a sift with every layer full takes 0.6-2.8 s at k = 64 for l = 2..7
+# a sift with every layer full takes 1.2-2.8 s at k = 64 for l = 2..7,
+# its conjugation by the generators included
 MAX_PRECISION = 64
 
 
@@ -194,16 +200,34 @@ def _checked_conjugates(G: AdicGroup, T: LatticeBasis, k: int,
 
 
 def subgroup_orders(gens: Sequence[Mat2], l: int, k: int) -> list[int]:
-    """Orders of <gens> mod l^j for j = 1..k, from one sift mod l^k.
+    """Orders of <gens> mod l^j for j = 1..k, from one closure mod l.
 
-    K_j is the kernel of reduction GL2(Z/l^k) -> GL2(Z/l^j).  Only the image
-    mod l is enumerated, each coset kept as a lift mod l^k; the Schreier
-    generators of G cap K_1 are sifted into a basis layered by the
-    filtration K_1 > K_2 > ... > K_k = 1.  Layer j is an F_l-echelon basis of
-    (G cap K_j) K_{j+1} / K_{j+1}, a subspace of K_j/K_{j+1} = M2(F_l); the
-    basis is closed under l-th powers and commutators, so G cap K_1 has
-    l**(basis size) elements (an induced polycyclic sequence), and G mod l^j
-    has |image mod l| * l**(d_1 + ... + d_(j-1)), d_i the size of layer i.
+    K_j is the kernel of reduction GL2(Z/l^k) -> GL2(Z/l^j).  At k = 1 the
+    order is that of the closure mod l.  For k >= 2 the image mod l is built
+    by Dimino's algorithm, each element keyed mod l and kept as a lift mod
+    l^k: when a coset H*x of the group so far, H, is added, its lifts are
+    h*x for the lifts h of H.  A generator g already in the image gives the
+    relator g * lift[g mod l]^-1, and a candidate x*s (s a generator used so
+    far) that lands on a key already there gives x*s * lift[key]^-1; both
+    lie in G cap K_1.
+
+    G cap K_1 is the normal closure M of the relators in G.  Every candidate
+    of every coset is a new coset or a relator, so the lifts T satisfy
+    T*M >= G, hence |G : M| <= |T| = |image mod l| = |G : G cap K_1|; as M
+    lies in G cap K_1, M = G cap K_1.  The relators are sifted into a basis
+    layered by the filtration K_1 > K_2 > ... > K_k = 1 and closed under
+    l-th powers and commutators; the basis is then closed under conjugation
+    by every generator not = I mod l.  The generators in K_1 are relators
+    themselves (their key is that of I, whose lift is I), so they lie in the
+    sifted group already.  The sifted group therefore contains the relators,
+    is normalized by every generator, so is normal in G, and lies in
+    G cap K_1: it is G cap K_1.
+
+    Layer j is an F_l-echelon basis of (G cap K_j) K_{j+1} / K_{j+1}, a
+    subspace of K_j/K_{j+1} = M2(F_l); G cap K_1 has l**(basis size)
+    elements (an induced polycyclic sequence), and G mod l^j has
+    |image mod l| * l**(d_1 + ... + d_(j-1)), d_i the size of layer i.
+    Relators are formed and sifted only until every layer is full.
     """
     if k < 1:
         raise LatticeError(f"precision must be >= 1, got {k}")
@@ -213,32 +237,47 @@ def subgroup_orders(gens: Sequence[Mat2], l: int, k: int) -> list[int]:
         if g.n != top:
             raise LatticeError(f"generator modulus {g.n}, expected {top}")
         raw.append(g.entries)
-    # no inverses: a finite group is the monoid its generators span, and
-    # Schreier's lemma holds for monoid generators of a finite group
     raw = list(dict.fromkeys(raw))
+    if k == 1:
+        return [len(modmatrix._closure(raw, l))]
 
     cap = modmatrix.ENUMERATION_CAP
     ident = (1, 0, 0, 1)
     sifter = _LayeredBasis(l, k)
-    # coset of G cap K_1 (keyed by the image mod l) -> its lift and inverse
-    reps = {_reduce(ident, l): (ident, ident)}
-    queue = deque([ident])
-    while queue:
-        rep = queue.popleft()
-        for g in raw:
-            prod = _mul(rep, g, top)
-            key = _reduce(prod, l)
-            known = reps.get(key)
-            if known is None:
-                if len(reps) >= cap:
-                    raise EnumerationTooLargeError(len(reps) + 1, cap)
-                reps[key] = (prod, _inv(prod, top))
-                queue.append(prod)
-            elif not sifter.full:
-                # Schreier generator rep*g*rep(rep*g)^-1, in K_1
-                sifter.add(_mul(prod, known[1], top))
+    lift = {ident: ident}  # image mod l -> a lift mod l^k
+
+    def relate(x, key):
+        """Sift x * lift[key]^-1, an element of G cap K_1."""
+        if not sifter.full:
+            r = _mul(x, _inv(lift[key], top), top)
+            if r != ident:
+                sifter.add(r)
+
+    used = []
+    for gen in raw:
+        key = _reduce(gen, l)
+        if key in lift:
+            relate(gen, key)
+            continue
+        used.append(gen)
+        H = list(lift.values())
+        candidates = [gen]
+        while candidates:
+            x = candidates.pop()
+            key = _reduce(x, l)
+            if key in lift:
+                relate(x, key)
+                continue
+            if len(lift) + len(H) > cap:
+                raise EnumerationTooLargeError(cap + 1, cap)
+            e, f, g, h = x
+            lift.update({(p[0] % l, p[1] % l, p[2] % l, p[3] % l): p for p in [
+                ((a * e + b * g) % top, (a * f + b * h) % top,
+                 (c * e + d * g) % top, (c * f + d * h) % top) for a, b, c, d in H]})
+            candidates.extend([_mul(x, s, top) for s in used])
+    sifter.close([(g, _inv(g, top)) for g in raw if _reduce(g, l) != ident])
     sizes = [len(sifter.layers[j]) for j in range(1, k)]
-    return [len(reps) * l ** sum(sizes[:j]) for j in range(k)]
+    return [len(lift) * l ** sum(sizes[:j]) for j in range(k)]
 
 
 class _LayeredBasis:
@@ -247,7 +286,10 @@ class _LayeredBasis:
 
     For j >= 1, (I + l^j A)(I + l^j B) = I + l^j (A + B) mod l^(j+1), so
     K_j/K_{j+1} is additive and the leading term (x - I)/l^j mod l of an
-    element of depth j is linear in it; no case is special for l = 2.
+    element of depth j is linear in it; no case is special for l = 2.  Once
+    layers j..k-1 are all full (four elements each), each of them cancels
+    any leading vector, so every element of K_j sifts to I: `_sift`
+    answers for it without a product.
     """
 
     def __init__(self, l: int, k: int):
@@ -257,7 +299,13 @@ class _LayeredBasis:
         # layer j -> [(pivot, leading vector, {c: x^-c} for each c used)]
         self.layers: dict[int, list] = {j: [] for j in range(1, k)}
         self.elements: list[tuple] = []  # (element, inverse), every layer
-        self.full = k == 1
+        # the least j with layers j..k-1 all full: the basis spans K_j
+        self.full_from = k
+
+    @property
+    def full(self) -> bool:
+        """Whether the basis spans all of K_1."""
+        return self.full_from == 1
 
     def add(self, x) -> None:
         """Sift x into the basis; close the basis under what it adds."""
@@ -266,6 +314,16 @@ class _LayeredBasis:
             found = self._sift(work.pop())
             if found is not None:
                 work.extend(self._insert(*found))
+
+    def close(self, conjugators) -> None:
+        """Close the basis under x -> g x g^-1 for each (g, g^-1) given: sift
+        the conjugates of every basis element, those it adds included."""
+        m, i = self.m, 0
+        while i < len(self.elements) and not self.full:
+            x = self.elements[i][0]
+            i += 1
+            for g, g_inv in conjugators:
+                self.add(_mul(_mul(g, x, m), g_inv, m))
 
     def _sift(self, x):
         """(x', j, v): the part of x no basis element cancels, its depth j and
@@ -276,6 +334,8 @@ class _LayeredBasis:
             if g == m:
                 return None
             j = self.depth[g]
+            if j >= self.full_from:
+                return None
             v = [(x[0] - 1) // g % l, x[1] // g % l, x[2] // g % l,
                  (x[3] - 1) // g % l]
             for piv, lead, inv_pows in self.layers[j]:
@@ -302,7 +362,8 @@ class _LayeredBasis:
                    for y, y_inv in self.elements)
         self.layers[j].append((piv, lead, {1: x_inv}))
         self.elements.append((x, x_inv))
-        self.full = len(self.elements) == 4 * len(self.layers)
+        while self.full_from > 1 and len(self.layers[self.full_from - 1]) == 4:
+            self.full_from -= 1
         return out
 
 

@@ -26,7 +26,7 @@ from torsionbounds.modmatrix import (
     reduce_subgroup,
     subgroup_index,
 )
-from torsionbounds.verify import _reduction_kernel, subgroup_family
+from torsionbounds.verify import _phi_sieve, _reduction_kernel, subgroup_family
 
 
 def _divisors(n):
@@ -38,6 +38,14 @@ def test_b1_index_formula_up_to_30():
     for n in range(2, 31):
         brute = enumerate_gl2(n).order // b1_subgroup(n).order
         assert brute == euler_phi(n) * dedekind_psi(n), f"n={n}"
+
+
+def test_verify_phi_sieve_matches_euler_phi():
+    """The phi table behind verify's b-epsilon oracle, built by a sieve of
+    its own, agrees with the library's phi on the oracle's whole range."""
+    table = _phi_sieve(10000)
+    assert table[0] == 0
+    assert table[1:] == [euler_phi(n) for n in range(1, 10001)]
 
 
 def test_preimage_suite_up_to_24():

@@ -4,7 +4,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torsionbounds import lattice, modmatrix
 from torsionbounds.exactvalue import PRIME_TEST_LIMIT
@@ -350,6 +350,105 @@ def test_layered_order_matches_closure(l, k):
         assert subgroup_orders(gens, l, k) == brute
 
 
+def _coset_bfs_orders(gens, l, k):
+    """`subgroup_orders` by the earlier algorithm, kept as an oracle: a
+    breadth-first coset scan multiplies every element of the image mod l
+    (kept as a lift mod l^k, with its inverse) by every generator, and sifts
+    all of its |image| * r Schreier generators, which generate G cap K_1."""
+    top = l ** k
+    raw = list(dict.fromkeys(g.entries for g in gens))
+    cap = modmatrix.ENUMERATION_CAP
+    ident = (1, 0, 0, 1)
+    sifter = lattice._LayeredBasis(l, k)
+    reps = {_reduce(ident, l): (ident, ident)}
+    queue = deque([ident])
+    while queue:
+        rep = queue.popleft()
+        for g in raw:
+            prod = _mul(rep, g, top)
+            key = _reduce(prod, l)
+            known = reps.get(key)
+            if known is None:
+                if len(reps) >= cap:
+                    raise EnumerationTooLargeError(len(reps) + 1, cap)
+                reps[key] = (prod, _inv(prod, top))
+                queue.append(prod)
+            elif not sifter.full:
+                # Schreier generator rep*g*rep(rep*g)^-1, in K_1
+                sifter.add(_mul(prod, known[1], top))
+    sizes = [len(sifter.layers[j]) for j in range(1, k)]
+    return [len(reps) * l ** sum(sizes[:j]) for j in range(k)]
+
+
+@st.composite
+def relator_generators(draw):
+    """(l, k, gens) with 1-5 generators mod l^k: generic ones, ones in K_1
+    (I + l*A), ones redundant mod l but not = I there (x*y*(I + l*A) for
+    earlier generators x, y), duplicates and the identity."""
+    l = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(min_value=1, max_value=4 if l == 2 else 3))
+    m = l ** k
+    entry = st.integers(min_value=0, max_value=m - 1)
+    unit_det = st.tuples(entry, entry, entry, entry).filter(
+        lambda e: (e[0] * e[3] - e[1] * e[2]) % l != 0)
+
+    def kernel():
+        return tuple((i + l * draw(entry)) % m for i in (1, 0, 0, 1))
+
+    gens = []
+    kinds = ["generic", "kernel", "redundant", "duplicate", "identity"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5)):
+        if kind == "kernel":
+            g = kernel()
+        elif kind == "identity":
+            g = (1, 0, 0, 1)
+        elif kind == "redundant" and gens:
+            x, y = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+            g = _mul(_mul(x, y, m), kernel(), m)
+        elif kind == "duplicate" and gens:
+            g = draw(st.sampled_from(gens))
+        else:
+            g = draw(unit_det)
+        gens.append(g)
+    return l, k, [Mat2(m, *g) for g in gens]
+
+
+def _gens(m, *entries):
+    return [Mat2(m, *e) for e in entries]
+
+
+@settings(max_examples=300, deadline=None)
+@given(relator_generators())
+# a trivial image: the generators lie in K_1 or are the identity
+@example((3, 3, _gens(27, (1, 3, 0, 1), (1, 0, 0, 1), (10, 0, 0, 1))))
+# all of GL2(Z/8): the sifter is full after the first relators
+@example((2, 3, _gens(8, (1, 1, 0, 1), (0, 7, 1, 0), (3, 0, 0, 1), (5, 0, 0, 1))))
+# k = 1: the closure mod l alone
+@example((5, 1, _gens(5, (1, 1, 0, 1), (2, 0, 0, 1), (1, 1, 0, 1))))
+def test_relator_orders_match_coset_bfs(case):
+    l, k, gens = case
+    assert subgroup_orders(gens, l, k) == _coset_bfs_orders(gens, l, k)
+
+
+def test_borel_sifts_fewer_relators_than_its_image(monkeypatch):
+    l, k = 7, 2
+    gens = lattice._checked_conjugates(borel_group(l), LatticeBasis.standard(l), k)
+    expected = _coset_bfs_orders(gens, l, k)
+    calls = 0
+    real_add = lattice._LayeredBasis.add
+
+    def counted_add(self, x):
+        nonlocal calls
+        calls += 1
+        return real_add(self, x)
+
+    monkeypatch.setattr(lattice._LayeredBasis, "add", counted_add)
+    assert subgroup_orders(gens, l, k) == expected
+    # the Borel mod 7 has 6 * 6 * 7 elements; the coset scan sifts 157
+    assert expected[0] == 252
+    assert calls < 252
+
+
 def _filtration_oracle(gens, l, k):
     """The order of <gens> in GL2(Z/l^k) by the earlier algorithm: a BFS over
     the whole image mod l^(j-1) for each j = 2..k, whose Schreier
@@ -461,29 +560,6 @@ def test_layered_order_rejects_wrong_modulus():
 
 # -- one sift per lattice against the per-precision path --------------------
 
-def _subgroup_order_prime_power(gens, l, k):
-    """The order of <gens> in GL2(Z/l^k) alone, from its own coset scan and
-    sift: the function `subgroup_orders` replaced, kept as an oracle."""
-    top = l ** k
-    raw = list(dict.fromkeys(g.entries for g in gens))
-    ident = (1, 0, 0, 1)
-    sifter = lattice._LayeredBasis(l, k)
-    reps = {_reduce(ident, l): (ident, ident)}
-    queue = deque([ident])
-    while queue:
-        rep = queue.popleft()
-        for g in raw:
-            prod = _mul(rep, g, top)
-            key = _reduce(prod, l)
-            known = reps.get(key)
-            if known is None:
-                reps[key] = (prod, _inv(prod, top))
-                queue.append(prod)
-            elif not sifter.full:
-                sifter.add(_mul(prod, known[1], top))
-    return len(reps) * l ** len(sifter.elements)
-
-
 def _per_precision_reports(sc):
     """The reports of `run_scenario(sc)` as the earlier code made them: both
     lattices conjugated and sifted again at each precision."""
@@ -492,7 +568,7 @@ def _per_precision_reports(sc):
         gens_t = lattice._checked_conjugates(sc.group, sc.lattice, k, "first lattice")
         gens_t2 = lattice._checked_conjugates(sc.group, sc.lattice2, k, "second lattice")
         out.append(IndexReport(
-            *(lattice._index_in_gl2(_subgroup_order_prime_power(g, l, k), l, k)
+            *(lattice._index_in_gl2(_coset_bfs_orders(g, l, k)[-1], l, k)
               for g in (gens_t, gens_t2)), k))
     return tuple(out)
 
