@@ -26,7 +26,6 @@ from .bounds import (
     TheoremBounds,
     UpperBoundValue,
     baselines,
-    c_epsilon,
     exponent_candidates,
     sieve_modulus,
     theorem_bounds,
@@ -100,7 +99,6 @@ __all__ = [
     "b_epsilon",
     "baselines",
     "bundled_scenarios",
-    "c_epsilon",
     "check_isogeny_class_indices",
     "dedekind_psi",
     "enumerate_gl2",

@@ -58,13 +58,9 @@ class UpperBoundValue:
     exact: PowerProduct
     decimal: str  # rounded UP
 
-    def __float__(self) -> float:
-        return float(self.exact)
-
 
 @dataclass(frozen=True)
 class CandidateSet:
-    context: BoundContext
     modulus: int
     candidates: tuple[int, ...]
     ceiling: int
@@ -87,6 +83,11 @@ def exponent_candidates(ctx: BoundContext) -> CandidateSet:
     (6/pi**2) * n**2, every candidate is at most isqrt(ceil(B * 329/200)),
     and inputs whose ceiling exceeds CEILING_BUDGET are refused.
     """
+    # an upper bound on log10(B) (d0 capped to a float), before (d0-1)! is
+    # formed: past 2 * 4299 the ceiling is over 10**4298, which may not print
+    if ((2 * ctx.I * ctx.d).bit_length() * math.log10(2)
+            + math.lgamma(min(ctx.d0, 10 ** 300)) / math.log(10) > 2 * 4299):
+        raise BoundsError(f"sieve ceiling over 10**4298 exceeds budget {CEILING_BUDGET}")
     B = sieve_modulus(ctx)
     scaled = B * ZETA2_UPPER.numerator
     ceiling = math.isqrt(-(-scaled // ZETA2_UPPER.denominator))
@@ -110,18 +111,12 @@ def exponent_candidates(ctx: BoundContext) -> CandidateSet:
     for chain in chains:
         cands += [(n * q, f * g) for n, f in cands for q, g in chain
                   if B % (f * g) == 0]
-    return CandidateSet(ctx, B, tuple(sorted(n for n, _ in cands)), ceiling)
-
-
-def c_epsilon(I: int, d0: int, epsilon: Rational,
-              digits: int = 12) -> UpperBoundValue:
-    """The exponent-bound constant (2 * I * b_eps**-1 * (d0-1)!)**(1/(2-eps))."""
-    exact = _c_exact(I, d0, Fraction(epsilon))
-    return UpperBoundValue(exact, exact.decimal(digits, round_up=True))
+    return CandidateSet(B, tuple(sorted(n for n, _ in cands)), ceiling)
 
 
 def _c_exact(I: int, d0: int, epsilon: Fraction) -> PowerProduct:
-    """c_epsilon as an exact value, not rendered."""
+    """The exponent-bound constant c_epsilon, exactly:
+    (2 * I * b_eps**-1 * (d0-1)!)**(1/(2-eps))."""
     if not 0 < epsilon < 2:
         raise BoundsError(f"epsilon must lie in (0, 2), got {epsilon}")
     if I < 1 or d0 < 1:
@@ -132,7 +127,6 @@ def _c_exact(I: int, d0: int, epsilon: Fraction) -> PowerProduct:
 
 @dataclass(frozen=True)
 class TheoremBounds:
-    epsilon: Fraction
     exponent_bound: UpperBoundValue  # c_eps * d**(1/2 + eps)
     order_bound: UpperBoundValue     # c_(eps/2)**2 * d**(1 + eps)
     weak_epsilon: bool               # eps >= 1: formula valid but not sharp
@@ -145,7 +139,6 @@ def theorem_bounds(ctx: BoundContext, epsilon: Rational,
     expo = _c_exact(ctx.I, ctx.d0, epsilon) * d_pow ** (Fraction(1, 2) + epsilon)
     order = _c_exact(ctx.I, ctx.d0, epsilon / 2) ** 2 * d_pow ** (1 + epsilon)
     return TheoremBounds(
-        epsilon=epsilon,
         exponent_bound=UpperBoundValue(expo, expo.decimal(digits, round_up=True)),
         order_bound=UpperBoundValue(order, order.decimal(digits, round_up=True)),
         weak_epsilon=epsilon >= 1,

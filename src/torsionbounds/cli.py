@@ -46,8 +46,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# past the float range (about 10**308) the primorial walk of b_epsilon
-# decides its steps by exact powers of size q, which do not finish
+# a reduced denominator q makes q the b_epsilon value's exponent denominator
+# L, and its L-th-root render does not finish at this size (nor at epsilon =
+# 3690702/10**7); rendering by logarithms would let the limit go
 MAX_EPSILON_DENOMINATOR = 10 ** 300
 
 

@@ -259,9 +259,6 @@ class PowerProduct:
             m += 1
         return _format_scaled(m, -s)
 
-    def __float__(self) -> float:
-        return float(self.decimal(17))
-
     def __repr__(self) -> str:
         if not self._pairs:
             return "PowerProduct(1)"

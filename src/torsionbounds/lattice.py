@@ -6,7 +6,9 @@ stabilizes two lattices T and T' must induce subgroups of the same index in
 GL2(Z/l^k Z) under either identification; this module computes both indices
 at a chosen precision k and reports whether they agree.
 
-Stabilization is tested exactly in integer arithmetic.  Subgroup orders mod
+Generators are conjugated into each lattice's basis exactly, in integer
+arithmetic, as entry tuples mod l^k (`AdicGroup` has checked their unit
+determinants).  Subgroup orders mod
 l^k are |image mod l| * |G cap K_1|, K_1 the kernel of GL2(Z/l^k) ->
 GL2(Z/l).  Only the image mod l is enumerated, by Dimino's closure (as in
 `modmatrix._closure`) with each element kept as a lift mod l^k.  A
@@ -34,7 +36,7 @@ from . import modmatrix
 from .exactvalue import PRIME_TEST_LIMIT, _factorize, _is_prime
 from .modmatrix import (
     EnumerationTooLargeError,
-    Mat2,
+    Entries,
     _gl2_prime_power_order,
     _inv,
     _mul,
@@ -157,49 +159,35 @@ class AdicGroup:
                     f"generator {_fmt_rat(g)} is not invertible mod {self.prime}")
 
 
-def _conjugate(g: RatMat, M, l: int):
-    """g in the basis M / D of a lattice (M integral) as (N, l**s, u), meaning
-    N / (l**s * u) with N integral and u an l-unit; None if g does not
-    stabilize the lattice.  With g = G / e the conjugate is adj(M) G M over
-    delta = det(M) * e = l**s * u: it is l-integral iff l**s divides all of
-    N, and its determinant det(g) = det(G) / e**2 must be an l-unit.
-    """
-    G, e = _integral(g)
-    det_g = G[0] * G[3] - G[1] * G[2]
-    if det_g == 0:
-        raise SingularInputError(f"matrix {_fmt_rat(g)} is singular")
-    a, b, c, d = M
-    N = rat_mul(rat_mul((d, -b, -c, a), G), M)
-    delta = (a * d - b * c) * e
-    ls = l ** valuation(delta, l)
-    if any(x % ls for x in N) or valuation(det_g, l) != 2 * valuation(e, l):
-        return None
-    return N, ls, delta // ls
-
-
-def stabilizes(g: RatMat, T: LatticeBasis) -> bool:
-    """Exact test that g maps the lattice into itself with unit determinant:
-    its conjugate into the basis of T is l-integral with l-unit determinant."""
-    return _conjugate(g, _integral(T.basis)[0], T.prime) is not None
-
-
 def _checked_conjugates(G: AdicGroup, T: LatticeBasis, k: int,
-                        lattice_name: str = "lattice") -> list[Mat2]:
+                        lattice_name: str = "lattice") -> list[Entries]:
+    """The generators of G in the basis of T, as entry tuples mod l^k.
+
+    With T's basis scaled to an integer matrix M, det(M) = l**s * u (u an
+    l-unit) and a generator g = A / e (e an l-unit, as g is l-integral), the
+    conjugate is adj(M) A M / (l**s * u * e): it is l-integral, so g
+    stabilizes T, iff l**s divides every entry of adj(M) A M.  Its
+    determinant det(g) is an l-unit, as `AdicGroup` has checked.
+    """
     if G.prime != T.prime:
         raise LatticeError(f"group prime {G.prime} != lattice prime {T.prime}")
-    M, m = _integral(T.basis)[0], T.prime ** k
+    l, m = T.prime, T.prime ** k
+    M = _integral(T.basis)[0]
+    a, b, c, d = M
+    ls = l ** valuation(a * d - b * c, l)
+    u = (a * d - b * c) // ls
     out = []
     for g in G.generators:
-        conj = _conjugate(g, M, T.prime)
-        if conj is None:
+        A, e = _integral(g)
+        N = rat_mul(rat_mul((d, -b, -c, a), A), M)
+        if any(x % ls for x in N):
             raise NotInvariantError(g, lattice_name)
-        N, ls, u = conj
-        u_inv = pow(u, -1, m)
-        out.append(Mat2(m, *(x // ls * u_inv for x in N)))
+        u_inv = pow(u * e, -1, m)
+        out.append(tuple(x // ls * u_inv % m for x in N))
     return out
 
 
-def subgroup_orders(gens: Sequence[Mat2], l: int, k: int) -> list[int]:
+def subgroup_orders(gens: Sequence[Entries], l: int, k: int) -> list[int]:
     """Orders of <gens> mod l^j for j = 1..k, from one closure mod l.
 
     K_j is the kernel of reduction GL2(Z/l^k) -> GL2(Z/l^j).  At k = 1 the
@@ -232,12 +220,7 @@ def subgroup_orders(gens: Sequence[Mat2], l: int, k: int) -> list[int]:
     if k < 1:
         raise LatticeError(f"precision must be >= 1, got {k}")
     top = l ** k
-    raw = []
-    for g in gens:
-        if g.n != top:
-            raise LatticeError(f"generator modulus {g.n}, expected {top}")
-        raw.append(g.entries)
-    raw = list(dict.fromkeys(raw))
+    raw = list(dict.fromkeys(gens))
     if k == 1:
         return [len(modmatrix._closure(raw, l))]
 
@@ -432,7 +415,6 @@ class LatticeScenario:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    scenario: LatticeScenario
     reports: tuple[IndexReport, ...]
 
     @property
@@ -453,7 +435,7 @@ class ScenarioResult:
 
 
 def run_scenario(sc: LatticeScenario) -> ScenarioResult:
-    return ScenarioResult(sc, tuple(
+    return ScenarioResult(tuple(
         _index_reports(sc.group, sc.lattice, sc.lattice2, sc.precisions)))
 
 
@@ -502,10 +484,9 @@ def _unipotent_group(l: int, level: int) -> AdicGroup:
 _LATTICE_CHANGES = {"diag_1_l": (0, 1), "scalar_l": (1, 0), "diag_1_lsq": (0, 2)}
 
 
-def _group_params(gtype: str, stype: str) -> tuple[int, int | None]:
-    """(s, t) of the congruence group of type `gtype` that stabilizes both
-    the standard lattice and its sigma-transform, or (j, None) for the
-    unipotent preimage at level l**j.
+def _compatible_group(l: int, gtype: str, stype: str) -> AdicGroup:
+    """A group of the requested type stabilizing both the standard lattice
+    and its sigma-transform, with matching index shadows at every precision.
 
     Conjugation by diag(1, l**e) deepens the upper-right congruence by e and
     shallows the lower-left one by e, so the depths are chosen to transpose
@@ -513,28 +494,12 @@ def _group_params(gtype: str, stype: str) -> tuple[int, int | None]:
     """
     e = _LATTICE_CHANGES[stype][1]
     if gtype == "borel":
-        return max(1, e), 0
+        return _congruence_group(l, max(1, e), 0)
     if gtype == "split_cartan":
-        return 1 + e, 1
+        return _congruence_group(l, 1 + e, 1)
     if gtype == "unipotent":
-        return max(1, e), None
+        return _unipotent_group(l, l ** max(1, e))
     raise LatticeError(f"unknown group type {gtype!r}")
-
-
-def _compatible_group(l: int, gtype: str, stype: str) -> AdicGroup:
-    """A group of the requested type stabilizing both the standard lattice
-    and its sigma-transform, with matching index shadows at every precision."""
-    s, t = _group_params(gtype, stype)
-    return _unipotent_group(l, l ** s) if t is None else _congruence_group(l, s, t)
-
-
-def expected_index(l: int, gtype: str, stype: str, k: int) -> int:
-    """Closed-form index of the bundled scenario groups at precision k."""
-    s, t = _group_params(gtype, stype)
-    if t is None:
-        m = min(s, k)
-        return l ** (3 * m - 3) * (l - 1) ** 2 * (l + 1)
-    return l ** (min(s, k) + min(t, k) - 1) * (l + 1)
 
 
 def bundled_scenarios(primes: Sequence[int] = (2, 3, 5),

@@ -6,8 +6,8 @@ in `lattice` uses the same helpers.  The loops that run once per element of
 a group (`_closure`, `reduce_subgroup`, `is_full_preimage`) write the same
 arithmetic inline on unpacked entries.  `Mat2` is the validated type at the
 API boundary (a slotted frozen dataclass with one validating constructor:
-entries reduced, unit determinant); its products and inverses compute
-through the kernel.
+entries reduced, unit determinant); its products compute through the
+kernel.
 
 Subgroups carry their full element set as a frozenset of entry tuples, so
 orders and indices are exact by Lagrange; `SubgroupModN.elements` yields
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .exactvalue import _divisors, _factorize
 
@@ -196,9 +196,6 @@ class Mat2:
             raise ModulusMismatchError(f"moduli {self.n} and {other.n} differ")
         return Mat2(self.n, *_mul(self.entries, other.entries, self.n))
 
-    def inverse(self) -> "Mat2":
-        return Mat2(self.n, *_inv(self.entries, self.n))
-
     def __repr__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]] mod {self.n}"
 
@@ -223,9 +220,6 @@ class SubgroupModN:
         """The elements as `Mat2`, made on demand."""
         n = self.n
         return (Mat2(n, *e) for e in self.entries)
-
-    def __iter__(self) -> Iterator[Mat2]:
-        return self.elements
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -257,18 +251,15 @@ def enumerate_gl2(n: int) -> SubgroupModN:
     return full_preimage(SubgroupModN(1, _TRIVIAL_MOD_1), n)
 
 
-def subgroup_closure(gens: Sequence[Mat2], n: int | None = None) -> SubgroupModN:
+def subgroup_closure(gens: Iterable[Mat2], n: int) -> SubgroupModN:
     """Smallest subgroup of GL2(Z/nZ) containing the generators."""
-    gens = tuple(gens)
-    if n is None:
-        if not gens:
-            raise InvalidModulusError("modulus required when no generators given")
-        n = gens[0].n
+    entries = []
     for g in gens:
         if g.n != n:
             raise ModulusMismatchError(
                 f"generator {g!r} has modulus {g.n}, expected {n}")
-    return SubgroupModN(n, frozenset(_closure((g.entries for g in gens), n)))
+        entries.append(g.entries)
+    return SubgroupModN(n, frozenset(_closure(entries, n)))
 
 
 def b1_subgroup(n: int) -> SubgroupModN:

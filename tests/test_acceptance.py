@@ -13,8 +13,8 @@ import pytest
 from torsionbounds.arith import b_epsilon, dedekind_psi, euler_phi
 from torsionbounds.bounds import (
     BoundContext,
+    _c_exact,
     baselines,
-    c_epsilon,
     exponent_candidates,
 )
 from torsionbounds.exactvalue import PowerProduct
@@ -131,21 +131,16 @@ def test_sieve_candidates_below_exponent_bound():
     cache = {}
     for d0 in (1, 2, 3):
         for I in range(1, 49):
-            consts = {eps: c_epsilon(I, d0, eps) for eps in grid}
+            consts = {eps: _c_exact(I, d0, eps) for eps in grid}
             for d in range(1, 51):
                 ctx = BoundContext(I, d0, d)
                 B = 2 * I * math.factorial(d0 - 1) * d
                 if B not in cache:
                     cache[B] = exponent_candidates(ctx).candidates
-                top = max(cache[B])
+                top = PowerProduct.from_int(max(cache[B]))
                 for eps in grid:
-                    c = consts[eps]
-                    bound = float(c) * d ** float(Fraction(1, 2) + eps)
-                    if top * (1 + 1e-9) < bound:
-                        continue
-                    # close call: settle exactly
-                    exact = c.exact * PowerProduct.from_int(d) ** (Fraction(1, 2) + eps)
-                    assert PowerProduct.from_int(top) <= exact, (I, d0, d, eps)
+                    bound = consts[eps] * PowerProduct.from_int(d) ** (Fraction(1, 2) + eps)
+                    assert top <= bound, (I, d0, d, eps)
 
 
 def test_baseline_formulas_against_mpmath():

@@ -17,8 +17,8 @@ from torsionbounds.bounds import (
     CeilingTooLargeError,
     MAX_BASELINE_DEGREE,
     ZETA2_UPPER,
+    _c_exact,
     baselines,
-    c_epsilon,
     exponent_candidates,
     sieve_modulus,
     theorem_bounds,
@@ -120,36 +120,78 @@ def test_ceiling_budget_enforced():
         exponent_candidates(BoundContext(10 ** 9, 3, 10 ** 6))
 
 
+@pytest.mark.parametrize("argv", [
+    ["candidates", "--index", "1", "--base-degree", "2848"],
+    ["candidates", "--index", "1", "--base-degree", "1000000"],
+    ["bounds", str(RECORDS.parent / "base_degree_3000.csv"), "--epsilon", "1/2",
+     "--degree", "10"],
+])
+def test_large_base_degree_refused_quickly(capsys, argv):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert out.err == ("torsionbounds: error: sieve ceiling over 10**4298 "
+                       "exceeds budget 10000000\n")
+    assert elapsed < 1.0
+
+
+def test_ceiling_past_the_printable_range_is_refused_unprinted():
+    # against the exact ceiling: a ceiling refused unprinted is over
+    # 10**4298, and one refused with its value has at most the 4300 digits
+    # str() prints; the cases straddle the edge at d0 = 2847..2848
+    cases = [(I, d0, 1) for d0 in (2846, 2847) for I in range(1, 41)]
+    cases += [(1, 2848, 1), (1, 10 ** 400, 1)]
+    cases += [(10 ** 4299, 1, d) for d in (1, 3, 10, 30, 100)]
+    kinds = set()
+    for I, d0, d in cases:
+        ctx = BoundContext(I, d0, d)
+        if d0 < 10 ** 4:
+            B = sieve_modulus(ctx)
+            ceiling = math.isqrt(-(-B * 329 // 200))
+        with pytest.raises(BoundsError) as info:
+            exponent_candidates(ctx)
+        if isinstance(info.value, CeilingTooLargeError):
+            assert ceiling < 10 ** 4300 and str(info.value).startswith(
+                f"sieve ceiling {ceiling} exceeds")
+        else:
+            assert d0 >= 10 ** 4 or ceiling > 10 ** 4298
+            assert str(info.value) == "sieve ceiling over 10**4298 exceeds budget 10000000"
+        kinds.add(type(info.value))
+    assert kinds == {BoundsError, CeilingTooLargeError}
+
+
 # -- c_epsilon and theorem bounds ------------------------------------------
 
 def test_c_epsilon_examples():
-    c = c_epsilon(2, 1, Fraction(1, 2))
+    c = _c_exact(2, 1, Fraction(1, 2))
     # (4 * sqrt(2))**(2/3) = 2**(5/3)
-    assert c.exact == PowerProduct.from_int(2) ** Fraction(5, 3)
-    assert abs(float(c) - 3.1748) < 1e-3
-    c4 = c_epsilon(4, 1, Fraction(1, 2))
-    assert abs(float(c4) - 5.0397) < 1e-3
+    assert c == PowerProduct.from_int(2) ** Fraction(5, 3)
+    assert (c.decimal(5), c.decimal(5, round_up=True)) == ("3.1748", "3.1749")
+    c4 = _c_exact(4, 1, Fraction(1, 2))
+    assert (c4.decimal(5), c4.decimal(5, round_up=True)) == ("5.0396", "5.0397")
 
 
 def test_c_epsilon_monotone_in_index():
     for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(3, 4)):
         for I in (1, 2, 5, 24):
-            assert c_epsilon(2 * I, 1, eps).exact > c_epsilon(I, 1, eps).exact
+            assert _c_exact(2 * I, 1, eps) > _c_exact(I, 1, eps)
 
 
 def test_c_epsilon_domain():
     with pytest.raises(BoundsError):
-        c_epsilon(2, 1, 0)
+        _c_exact(2, 1, Fraction(0))
     with pytest.raises(BoundsError):
-        c_epsilon(2, 1, 2)
+        _c_exact(2, 1, Fraction(2))
     with pytest.raises(BoundsError):
-        c_epsilon(0, 1, Fraction(1, 2))
+        _c_exact(0, 1, Fraction(1, 2))
 
 
 def test_theorem_bounds_example():
     tb = theorem_bounds(BoundContext(2, 1, 1), Fraction(1, 2))
-    assert abs(float(tb.exponent_bound) - 3.175) < 1e-2
-    assert abs(float(tb.order_bound) - 10.26) < 1e-2
+    assert tb.exponent_bound.decimal == "3.17480210394"
+    assert tb.order_bound.decimal == "10.2570167989"
     assert not tb.weak_epsilon
 
 
@@ -183,8 +225,8 @@ def test_theorem_bounds_renders_only_its_two_bounds(monkeypatch):
     assert calls == [tb.exponent_bound.exact, tb.order_bound.exact]
     # the constants it builds without rendering are c_epsilon's
     d = PowerProduct.from_int(ctx.d)
-    assert tb.exponent_bound.exact == c_epsilon(6, 2, eps).exact * d ** (Fraction(1, 2) + eps)
-    assert tb.order_bound.exact == c_epsilon(6, 2, eps / 2).exact ** 2 * d ** (1 + eps)
+    assert tb.exponent_bound.exact == _c_exact(6, 2, eps) * d ** (Fraction(1, 2) + eps)
+    assert tb.order_bound.exact == _c_exact(6, 2, eps / 2) ** 2 * d ** (1 + eps)
 
 
 def test_weak_epsilon_flagged():
@@ -203,7 +245,7 @@ def test_decimal_bounds_round_up():
 def test_d1_candidates_below_exponent_bound():
     cs = exponent_candidates(BoundContext(2, 1, 1))
     tb = theorem_bounds(BoundContext(2, 1, 1), Fraction(1, 2))
-    assert max(cs.candidates) <= float(tb.exponent_bound)
+    assert PowerProduct.from_int(max(cs.candidates)) <= tb.exponent_bound.exact
 
 
 # -- small epsilon against mpmath -------------------------------------------
@@ -291,8 +333,10 @@ def test_hindry_silverman_baseline():
 def test_bourdon_najman_baseline():
     base = baselines(9)
     assert base.bn_applicable
-    assert abs(float(base.bn_exponent) - 2162160 * math.sqrt(35)) < 1.0
-    assert float(base.bn_order) == pytest.approx(2 * float(base.bn_exponent))
+    # 720720 * sqrt(35) * sqrt(9)
+    assert base.bn_exponent.exact \
+        == PowerProduct.from_int(2162160) * PowerProduct.from_int(35) ** Fraction(1, 2)
+    assert base.bn_order.exact == 2 * base.bn_exponent.exact
     assert not baselines(2).bn_applicable
 
 

@@ -108,6 +108,10 @@ CASES = {
                                      "full_image_l13.txt"],
     "lattice-check-full-image-l13-json": ["lattice-check", "--scenario-file",
                                           "full_image_l13.txt", "--format", "json"],
+    "candidates-base-degree-2848": ["candidates", "--index", "1", "--base-degree", "2848"],
+    "candidates-base-degree-1e6": ["candidates", "--index", "1", "--base-degree", "1000000"],
+    "bounds-base-degree-3000": ["bounds", "base_degree_3000.csv", "--epsilon", "1/2",
+                                "--degree", "10"],
 }
 
 

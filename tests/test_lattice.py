@@ -18,14 +18,12 @@ from torsionbounds.lattice import (
     NotInvariantError,
     SingularInputError,
     bundled_scenarios,
-    expected_index,
     parse_rational_matrix,
     parse_scenarios,
     rat_det,
     rat_mat,
     rat_mul,
     run_scenario,
-    stabilizes,
     subgroup_orders,
     valuation,
     verify_index_equality,
@@ -84,41 +82,48 @@ def test_adic_group_validation():
         AdicGroup(2, (rat_mat((Fraction(1, 2), 0, 0, 1)),))  # not 2-integral
     with pytest.raises(LatticeError):
         AdicGroup(2, (rat_mat((2, 0, 0, 1)),))  # det not a 2-unit
+    with pytest.raises(LatticeError):
+        AdicGroup(2, (rat_mat((1, 1, 1, 1)),))  # singular
 
 
-# -- stabilizes -------------------------------------------------------------
+# -- stabilization ----------------------------------------------------------
+
+def _stabilizes(g, T):
+    """Whether `_checked_conjugates` takes the generator g for the lattice T."""
+    try:
+        lattice._checked_conjugates(AdicGroup(T.prime, (g,)), T, 1)
+    except NotInvariantError:
+        return False
+    return True
+
 
 def test_identity_stabilizes_everything():
     for l in (2, 3, 5):
         T = LatticeBasis.standard(l).transformed(rat_mat((1, 0, 0, l)))
-        assert stabilizes(rat_mat((1, 0, 0, 1)), T)
+        assert _stabilizes(rat_mat((1, 0, 0, 1)), T)
 
 
 def test_lower_unipotent_stabilizes_standard():
-    assert stabilizes(rat_mat((1, 0, 2, 1)), LatticeBasis.standard(2))
+    assert _stabilizes(rat_mat((1, 0, 2, 1)), LatticeBasis.standard(2))
 
 
 def test_conjugate_with_negative_valuation_fails():
     T = LatticeBasis.standard(2).transformed(rat_mat((1, 0, 0, 2)))
     # basis-conjugate of [[1,0],[1,1]] is [[1,0],[1/2,1]]
-    assert not stabilizes(rat_mat((1, 0, 1, 1)), T)
+    assert not _stabilizes(rat_mat((1, 0, 1, 1)), T)
     # while the upper unipotent conjugates to [[1,2],[0,1]], still integral
-    assert stabilizes(rat_mat((1, 1, 0, 1)), T)
-
-
-def test_stabilizes_rejects_singular():
-    with pytest.raises(SingularInputError):
-        stabilizes(rat_mat((1, 1, 1, 1)), LatticeBasis.standard(2))
+    assert _stabilizes(rat_mat((1, 1, 0, 1)), T)
 
 
 def test_stabilizes_with_l_in_a_denominator():
-    T = LatticeBasis.standard(3).transformed(rat_mat((1, 0, 0, 3)))
-    # conjugates to [[1,1],[0,1]] in T's basis, though g is not 3-integral
-    assert stabilizes(rat_mat((1, Fraction(1, 3), 0, 1)), T)
-    assert not stabilizes(rat_mat((1, Fraction(1, 9), 0, 1)), T)
-    # an integral conjugate whose determinant is not a unit
-    assert not stabilizes(rat_mat((3, 0, 0, 1)), T)
-    assert not stabilizes(rat_mat((Fraction(1, 3), 0, 0, 1)), T)
+    T = LatticeBasis.standard(3).transformed(rat_mat((1, 0, 0, Fraction(1, 3))))
+    # g in T's basis is [[a, b/3], [3c, d]]
+    assert not _stabilizes(rat_mat((1, 1, 0, 1)), T)
+    assert _stabilizes(rat_mat((1, 0, 1, 1)), T)
+    # [[1,1],[0,1]] and [[1,1/2],[0,1]], mod 9: the l-power of the
+    # denominator divides out, and its unit part is inverted
+    G = AdicGroup(3, (rat_mat((1, 3, 0, 1)), rat_mat((1, Fraction(3, 2), 0, 1))))
+    assert lattice._checked_conjugates(G, T, 2) == [(1, 1, 0, 1), (1, 5, 0, 1)]
 
 
 # -- the Fraction conjugation, kept as an oracle -----------------------------
@@ -146,8 +151,8 @@ def _fraction_stabilizes(g, T):
 
 def _fraction_conjugate_mod(g, T, k):
     m = T.prime ** k
-    return Mat2(m, *(q.numerator * pow(q.denominator, -1, m)
-                     for q in _fraction_conjugate(g, T)))
+    return tuple(q.numerator * pow(q.denominator, -1, m) % m
+                 for q in _fraction_conjugate(g, T))
 
 
 def _unimodular(l):
@@ -203,11 +208,13 @@ def lattices_and_generators(draw, l_in_denominators):
 def test_stabilizes_matches_fraction_oracle(case):
     l, _, T, _, gens = case
     for g in gens:
-        if rat_det(g) == 0:
-            with pytest.raises(SingularInputError):
-                stabilizes(g, T)
+        # AdicGroup takes l-integral generators with l-unit determinant only
+        if rat_det(g) == 0 or valuation(rat_det(g), l) != 0 \
+                or any(q and valuation(q, l) < 0 for q in g):
+            with pytest.raises(LatticeError):
+                AdicGroup(l, (g,))
         else:
-            assert stabilizes(g, T) == _fraction_stabilizes(g, T)
+            assert _stabilizes(g, T) == _fraction_stabilizes(g, T)
 
 
 @settings(max_examples=150, deadline=None)
@@ -340,12 +347,13 @@ def test_scaling_lattice_leaves_index_unchanged():
 def test_layered_order_matches_closure(l, k):
     m = l ** k
     cases = [
-        [Mat2(m, 1, 1, 0, 1)],
-        [Mat2(m, 1, 1, 0, 1), Mat2(m, 1, 0, l, 1)],
-        [Mat2(m, 0, m - 1, 1, 0), Mat2(m, 1, 1, 0, 1)],
+        [(1, 1, 0, 1)],
+        [(1, 1, 0, 1), (1, 0, l, 1)],
+        [(0, -1, 1, 0), (1, 1, 0, 1)],
     ]
     for gens in cases:
-        brute = [subgroup_closure([Mat2(l ** j, *g.entries) for g in gens], l ** j).order
+        gens = [_reduce(g, m) for g in gens]
+        brute = [subgroup_closure([Mat2(l ** j, *g) for g in gens], l ** j).order
                  for j in range(1, k + 1)]
         assert subgroup_orders(gens, l, k) == brute
 
@@ -356,7 +364,7 @@ def _coset_bfs_orders(gens, l, k):
     (kept as a lift mod l^k, with its inverse) by every generator, and sifts
     all of its |image| * r Schreier generators, which generate G cap K_1."""
     top = l ** k
-    raw = list(dict.fromkeys(g.entries for g in gens))
+    raw = list(dict.fromkeys(gens))
     cap = modmatrix.ENUMERATION_CAP
     ident = (1, 0, 0, 1)
     sifter = lattice._LayeredBasis(l, k)
@@ -410,21 +418,17 @@ def relator_generators(draw):
         else:
             g = draw(unit_det)
         gens.append(g)
-    return l, k, [Mat2(m, *g) for g in gens]
-
-
-def _gens(m, *entries):
-    return [Mat2(m, *e) for e in entries]
+    return l, k, gens
 
 
 @settings(max_examples=300, deadline=None)
 @given(relator_generators())
 # a trivial image: the generators lie in K_1 or are the identity
-@example((3, 3, _gens(27, (1, 3, 0, 1), (1, 0, 0, 1), (10, 0, 0, 1))))
+@example((3, 3, [(1, 3, 0, 1), (1, 0, 0, 1), (10, 0, 0, 1)]))
 # all of GL2(Z/8): the sifter is full after the first relators
-@example((2, 3, _gens(8, (1, 1, 0, 1), (0, 7, 1, 0), (3, 0, 0, 1), (5, 0, 0, 1))))
+@example((2, 3, [(1, 1, 0, 1), (0, 7, 1, 0), (3, 0, 0, 1), (5, 0, 0, 1)]))
 # k = 1: the closure mod l alone
-@example((5, 1, _gens(5, (1, 1, 0, 1), (2, 0, 0, 1), (1, 1, 0, 1))))
+@example((5, 1, [(1, 1, 0, 1), (2, 0, 0, 1), (1, 1, 0, 1)]))
 def test_relator_orders_match_coset_bfs(case):
     l, k, gens = case
     assert subgroup_orders(gens, l, k) == _coset_bfs_orders(gens, l, k)
@@ -456,8 +460,8 @@ def _filtration_oracle(gens, l, k):
     Its cost grows with |G|; it is kept here as an oracle."""
     raw = []
     for g in gens:
-        raw.append(g.entries)
-        raw.append(g.inverse().entries)
+        raw.append(g)
+        raw.append(_inv(g, l ** k))
     raw = list(dict.fromkeys(raw))
     order = len(_closure([_reduce(g, l) for g in raw], l))
     cap = modmatrix.ENUMERATION_CAP
@@ -511,8 +515,7 @@ def prime_power_generators(draw):
         *(st.builds(lambda x, i=i: (i + l * x) % m, entry) for i in (1, 0, 0, 1)))
     unit_det = st.one_of(generic, near_identity).filter(
         lambda e: (e[0] * e[3] - e[1] * e[2]) % l != 0)
-    gens = draw(st.lists(unit_det, min_size=1, max_size=3))
-    return l, k, [Mat2(m, *e) for e in gens]
+    return l, k, draw(st.lists(unit_det, min_size=1, max_size=3))
 
 
 # the oracles stop at this many elements; a group at least that large is
@@ -528,7 +531,8 @@ def test_layered_order_matches_oracles(case):
     assert gl2_order(l ** k) % order == 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modmatrix, "ENUMERATION_CAP", ORACLE_CAP)
-        for oracle in (lambda: subgroup_closure(gens, l ** k).order,
+        for oracle in (lambda: subgroup_closure([Mat2(l ** k, *g) for g in gens],
+                                                l ** k).order,
                        lambda: _filtration_oracle(gens, l, k)):
             try:
                 assert order == oracle()
@@ -538,8 +542,8 @@ def test_layered_order_matches_oracles(case):
 
 def test_layered_order_cap_guards_the_mod_l_scan(monkeypatch):
     def gl2_gens(m):
-        return [Mat2(m, 1, 1, 0, 1), Mat2(m, 0, m - 1, 1, 0),
-                Mat2(m, 3, 0, 0, 1), Mat2(m, 5, 0, 0, 1)]
+        return [_reduce(g, m) for g in ((1, 1, 0, 1), (0, -1, 1, 0),
+                                        (3, 0, 0, 1), (5, 0, 0, 1))]
     # the image mod 2 is all of GL2(Z/2), 6 elements
     monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", 5)
     for k in (1, 3):
@@ -552,10 +556,8 @@ def test_layered_order_cap_guards_the_mod_l_scan(monkeypatch):
 
 
 def test_layered_order_rejects_wrong_modulus():
-    with pytest.raises(LatticeError):
-        subgroup_orders([Mat2(4, 1, 1, 0, 1)], 2, 3)
     with pytest.raises(LatticeError, match="precision must be >= 1, got 0"):
-        subgroup_orders([Mat2(1, 1, 0, 0, 1)], 2, 0)
+        subgroup_orders([(1, 0, 0, 1)], 2, 0)
 
 
 # -- one sift per lattice against the per-precision path --------------------
@@ -645,6 +647,18 @@ def test_precision_below_one_is_refused():
 
 
 # -- bundled scenarios ------------------------------------------------------
+
+def expected_index(l, gtype, stype, k):
+    """Closed-form index of the bundled scenario groups at precision k: the
+    congruence groups have lower-left depth s and upper-right depth t, the
+    unipotent preimage has level l**s."""
+    e = {"diag_1_l": 1, "scalar_l": 0, "diag_1_lsq": 2}[stype]
+    if gtype == "unipotent":
+        m = min(max(1, e), k)
+        return l ** (3 * m - 3) * (l - 1) ** 2 * (l + 1)
+    s, t = (max(1, e), 0) if gtype == "borel" else (1 + e, 1)
+    return l ** (min(s, k) + min(t, k) - 1) * (l + 1)
+
 
 def test_bundled_family_shape():
     family = bundled_scenarios()

@@ -82,7 +82,7 @@ def test_mat2_order_equality_and_hash_match_tuples(n):
     tuples = sorted((n, a, b, c, d) for a in range(n) for b in range(n)
                     for c in range(n) for d in range(n)
                     if math.gcd(a * d - b * c, n) == 1)
-    elems = sorted(enumerate_gl2(n))
+    elems = sorted(enumerate_gl2(n).elements)
     assert [(g.n, *g.entries) for g in elems] == tuples
     for g, t in zip(elems, tuples):
         again = Mat2(t[0], *(x + n for x in t[1:]))
@@ -104,14 +104,18 @@ def test_invalid_modulus():
 @st.composite
 def gl2_elements(draw, n_max=12):
     n = draw(st.integers(min_value=2, max_value=n_max))
-    pool = sorted(enumerate_gl2(n))
+    pool = sorted(enumerate_gl2(n).elements)
     return draw(st.sampled_from(pool))
+
+
+def _inverse(g):
+    return Mat2(g.n, *_inv(g.entries, g.n))
 
 
 @given(gl2_elements())
 def test_inverse_is_two_sided(g):
-    assert g * g.inverse() == Mat2.identity(g.n)
-    assert g.inverse() * g == Mat2.identity(g.n)
+    assert g * _inverse(g) == Mat2.identity(g.n)
+    assert _inverse(g) * g == Mat2.identity(g.n)
 
 
 def det(g):
@@ -121,7 +125,7 @@ def det(g):
 @given(gl2_elements())
 def test_det_multiplicative_with_inverse(g):
     ident = Mat2.identity(g.n)
-    assert (det(g) * det(g.inverse())) % g.n == det(ident)
+    assert (det(g) * det(_inverse(g))) % g.n == det(ident)
 
 
 def test_mixed_moduli_rejected():
@@ -145,7 +149,7 @@ def test_enumeration_matches_order_formula():
 def test_enumeration_mod3_dets():
     elems = enumerate_gl2(3)
     assert len(elems) == 48
-    assert {det(g) for g in elems} == {1, 2}
+    assert {det(g) for g in elems.elements} == {1, 2}
 
 
 def test_enumeration_cap_enforced():
@@ -160,8 +164,9 @@ def test_every_enumeration_guard_reads_the_cap(monkeypatch):
     monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", 10)
     # mid-BFS guard of the closure: GL2(Z/3) has 48 elements
     with pytest.raises(EnumerationTooLargeError, match="11 elements exceeds cap 10"):
-        subgroup_closure([Mat2(3, 1, 1, 0, 1), Mat2(3, 0, 2, 1, 0), Mat2(3, 2, 0, 0, 1)])
-    assert subgroup_closure([Mat2(3, 1, 1, 0, 1)]).order == 3
+        subgroup_closure(
+            [Mat2(3, 1, 1, 0, 1), Mat2(3, 0, 2, 1, 0), Mat2(3, 2, 0, 0, 1)], 3)
+    assert subgroup_closure([Mat2(3, 1, 1, 0, 1)], 3).order == 3
     # size pre-checks
     with pytest.raises(EnumerationTooLargeError, match="48 elements exceeds cap 10"):
         enumerate_gl2(3)
@@ -248,7 +253,7 @@ def test_closure_cap_boundary(monkeypatch, gens, n):
 
 def test_closure_rejects_mixed_moduli():
     with pytest.raises(ModulusMismatchError):
-        subgroup_closure([Mat2.identity(4), Mat2.identity(8)])
+        subgroup_closure([Mat2.identity(4), Mat2.identity(8)], 4)
 
 
 # -- B1 subgroup ------------------------------------------------------------
@@ -583,7 +588,7 @@ def test_membership_needs_matching_modulus():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=10), st.data())
 def test_random_subgroup_order_divides_group_order(n, data):
-    pool = sorted(enumerate_gl2(n))
+    pool = sorted(enumerate_gl2(n).elements)
     gens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
     G = subgroup_closure(gens, n)
     assert gl2_order(n) % G.order == 0
