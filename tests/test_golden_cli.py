@@ -54,6 +54,8 @@ CASES = {
     "verify-2-json": ["verify", "--max-n", "2", "--format", "json"],
     "verify-12": ["verify", "--max-n", "12"],
     "verify-12-json": ["verify", "--max-n", "12", "--format", "json"],
+    "verify-24": ["verify", "--max-n", "24"],
+    "verify-24-json": ["verify", "--max-n", "24", "--format", "json"],
     "baselines-d6112": ["baselines", "--degree", "6112"],
     "baselines-d6113": ["baselines", "--degree", "6113"],
     "bounds-d6113": ["bounds", "records.csv", "--epsilon", "1/2", "--degree", "6113"],
