@@ -3,11 +3,10 @@
 One integer kernel does the arithmetic: `_mul`, `_inv` and `_reduce` act on
 bare entry tuples (a, b, c, d) reduced to [0, m), and the l-adic filtration
 in `lattice` uses the same helpers.  The loops that run once per element of
-a group (`_closure`, `reduce_subgroup`, `is_full_preimage`) write the same
-arithmetic inline on unpacked entries.  `Mat2` is the validated type at the
-API boundary (a slotted frozen dataclass with one validating constructor:
-entries reduced, unit determinant); its products compute through the
-kernel.
+a group (`_closure`, `reduce_subgroup`) write the same arithmetic inline
+on unpacked entries.  `Mat2` is the validated type at the API boundary (a
+slotted frozen dataclass with one validating constructor: entries reduced,
+unit determinant) that generators and membership queries take.
 
 Subgroups carry their full element set as a frozenset of entry tuples, so
 orders and indices are exact by Lagrange; `SubgroupModN.elements` yields
@@ -21,10 +20,13 @@ An open subgroup of the profinite GL2 is always represented here by its
 image mod N for some multiple N of its level; reduction maps, full
 preimages and the level-within-N computation make the finite-level
 statements checkable by enumeration.  G is the full preimage of its image
-mod m iff it contains the kernel of reduction N -> m, which the
-full-preimage test decides by counting the elements of G that are the
-identity mod m; at m = N (kernel {I}) and m = 1 (kernel GL2(Z/N)) the
-answers, yes and |G| = |GL2(Z/N)|, need no scan.  One scan kernel, `_lifts`,
+mod m iff it contains the kernel K_m of reduction N -> m, of order
+|GL2(Z/N)|/|GL2(Z/m)|.  By Lagrange, K_m <= G forces |K_m| to divide |G|,
+so the full-preimage test answers no at once when it does not; otherwise
+it lists K_m with the scan kernel and looks its elements up in G's set
+until one is missing: at most |K_m| <= |G| lookups, and no pass over G.  At m = N (K_m = {I}) and m = 1 (K_m = GL2(Z/N)) the answers,
+yes and |G| = |GL2(Z/N)|, need no listing, and the reduction returns G
+itself or the trivial group mod 1.  One scan kernel, `_lifts`,
 lists the lifts mod n of entry tuples mod m with unit determinant: their
 admissible (b, c) depend only on a*d mod n and b, c mod m, so each call
 tabulates them once per such key against a byte table of units and zips
@@ -191,11 +193,6 @@ class Mat2:
     def entries(self) -> Entries:
         return (self.a, self.b, self.c, self.d)
 
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        if self.n != other.n:
-            raise ModulusMismatchError(f"moduli {self.n} and {other.n} differ")
-        return Mat2(self.n, *_mul(self.entries, other.entries, self.n))
-
     def __repr__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]] mod {self.n}"
 
@@ -282,6 +279,10 @@ def reduce_subgroup(G: SubgroupModN, m: int) -> SubgroupModN:
     """Image of G under entrywise reduction mod m (m | n)."""
     if m < 1 or G.n % m != 0:
         raise NotADivisorError(f"{m} does not divide modulus {G.n}")
+    if m == G.n:
+        return G
+    if m == 1:
+        return SubgroupModN(1, _TRIVIAL_MOD_1)
     return SubgroupModN(m, frozenset((a % m, b % m, c % m, d % m)
                                      for a, b, c, d in G.entries))
 
@@ -305,9 +306,12 @@ def full_preimage(H: SubgroupModN, n: int) -> SubgroupModN:
 def is_full_preimage(G: SubgroupModN, m: int) -> bool:
     """True iff G equals the full preimage of its own reduction mod m.
 
-    At finite level that holds iff G contains the kernel of reduction
-    n -> m, so it is checked by counting the elements of G that are the
-    identity mod m: no image set or preimage enumeration is built.
+    At finite level that holds iff G contains the kernel K_m of reduction
+    n -> m, of order |GL2(Z/n)|/|GL2(Z/m)|.  By Lagrange K_m <= G forces
+    |K_m| to divide |G|, so the answer is no at once when it does not;
+    otherwise K_m is listed by the lift scan and its elements looked up in
+    G's set until one is missing.  G is not scanned, and no image set or
+    preimage is built.
     """
     n = G.n
     if m < 1 or n % m != 0:
@@ -316,9 +320,9 @@ def is_full_preimage(G: SubgroupModN, m: int) -> bool:
         return True
     if m == 1:  # the kernel is all of GL2(Z/n)
         return G.order == gl2_order(n)
-    kernel = sum(1 for a, b, c, d in G.entries
-                 if not b % m and not c % m and not (a - 1) % m and not (d - 1) % m)
-    return kernel * gl2_order(m) == gl2_order(n)
+    if G.order % (gl2_order(n) // gl2_order(m)):  # Lagrange: K_m is not in G
+        return False
+    return G.entries.issuperset(_lifts(((1, 0, 0, 1),), m, n))
 
 
 def level_within(G: SubgroupModN) -> int:

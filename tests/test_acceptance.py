@@ -51,8 +51,9 @@ def test_verify_phi_sieve_matches_euler_phi():
 def test_preimage_suite_up_to_24():
     """Full preimages preserve the index; non-full ones are detected.
 
-    Detection oracle: containment of the reduction kernel, checked element
-    by element, independent of the order-equation route under test.
+    Detection oracle: the elements of G that are the identity mod m, counted
+    and compared with the size of the enumerated reduction kernel,
+    independent of the Lagrange test and kernel lookups under test.
     """
     families = 0
     for n in range(2, 25):
@@ -61,7 +62,10 @@ def test_preimage_suite_up_to_24():
             families += 1
             for m in _divisors(n):
                 claimed = is_full_preimage(G, m)
-                truth = all(t in G.entries for t in kernels[m])
+                inside = sum(1 for a, b, c, d in G.entries
+                             if not b % m and not c % m
+                             and not (a - 1) % m and not (d - 1) % m)
+                truth = inside == len(kernels[m])
                 assert claimed == truth, (n, name, m)
                 if claimed:
                     image = reduce_subgroup(G, m)

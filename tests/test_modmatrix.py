@@ -114,8 +114,9 @@ def _inverse(g):
 
 @given(gl2_elements())
 def test_inverse_is_two_sided(g):
-    assert g * _inverse(g) == Mat2.identity(g.n)
-    assert _inverse(g) * g == Mat2.identity(g.n)
+    ident = Mat2.identity(g.n).entries
+    assert _mul(g.entries, _inverse(g).entries, g.n) == ident
+    assert _mul(_inverse(g).entries, g.entries, g.n) == ident
 
 
 def det(g):
@@ -126,11 +127,6 @@ def det(g):
 def test_det_multiplicative_with_inverse(g):
     ident = Mat2.identity(g.n)
     assert (det(g) * det(_inverse(g))) % g.n == det(ident)
-
-
-def test_mixed_moduli_rejected():
-    with pytest.raises(ModulusMismatchError):
-        Mat2.identity(4) * Mat2.identity(6)
 
 
 # -- orders and enumeration -------------------------------------------------
@@ -445,7 +441,8 @@ def test_kernel_closure_matches_oracle(case, data):
 #
 # The closure once multiplied by the generators and their inverses, queued in
 # a deque; the full-preimage test compared |G| * |GL2(Z/m)| with |image| *
-# |GL2(Z/n)|; the reduction called _reduce per element.
+# |GL2(Z/n)|, and later counted the elements of G that are the identity mod
+# m; the reduction called _reduce per element.
 
 def _oracle_inverse_closure(gens, m):
     ident = (1 % m, 0, 0, 1 % m)
@@ -487,6 +484,14 @@ def _oracle_image_order_test(G, m):
     return G.order * gl2_order(m) == image_order * gl2_order(G.n)
 
 
+def _oracle_kernel_count(G, m):
+    """G contains the kernel of reduction n -> m iff it holds
+    |GL2(Z/n)|/|GL2(Z/m)| elements that are the identity mod m."""
+    kernel = sum(1 for a, b, c, d in G.entries
+                 if not b % m and not c % m and not (a - 1) % m and not (d - 1) % m)
+    return kernel * gl2_order(m) == gl2_order(G.n)
+
+
 @st.composite
 def generator_lists_with_repeats(draw):
     n, gens = draw(generator_sets())
@@ -494,18 +499,52 @@ def generator_lists_with_repeats(draw):
     return n, draw(st.permutations(gens + extra))
 
 
+def _b1_preimage_gens(m, n):
+    """Generators of the full preimage of B1(m) in GL2(Z/n): each element of
+    the preimage that the closure of those taken so far misses."""
+    gens, seen = [], set()
+    for e in sorted(full_preimage(b1_subgroup(m), n).entries):
+        if e not in seen:
+            gens.append(e)
+            seen = _closure(gens, n)
+    return n, [Mat2(n, *e) for e in gens]
+
+
+@st.composite
+def b1_preimages(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    return _b1_preimage_gens(draw(st.sampled_from(_divisors(n)[1:])), n)
+
+
+def _units_mod(n):
+    return [u for u in range(1, n) if math.gcd(u, n) == 1]
+
+
 @settings(max_examples=60, deadline=None)
-@given(generator_lists_with_repeats())
+@given(st.one_of(generator_lists_with_repeats(), b1_preimages()))
+@example((1, [Mat2.identity(1)]))
 @example((1, [Mat2.identity(1), Mat2.identity(1)]))
 @example((6, [Mat2.identity(6), Mat2(6, 1, 1, 0, 1), Mat2(6, 1, 1, 0, 1)]))
 @example((12, [Mat2(12, 5, 0, 0, 1), Mat2(12, 5, 0, 0, 1), Mat2(12, 0, 11, 1, 0)]))
+# the split Cartan mod 16: |K_2| = 4096 does not divide its order 64
+@example((16, [Mat2(16, u, 0, 0, v) for u in (1, 3, 15) for v in (1, 3, 15)]))
+# all of GL2(Z/12): every kernel is listed in full
+@example((12, [Mat2(12, 1, 1, 0, 1), Mat2(12, 0, 11, 1, 0)]
+          + [Mat2(12, u, 0, 0, 1) for u in _units_mod(12)]))
+@example(_b1_preimage_gens(2, 12))
+@example(_b1_preimage_gens(4, 8))
 def test_kernel_loops_match_their_earlier_versions(case):
     n, gens = case
     G = subgroup_closure(gens, n)
     assert G.entries == _oracle_inverse_closure([g.entries for g in gens], n)
     for m in _divisors(n):
-        assert is_full_preimage(G, m) == _oracle_image_order_test(G, m), m
+        truth = _oracle_kernel_count(G, m)
+        assert truth == _oracle_image_order_test(G, m), m
+        assert is_full_preimage(G, m) == truth, m
         assert reduce_subgroup(G, m).entries == {_reduce(e, m) for e in G.entries}
+    assert level_within(G) == min(m for m in _divisors(n) if _oracle_kernel_count(G, m))
+    assert reduce_subgroup(G, n) is G
+    assert reduce_subgroup(G, 1).entries == {(0, 0, 0, 0)}
 
 
 _T9, _T9_SQ, _S9 = Mat2(9, 1, 1, 0, 1), Mat2(9, 1, 2, 0, 1), Mat2(9, 0, 8, 1, 0)
