@@ -1,21 +1,27 @@
 """Exact subgroup computations in GL2(Z/nZ).
 
-One integer kernel does the arithmetic: `_mul`, `_inv` and `_reduce` act on
-bare entry tuples (a, b, c, d) reduced to [0, m), and the l-adic filtration
-in `lattice` uses the same helpers.  The loops that run once per element of
-a group (`_closure`, `reduce_subgroup`) write the same arithmetic inline
-on unpacked entries.  `Mat2` is the validated type at the API boundary (a
-slotted frozen dataclass with one validating constructor: entries reduced,
-unit determinant) that generators and membership queries take.
+One integer kernel does the arithmetic on generators: `_mul`, `_inv` and
+`_reduce` act on bare entry tuples (a, b, c, d) reduced to [0, m), and the
+l-adic filtration in `lattice` uses the same helpers.  `Mat2` is the
+validated type at the API boundary (a slotted frozen dataclass with one
+validating constructor: entries reduced, unit determinant) that generators
+and membership queries take.
 
-Subgroups carry their full element set as a frozenset of entry tuples, so
-orders and indices are exact by Lagrange; `SubgroupModN.elements` yields
-`Mat2` views made on demand.  The closure is Dimino's algorithm: it grows
-the group one generator at a time by right cosets of the group so far, so
-each element is computed once, and it multiplies by the generators only: a
-finite group is the monoid its generators span, so no inverse is taken
-(Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991;
-Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005).
+Subgroups carry their full element set as a frozenset of integer codes, so
+orders and indices are exact by Lagrange: the code of (a, b, c, d) mod n is
+((a*n + b)*n + c)*n + d, that is r*n^2 + s for the row codes r = a*n + b and
+s = c*n + d (`_encode`, `_decode`).  `SubgroupModN.elements` yields `Mat2`
+views decoded on demand.  Right multiplication by a fixed x, like reduction
+mod m, maps each row on its own, so over many elements it is one table of
+the n^2 row images T and h -> T[r]*n^2 + T[s], run in C-level map loops.
+The closure is Dimino's algorithm: it grows the group one generator at a
+time by right cosets of the group so far, so each element is computed once,
+and it multiplies by the generators only: a finite group is the monoid its
+generators span, so no inverse is taken (Butler, *Fundamental Algorithms
+for Permutation Groups*, LNCS 559, 1991; Holt, Eick and O'Brien, *Handbook
+of Computational Group Theory*, 2005).  A coset of a group of more than
+2*n^2 elements is read off the row table; a smaller one, where the n^2 row
+images would cost more than the coset, is formed product by product.
 An open subgroup of the profinite GL2 is always represented here by its
 image mod N for some multiple N of its level; reduction maps, full
 preimages and the level-within-N computation make the finite-level
@@ -23,20 +29,22 @@ statements checkable by enumeration.  G is the full preimage of its image
 mod m iff it contains the kernel K_m of reduction N -> m, of order
 |GL2(Z/N)|/|GL2(Z/m)|.  By Lagrange, K_m <= G forces |K_m| to divide |G|,
 so the full-preimage test answers no at once when it does not; otherwise
-it lists K_m with the scan kernel and looks its elements up in G's set
-until one is missing: at most |K_m| <= |G| lookups, and no pass over G.  At m = N (K_m = {I}) and m = 1 (K_m = GL2(Z/N)) the answers,
-yes and |G| = |GL2(Z/N)|, need no listing, and the reduction returns G
-itself or the trivial group mod 1.  One scan kernel, `_lifts`,
-lists the lifts mod n of entry tuples mod m with unit determinant: their
-admissible (b, c) depend only on a*d mod n and b, c mod m, so each call
-tabulates them once per such key against a byte table of units and zips
-each (a, d) with its row.
+it lists K_m with the scan kernel and looks its codes up in G's set until
+one is missing: at most |K_m| <= |G| lookups, and no pass over G.  At m = N
+(K_m = {I}) and m = 1 (K_m = GL2(Z/N)) the answers, yes and
+|G| = |GL2(Z/N)|, need no listing, and the reduction returns G itself or
+the trivial group mod 1.  One scan kernel, `_lifts`, lists the codes mod n
+of the lifts of codes mod m with unit determinant: their admissible (b, c)
+depend only on a*d mod n and b, c mod m, so each call tabulates b*n^2 + c*n
+once per such key against a byte table of units and adds each (a, d) as
+the offset a*n^3 + d.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import add, floordiv, mod
 from typing import Iterable, Iterator
 
 from .exactvalue import _divisors, _factorize
@@ -97,8 +105,29 @@ def _inv(x: Entries, m: int) -> Entries:
     return ((x[3] * di) % m, (-x[1] * di) % m, (-x[2] * di) % m, (x[0] * di) % m)
 
 
-def _closure(gens: Iterable[Entries], m: int) -> set[Entries]:
-    """Element set of the subgroup of GL2(Z/mZ) generated by `gens` (entry
+def _encode(g: Entries, n: int) -> int:
+    """The code ((a*n + b)*n + c)*n + d of entries reduced mod n: r*n^2 + s
+    for the row codes r = a*n + b and s = c*n + d."""
+    a, b, c, d = g
+    return ((a * n + b) * n + c) * n + d
+
+
+def _decode(code: int, n: int) -> Entries:
+    """The entries (a, b, c, d) of a code mod n."""
+    r, s = divmod(code, n * n)
+    return (*divmod(r, n), *divmod(s, n))
+
+
+def _map_rows(table: list[int], codes: list[int], nn: int, shift: int) -> Iterator[int]:
+    """table[r]*shift + table[s] for each code r*nn + s in `codes`: one map
+    of the rows applied to both rows of each element, in C-level loops."""
+    high = [t * shift for t in table]
+    return map(add, map(high.__getitem__, map(floordiv, codes, repeat(nn))),
+               map(table.__getitem__, map(mod, codes, repeat(nn))))
+
+
+def _closure(gens: Iterable[Entries], m: int) -> set[int]:
+    """Code set of the subgroup of GL2(Z/mZ) generated by `gens` (entry
     tuples reduced mod m with unit determinant), by Dimino's algorithm.
 
     Each generator g not yet in the group so far, H, grows it to <H, g> by
@@ -106,52 +135,99 @@ def _closure(gens: Iterable[Entries], m: int) -> set[Entries]:
     union of such cosets, so a candidate x*s (s a generator used so far)
     already present names a coset already present and is skipped; every
     element is computed exactly once, as h*x.  A finite group is the monoid
-    its generators span, so no inverse is taken.
+    its generators span, so no inverse is taken.  The first generator used
+    grows the trivial group by its powers.
+
+    Right multiplication by x maps each row of h on its own, so once H has
+    more than 2*m^2 elements the coset H*x is read off one table of the m^2
+    row images of x.  Below that each product is formed directly, from
+    entry tuples: H is then base*trans, base the powers of the first
+    generator and trans a transversal of it (I and the list `trans`), so
+    h*x = b*(w*x) and no code is decoded.
     """
-    ident = (1 % m, 0, 0, 1 % m)
-    seen = {ident}
+    mm = m * m
+    one = 1 % m
+    seen = {one * mm * m + one}
     used = []
+    cap = ENUMERATION_CAP
     for gen in dict.fromkeys(gens):
-        if gen in seen:
+        e, f, g, h = gen
+        if ((e * m + f) * m + g) * m + h in seen:  # codes written out: a hot path
             continue
         used.append(gen)
-        H = list(seen)
+        if len(used) == 1:  # made here, so a closure with nothing to add makes neither
+            base = [(one, 0, 0, one)]
+            trans = []
+            x = gen
+            while True:
+                p, q, r, s = x
+                code = ((p * m + q) * m + r) * m + s
+                if code in seen:
+                    break
+                if len(seen) >= cap:
+                    raise EnumerationTooLargeError(cap + 1, cap)
+                seen.add(code)
+                base.append(x)
+                x = ((p * e + q * g) % m, (p * f + q * h) % m,
+                     (r * e + s * g) % m, (r * f + s * h) % m)
+            continue
+        size = len(seen)
+        tabulate = size > 2 * mm
+        if tabulate:
+            H = list(seen)
+        grown = []
         candidates = [gen]
         while candidates:
-            x = candidates.pop()
-            if x in seen:
+            e, f, g, h = x = candidates.pop()
+            if ((e * m + f) * m + g) * m + h in seen:
                 continue
-            if len(seen) + len(H) > ENUMERATION_CAP:
-                raise EnumerationTooLargeError(ENUMERATION_CAP + 1, ENUMERATION_CAP)
-            e, f, g, h = x
-            seen.update([((a * e + b * g) % m, (a * f + b * h) % m,
-                          (c * e + d * g) % m, (c * f + d * h) % m)
-                         for a, b, c, d in H])
-            candidates.extend([_mul(x, s, m) for s in used])
+            if len(seen) + size > cap:
+                raise EnumerationTooLargeError(cap + 1, cap)
+            if tabulate:
+                seen.update(_map_rows([(a * e + b * g) % m * m + (a * f + b * h) % m
+                                       for a in range(m) for b in range(m)], H, mm, mm))
+            else:
+                vs = [x]
+                if trans:
+                    vs += [((p * e + q * g) % m, (p * f + q * h) % m,
+                            (r * e + s * g) % m, (r * f + s * h) % m)
+                           for p, q, r, s in trans]
+                grown += vs
+                seen.update([((a * e + b * g) % m * m + (a * f + b * h) % m) * mm
+                             + (c * e + d * g) % m * m + (c * f + d * h) % m
+                             for e, f, g, h in vs for a, b, c, d in base])
+            candidates += [((e * p + f * r) % m, (e * q + f * s) % m,
+                            (g * p + h * r) % m, (g * q + h * s) % m)
+                           for p, q, r, s in used]
+        trans += grown
     return seen
 
 
-def _lifts(entries: Iterable[Entries], m: int, n: int) -> Iterator[Entries]:
-    """Entry tuples mod n with unit determinant whose reduction mod m (m | n)
-    is in `entries`.  With m = 1 and entries {(0, 0, 0, 0)}: all of GL2(Z/nZ)."""
+def _lifts(codes: Iterable[int], m: int, n: int) -> Iterator[int]:
+    """Codes mod n of the matrices with unit determinant whose reduction mod
+    m (m | n) has its code in `codes`.  With m = 1 and codes {0}: all of
+    GL2(Z/nZ)."""
     unit = bytes(math.gcd(x, n) == 1 for x in range(n))
-    rows = {}  # (a*d mod n, b mod m, c mod m) -> (admissible b's, their c's)
+    nn = n * n
+    n3 = nn * n
+    rows = {}  # (a*d mod n, b mod m, c mod m) -> b*n^2 + c*n of each admissible (b, c)
 
     def row_lifts():
-        for ha, hb, hc, hd in entries:
+        for code in codes:
+            ha, hb, hc, hd = _decode(code, m)
             for a in range(ha, n, m):
                 for d in range(hd, n, m):
                     ad = a * d % n
                     row = rows.get((ad, hb, hc))
                     if row is None:
-                        pairs = [(b, c) for b in range(hb, n, m)
-                                 for c in range(hc, n, m) if unit[(ad - b * c) % n]]
-                        row = rows[ad, hb, hc] = tuple(zip(*pairs)) or ((), ())
-                    yield zip(repeat(a), *row, repeat(d))
+                        row = rows[ad, hb, hc] = [
+                            b * nn + c * n for b in range(hb, n, m)
+                            for c in range(hc, n, m) if unit[(ad - b * c) % n]]
+                    yield map(add, repeat(a * n3 + d), row)
     return chain.from_iterable(row_lifts())
 
 
-_TRIVIAL_MOD_1 = frozenset({(0, 0, 0, 0)})
+_TRIVIAL_MOD_1 = frozenset({0})
 
 
 def _scan_gl2_size(n: int) -> int:
@@ -203,26 +279,27 @@ _set_n, _set_a, _set_b, _set_c, _set_d = (
 
 @dataclass(frozen=True)
 class SubgroupModN:
-    """A subgroup of GL2(Z/nZ) with its element set as entry tuples."""
+    """A subgroup of GL2(Z/nZ) with its element set as codes (`_encode`)."""
 
     n: int
-    entries: frozenset[Entries]
+    codes: frozenset[int]
 
     @property
     def order(self) -> int:
-        return len(self.entries)
+        return len(self.codes)
 
     @property
     def elements(self) -> Iterator[Mat2]:
         """The elements as `Mat2`, made on demand."""
         n = self.n
-        return (Mat2(n, *e) for e in self.entries)
+        return (Mat2(n, *_decode(c, n)) for c in self.codes)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.codes)
 
     def __contains__(self, g: Mat2) -> bool:
-        return g.n == self.n and g.entries in self.entries
+        n = self.n
+        return g.n == n and ((g.a * n + g.b) * n + g.c) * n + g.d in self.codes
 
     def __repr__(self) -> str:
         return f"SubgroupModN(n={self.n}, order={self.order})"
@@ -264,7 +341,9 @@ def b1_subgroup(n: int) -> SubgroupModN:
     if n < 2:
         raise InvalidModulusError(f"B1(n) is defined for n >= 2, got {n}")
     units = [d for d in range(1, n) if math.gcd(d, n) == 1]
-    return SubgroupModN(n, frozenset((1, b, 0, d) for b in range(n) for d in units))
+    nn = n * n
+    # the code of (1, b, 0, d)
+    return SubgroupModN(n, frozenset((n + b) * nn + d for b in range(n) for d in units))
 
 
 def subgroup_index(G: SubgroupModN) -> int:
@@ -276,15 +355,17 @@ def subgroup_index(G: SubgroupModN) -> int:
 
 
 def reduce_subgroup(G: SubgroupModN, m: int) -> SubgroupModN:
-    """Image of G under entrywise reduction mod m (m | n)."""
+    """Image of G under entrywise reduction mod m (m | n), through one table
+    of the n^2 rows mod n reduced mod m."""
     if m < 1 or G.n % m != 0:
         raise NotADivisorError(f"{m} does not divide modulus {G.n}")
     if m == G.n:
         return G
     if m == 1:
         return SubgroupModN(1, _TRIVIAL_MOD_1)
-    return SubgroupModN(m, frozenset((a % m, b % m, c % m, d % m)
-                                     for a, b, c, d in G.entries))
+    n = G.n
+    rows = [a % m * m + b % m for a in range(n) for b in range(n)]
+    return SubgroupModN(m, frozenset(_map_rows(rows, list(G.codes), n * n, m * m)))
 
 
 def full_preimage(H: SubgroupModN, n: int) -> SubgroupModN:
@@ -296,7 +377,7 @@ def full_preimage(H: SubgroupModN, n: int) -> SubgroupModN:
         raise NotADivisorError(f"{m} does not divide {n}")
     size = H.order * (gl2_order(n) // gl2_order(m))
     _check_enumeration(size)
-    elems = frozenset(_lifts(H.entries, m, n))
+    elems = frozenset(_lifts(H.codes, m, n))
     if len(elems) != size:
         raise ModMatrixError(
             f"preimage in GL2(Z/{n}) produced {len(elems)} elements, expected {size}")
@@ -309,8 +390,8 @@ def is_full_preimage(G: SubgroupModN, m: int) -> bool:
     At finite level that holds iff G contains the kernel K_m of reduction
     n -> m, of order |GL2(Z/n)|/|GL2(Z/m)|.  By Lagrange K_m <= G forces
     |K_m| to divide |G|, so the answer is no at once when it does not;
-    otherwise K_m is listed by the lift scan and its elements looked up in
-    G's set until one is missing.  G is not scanned, and no image set or
+    otherwise K_m is listed by the lift scan and its codes looked up in G's
+    set until one is missing.  G is not scanned, and no image set or
     preimage is built.
     """
     n = G.n
@@ -322,7 +403,7 @@ def is_full_preimage(G: SubgroupModN, m: int) -> bool:
         return G.order == gl2_order(n)
     if G.order % (gl2_order(n) // gl2_order(m)):  # Lagrange: K_m is not in G
         return False
-    return G.entries.issuperset(_lifts(((1, 0, 0, 1),), m, n))
+    return G.codes.issuperset(_lifts((_encode((1, 0, 0, 1), m),), m, n))
 
 
 def level_within(G: SubgroupModN) -> int:

@@ -18,6 +18,7 @@ from .modmatrix import (
     _TRIVIAL_MOD_1,
     Mat2,
     SubgroupModN,
+    _encode,
     _lifts,
     _scan_gl2_size,
     b1_subgroup,
@@ -91,7 +92,7 @@ def _scan_preimage(H: SubgroupModN, n: int) -> SubgroupModN:
     """The preimage of H in GL2(Z/n) by the determinant scan alone: unlike
     `full_preimage`, which checks its size against `gl2_order` and raises on
     a mismatch, a wrong closed form here shows up as a failed check."""
-    return SubgroupModN(n, frozenset(_lifts(H.entries, H.n, n)))
+    return SubgroupModN(n, frozenset(_lifts(H.codes, H.n, n)))
 
 
 def run_verification_suite(max_n: int = 16) -> SuiteReport:
@@ -145,11 +146,13 @@ def _check_preimage_suite(report, max_n):
     for n in range(2, top + 1):
         kernels = {m: _reduction_kernel(n, m) for m in _divisors(n)}
         for name, G in subgroup_family(n):
+            entries = [_entries_of(code, n) for code in G.codes]
             for m in _divisors(n):
                 claimed = is_full_preimage(G, m)
                 # independent route: G contains the kernel of the reduction
-                # n -> m iff as many of its elements are the identity mod m
-                inside = sum(1 for a, b, c, d in G.entries
+                # n -> m iff as many of its elements are the identity mod m,
+                # each code ((a*n + b)*n + c)*n + d taken apart here
+                inside = sum(1 for a, b, c, d in entries
                              if not b % m and not c % m
                              and not (a - 1) % m and not (d - 1) % m)
                 truth = inside == len(kernels[m])
@@ -167,9 +170,19 @@ def _check_preimage_suite(report, max_n):
                f"violations {detect_bad}" if detect_bad else f"{checked} (G,m) pairs")
 
 
-def _reduction_kernel(n: int, m: int) -> list[tuple[int, int, int, int]]:
-    """Entry tuples of all matrices = I mod m with unit determinant mod n."""
-    return list(_lifts([(1 % m, 0, 0, 1 % m)], m, n))
+def _entries_of(code: int, n: int) -> tuple[int, int, int, int]:
+    """The entries (a, b, c, d) of the code ((a*n + b)*n + c)*n + d, by a
+    division chain of its own, so the count does not rest on the library's
+    decoding."""
+    code, d = divmod(code, n)
+    code, c = divmod(code, n)
+    a, b = divmod(code, n)
+    return a, b, c, d
+
+
+def _reduction_kernel(n: int, m: int) -> list[int]:
+    """Codes of all matrices = I mod m with unit determinant mod n."""
+    return list(_lifts([_encode((1 % m, 0, 0, 1 % m), m)], m, n))
 
 
 def _check_crt_orders(report, max_n):

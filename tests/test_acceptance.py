@@ -28,6 +28,8 @@ from torsionbounds.modmatrix import (
 )
 from torsionbounds.verify import _phi_sieve, _reduction_kernel, subgroup_family
 
+from entry_codes import entries
+
 
 def _divisors(n):
     return [m for m in range(1, n + 1) if n % m == 0]
@@ -60,9 +62,10 @@ def test_preimage_suite_up_to_24():
         kernels = {m: _reduction_kernel(n, m) for m in _divisors(n)}
         for name, G in subgroup_family(n):
             families += 1
+            elems = entries(G)
             for m in _divisors(n):
                 claimed = is_full_preimage(G, m)
-                inside = sum(1 for a, b, c, d in G.entries
+                inside = sum(1 for a, b, c, d in elems
                              if not b % m and not c % m
                              and not (a - 1) % m and not (d - 1) % m)
                 truth = inside == len(kernels[m])

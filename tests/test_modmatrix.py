@@ -4,6 +4,7 @@ import math
 import pickle
 from collections import deque
 from functools import lru_cache
+from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +19,6 @@ from torsionbounds.modmatrix import (
     ModulusMismatchError,
     NotADivisorError,
     NotInvertibleError,
-    _TRIVIAL_MOD_1,
     _closure,
     _inv,
     _lifts,
@@ -34,6 +34,8 @@ from torsionbounds.modmatrix import (
     subgroup_closure,
     subgroup_index,
 )
+
+from entry_codes import decode, encode, entries
 
 
 # -- Mat2 basics ------------------------------------------------------------
@@ -235,6 +237,7 @@ def test_closure_idempotent():
     ([(1, 1, 0, 1), (0, 5, 1, 0)], 6),
     ([(2, 0, 0, 1), (1, 1, 0, 1)], 5),
     ([(1, 0, 0, 1)], 4),
+    ([(1, 1, 0, 1)], 5),
 ])
 def test_closure_cap_boundary(monkeypatch, gens, n):
     order = len(_bfs_closure(gens, n))
@@ -480,14 +483,14 @@ def _bfs_closure(gens, m):
 
 
 def _oracle_image_order_test(G, m):
-    image_order = len({_reduce(e, m) for e in G.entries})
+    image_order = len({_reduce(e, m) for e in entries(G)})
     return G.order * gl2_order(m) == image_order * gl2_order(G.n)
 
 
 def _oracle_kernel_count(G, m):
     """G contains the kernel of reduction n -> m iff it holds
     |GL2(Z/n)|/|GL2(Z/m)| elements that are the identity mod m."""
-    kernel = sum(1 for a, b, c, d in G.entries
+    kernel = sum(1 for a, b, c, d in entries(G)
                  if not b % m and not c % m and not (a - 1) % m and not (d - 1) % m)
     return kernel * gl2_order(m) == gl2_order(G.n)
 
@@ -503,8 +506,8 @@ def _b1_preimage_case(m, n):
     """Generators of the full preimage of B1(m) in GL2(Z/n): each element of
     the preimage that the closure of those taken so far misses."""
     gens, seen = [], set()
-    for e in sorted(full_preimage(b1_subgroup(m), n).entries):
-        if e not in seen:
+    for e in sorted(entries(full_preimage(b1_subgroup(m), n))):
+        if encode(e, n) not in seen:
             gens.append(e)
             seen = _closure(gens, n)
     return n, [Mat2(n, *e) for e in gens]
@@ -532,15 +535,16 @@ def b1_preimages(draw):
 def test_kernel_loops_match_their_earlier_versions(case):
     n, gens = case
     G = subgroup_closure(gens, n)
-    assert G.entries == _oracle_inverse_closure([g.entries for g in gens], n)
+    elems = entries(G)
+    assert elems == _oracle_inverse_closure([g.entries for g in gens], n)
     truths = {m: _oracle_kernel_count(G, m) for m in _divisors(n)}
     for m, truth in truths.items():
         assert truth == _oracle_image_order_test(G, m), m
         assert is_full_preimage(G, m) == truth, m
-        assert reduce_subgroup(G, m).entries == {_reduce(e, m) for e in G.entries}
+        assert entries(reduce_subgroup(G, m)) == {_reduce(e, m) for e in elems}
     assert level_within(G) == min(m for m, t in truths.items() if t)
     assert reduce_subgroup(G, n) is G
-    assert reduce_subgroup(G, 1).entries == {(0, 0, 0, 0)}
+    assert entries(reduce_subgroup(G, 1)) == {(0, 0, 0, 0)}
 
 
 _T9, _T9_SQ, _S9 = Mat2(9, 1, 1, 0, 1), Mat2(9, 1, 2, 0, 1), Mat2(9, 0, 8, 1, 0)
@@ -562,17 +566,17 @@ _T9, _T9_SQ, _S9 = Mat2(9, 1, 1, 0, 1), Mat2(9, 1, 2, 0, 1), Mat2(9, 0, 8, 1, 0)
 @example((1, [Mat2.identity(1), Mat2.identity(1)]))
 def test_closure_matches_breadth_first_search(case):
     n, gens = case
-    entries = [g.entries for g in gens]
-    assert subgroup_closure(gens, n).entries == _bfs_closure(entries, n)
+    generators = [g.entries for g in gens]
+    assert entries(subgroup_closure(gens, n)) == _bfs_closure(generators, n)
 
 
 # -- differential: the row-tabulated lift scan against the gcd scan ---------
 
-def _oracle_lifts(entries, m, n):
+def _oracle_lifts(images, m, n):
     """The lift scan before its rows were tabulated: one gcd per candidate."""
     gcd = math.gcd
     return ((a, b, c, d)
-            for ha, hb, hc, hd in entries
+            for ha, hb, hc, hd in images
             for a in range(ha, n, m)
             for d in range(hd, n, m)
             for b in range(hb, n, m)
@@ -586,20 +590,153 @@ def lift_cases(draw):
     m = draw(st.sampled_from(_divisors(n)))
     # any subset, not only subgroups, so rows with different c starts meet
     pool = [g.entries for g in _oracle_gl2(m)]
-    entries = draw(st.sets(st.sampled_from(pool), max_size=6))
-    return entries, m, n
+    images = draw(st.sets(st.sampled_from(pool), max_size=6))
+    return images, m, n
 
 
 @settings(max_examples=40, deadline=None)
 @given(lift_cases())
-@example((_TRIVIAL_MOD_1, 1, 24))
+@example((frozenset({(0, 0, 0, 0)}), 1, 24))
 @example((frozenset(), 1, 24))
-@example((_TRIVIAL_MOD_1, 1, 1))
+@example((frozenset({(0, 0, 0, 0)}), 1, 1))
 @example((frozenset({(1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1)}), 24, 24))
 @example((frozenset({(1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 0), (2, 1, 1, 1)}), 3, 24))
 def test_lifts_match_the_gcd_scan(case):
-    entries, m, n = case
-    assert frozenset(_lifts(entries, m, n)) == frozenset(_oracle_lifts(entries, m, n))
+    images, m, n = case
+    codes = [encode(e, m) for e in images]
+    assert ({decode(code, n) for code in _lifts(codes, m, n)}
+            == frozenset(_oracle_lifts(images, m, n)))
+
+
+# -- differential: the coded engine against the entry-tuple code it replaced -
+#
+# Until elements were stored as codes, the closure, the lift scan and the
+# reduction built and hashed one entry tuple per element.  Those versions
+# are kept here as they were, and the coded ones must give the same sets,
+# decoded, on both sides of the closure's row-table threshold (2*n^2
+# elements in the group so far).
+
+def _tuple_closure(gens, m):
+    """Dimino's closure over entry tuples."""
+    ident = (1 % m, 0, 0, 1 % m)
+    seen = {ident}
+    used = []
+    for gen in dict.fromkeys(gens):
+        if gen in seen:
+            continue
+        used.append(gen)
+        H = list(seen)
+        candidates = [gen]
+        while candidates:
+            x = candidates.pop()
+            if x in seen:
+                continue
+            if len(seen) + len(H) > modmatrix.ENUMERATION_CAP:
+                raise EnumerationTooLargeError(modmatrix.ENUMERATION_CAP + 1,
+                                               modmatrix.ENUMERATION_CAP)
+            e, f, g, h = x
+            seen.update([((a * e + b * g) % m, (a * f + b * h) % m,
+                          (c * e + d * g) % m, (c * f + d * h) % m)
+                         for a, b, c, d in H])
+            candidates.extend([_mul(x, s, m) for s in used])
+    return seen
+
+
+def _tuple_lifts(images, m, n):
+    """The row-tabulated lift scan over entry tuples."""
+    unit = bytes(math.gcd(x, n) == 1 for x in range(n))
+    rows = {}
+    for ha, hb, hc, hd in images:
+        for a in range(ha, n, m):
+            for d in range(hd, n, m):
+                ad = a * d % n
+                row = rows.get((ad, hb, hc))
+                if row is None:
+                    pairs = [(b, c) for b in range(hb, n, m)
+                             for c in range(hc, n, m) if unit[(ad - b * c) % n]]
+                    row = rows[ad, hb, hc] = tuple(zip(*pairs)) or ((), ())
+                yield from zip(repeat(a), *row, repeat(d))
+
+
+def _tuple_reduce(elems, m):
+    return frozenset((a % m, b % m, c % m, d % m) for a, b, c, d in elems)
+
+
+@lru_cache(maxsize=None)
+def _tuple_gl2(n):
+    return frozenset(_tuple_lifts([(0, 0, 0, 0)], 1, n))
+
+
+def _unit_entries(n):
+    entry = st.integers(min_value=0, max_value=n - 1)
+    return st.tuples(entry, entry, entry, entry).filter(
+        lambda e: math.gcd(e[0] * e[3] - e[1] * e[2], n) == 1)
+
+
+def _units(n):
+    return [u for u in range(1, n) if math.gcd(u, n) == 1]
+
+
+def _borel_generators(n):
+    us = _units(n)
+    return [(1, 1 % n, 0, 1 % n)] + [(u, 0, 0, 1) for u in us] + [(1, 0, 0, u) for u in us]
+
+
+@st.composite
+def coded_cases(draw):
+    """A modulus n <= 24; generators: none, random ones, or the Borel or
+    split Cartan generators (past the row-table threshold for most n), with
+    repeats and the identity mixed in; a divisor m of n to lift from; and
+    membership queries."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    family = draw(st.sampled_from(["none", "random", "borel", "cartan"]))
+    if family == "random":
+        gens = draw(st.lists(_unit_entries(n), min_size=1, max_size=3))
+    elif family == "borel":
+        gens = _borel_generators(n)
+    elif family == "cartan":
+        gens = _borel_generators(n)[1:]
+    else:
+        gens = []
+    ident = (1 % n, 0, 0, 1 % n)
+    extra = draw(st.lists(st.sampled_from(gens + [ident]), max_size=3))
+    gens = draw(st.permutations(gens + extra))
+    m = draw(st.sampled_from(_divisors(n)))
+    queries = draw(st.lists(_unit_entries(n), max_size=8))
+    return n, gens, m, queries
+
+
+@settings(max_examples=30, deadline=None)
+@given(coded_cases())
+@example((1, [], 1, [(0, 0, 0, 0)]))
+@example((1, [(0, 0, 0, 0), (0, 0, 0, 0)], 1, []))
+@example((24, [], 12, [(1, 0, 0, 1), (5, 0, 0, 1)]))
+@example((24, [(1, 0, 0, 1), (1, 0, 0, 1)], 1, [(1, 1, 0, 1)]))
+# the Borel group mod 8: 128 elements, never past 2*8^2 = 128
+@example((8, _borel_generators(8), 2, [(1, 1, 0, 1), (0, 1, 1, 0), (3, 0, 4, 1)]))
+# all of GL2(Z/12) and GL2(Z/24), past the threshold from the third generator
+@example((12, [(1, 1, 0, 1), (0, 11, 1, 0), (5, 0, 0, 1), (7, 0, 0, 1), (1, 1, 0, 1)],
+          4, [(0, 1, 1, 0)]))
+@example((24, [(1, 1, 0, 1), (0, 23, 1, 0)] + [(u, 0, 0, 1) for u in _units(24)],
+          6, [(7, 2, 3, 1)]))
+def test_coded_engine_matches_the_tuple_engine(case):
+    n, gens, m, queries = case
+    oracle = _tuple_closure(gens, n)
+    G = subgroup_closure([Mat2(n, *g) for g in gens], n)
+    assert entries(G) == oracle
+    assert entries(enumerate_gl2(n)) == _tuple_gl2(n)
+    truths = {}
+    for d in _divisors(n):
+        assert entries(reduce_subgroup(G, d)) == _tuple_reduce(oracle, d), d
+        kernel = sum(1 for a, b, c, e in oracle
+                     if not b % d and not c % d and not (a - 1) % d and not (e - 1) % d)
+        truths[d] = kernel == sum(1 for _ in _tuple_lifts([(1 % d, 0, 0, 1 % d)], d, n))
+        assert is_full_preimage(G, d) == truths[d], d
+    assert level_within(G) == min(d for d, t in truths.items() if t)
+    lifted = set(_tuple_lifts(_tuple_reduce(oracle, m), m, n))
+    assert entries(full_preimage(reduce_subgroup(G, m), n)) == lifted
+    for q in queries + sorted(oracle)[:4]:
+        assert (Mat2(n, *q) in G) == (q in oracle), q
 
 
 @pytest.mark.parametrize("n", [1, 2, 12])
