@@ -7,8 +7,9 @@ GL2(Z/l^k Z) under either identification; this module computes both indices
 at a chosen precision k and reports whether they agree.
 
 Generators are conjugated into each lattice's basis exactly, in integer
-arithmetic, as entry tuples mod l^k (`AdicGroup` has checked their unit
-determinants).  Subgroup orders mod
+arithmetic, as entry tuples mod l^k, from integer forms that `AdicGroup`
+and `LatticeBasis` build and check once, when they are constructed.
+Subgroup orders mod
 l^k are |image mod l| * |G cap K_1|, K_1 the kernel of GL2(Z/l^k) ->
 GL2(Z/l).  Only the image mod l is enumerated, by Dimino's closure (as in
 `modmatrix._closure`) with each element kept as a lift mod l^k.  A
@@ -20,7 +21,9 @@ generators.  They are sifted into a basis layered by the filtration
 K_1 > K_2 > ... (each layer a subspace of K_j/K_{j+1} = M2(F_l)) and closed
 under l-th powers and commutators, as for an induced polycyclic sequence
 (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005, 4.1
-and ch. 8), then under conjugation by the generators.  The cost is
+and ch. 8), then under conjugation by the generators.  As K_j^l lies in
+K_(j+1) and [K_i, K_j] in K_(i+j), no power or commutator is formed at a
+depth whose layers are already full.  The cost is
 polynomial in k and does not grow with |G cap K_1|.  Layer j depends only
 on G mod l^(j+1), so one sift serves every smaller precision.  The matrix
 arithmetic mod l^k is the entry-tuple kernel of `modmatrix`.
@@ -28,7 +31,8 @@ arithmetic mod l^k is the entry-tuple kernel of `modmatrix`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -43,9 +47,10 @@ from .modmatrix import (
     _reduce,
 )
 
-RatMat = tuple[Fraction, Fraction, Fraction, Fraction]  # row-major 2x2
-# a sift with every layer full takes 1.2-2.8 s at k = 64 for l = 2..7,
-# its conjugation by the generators included
+# row-major 2x2; a scenario file's integer entries are ints
+RatMat = tuple[Fraction, Fraction, Fraction, Fraction]
+# a sift with every layer full takes 0.9-2.7 s at k = 64 for l = 2..7,
+# its conjugation by the generators included (in-process, 2-vCPU Xeon)
 MAX_PRECISION = 64
 
 
@@ -118,18 +123,25 @@ class LatticeBasis:
 
     prime: int
     basis: RatMat
+    # (M, l**s, u): the basis scaled to an integer matrix M, det M = l**s * u
+    # with u an l-unit
+    _form: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _check_prime(self.prime)
-        if rat_det(self.basis) == 0:
+        l = self.prime
+        _check_prime(l)
+        M, e = _integral(self.basis)
+        det = rat_det(M)
+        if det == 0:
             raise SingularInputError("lattice basis is singular")
-        for q in self.basis:
-            den = q.denominator
-            while den % self.prime == 0:
-                den //= self.prime
-            if den != 1:
-                raise LatticeError(
-                    f"entry {q} has a denominator not a power of {self.prime}")
+        while e % l == 0:
+            e //= l
+        if e != 1:
+            # e is the lcm of the parts of the denominators prime to l
+            q = next(q for q in self.basis if math.gcd(q.denominator, e) > 1)
+            raise LatticeError(f"entry {q} has a denominator not a power of {l}")
+        ls = l ** valuation(det, l)
+        object.__setattr__(self, "_form", (M, ls, det // ls))
 
     @staticmethod
     def standard(l: int) -> "LatticeBasis":
@@ -145,18 +157,20 @@ class AdicGroup:
 
     prime: int
     generators: tuple[RatMat, ...]
+    # (A, e) for each generator g = A / e: A an integer matrix, e an l-unit
+    _forms: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _check_prime(self.prime)
-        for g in self.generators:
-            for q in g:
-                if q != 0 and valuation(q, self.prime) < 0:
-                    raise LatticeError(
-                        f"generator {_fmt_rat(g)} is not {self.prime}-integral")
-            det = rat_det(g)
-            if det == 0 or valuation(det, self.prime) != 0:
-                raise LatticeError(
-                    f"generator {_fmt_rat(g)} is not invertible mod {self.prime}")
+        l = self.prime
+        _check_prime(l)
+        forms = tuple(map(_integral, self.generators))
+        for g, (A, e) in zip(self.generators, forms):
+            if e % l == 0:
+                raise LatticeError(f"generator {_fmt_rat(g)} is not {l}-integral")
+            # det g = det A / e**2, an l-unit iff det A is
+            if rat_det(A) % l == 0:
+                raise LatticeError(f"generator {_fmt_rat(g)} is not invertible mod {l}")
+        object.__setattr__(self, "_forms", forms)
 
 
 def _checked_conjugates(G: AdicGroup, T: LatticeBasis, k: int,
@@ -167,18 +181,16 @@ def _checked_conjugates(G: AdicGroup, T: LatticeBasis, k: int,
     l-unit) and a generator g = A / e (e an l-unit, as g is l-integral), the
     conjugate is adj(M) A M / (l**s * u * e): it is l-integral, so g
     stabilizes T, iff l**s divides every entry of adj(M) A M.  Its
-    determinant det(g) is an l-unit, as `AdicGroup` has checked.
+    determinant det(g) is an l-unit, as `AdicGroup` has checked.  M, s, u
+    and each (A, e) were formed when T and G were built.
     """
     if G.prime != T.prime:
         raise LatticeError(f"group prime {G.prime} != lattice prime {T.prime}")
-    l, m = T.prime, T.prime ** k
-    M = _integral(T.basis)[0]
+    m = T.prime ** k
+    M, ls, u = T._form
     a, b, c, d = M
-    ls = l ** valuation(a * d - b * c, l)
-    u = (a * d - b * c) // ls
     out = []
-    for g in G.generators:
-        A, e = _integral(g)
+    for g, (A, e) in zip(G.generators, G._forms):
         N = rat_mul(rat_mul((d, -b, -c, a), A), M)
         if any(x % ls for x in N):
             raise NotInvariantError(g, lattice_name)
@@ -281,7 +293,7 @@ class _LayeredBasis:
         self.depth = {l ** j: j for j in range(1, k)}
         # layer j -> [(pivot, leading vector, {c: x^-c} for each c used)]
         self.layers: dict[int, list] = {j: [] for j in range(1, k)}
-        self.elements: list[tuple] = []  # (element, inverse), every layer
+        self.elements: list[tuple] = []  # (element, inverse, depth), every layer
         # the least j with layers j..k-1 all full: the basis spans K_j
         self.full_from = k
 
@@ -333,20 +345,25 @@ class _LayeredBasis:
 
     def _insert(self, x, j: int, v: list[int]) -> list:
         """Add x (depth j, leading vector v) to layer j, scaled to pivot 1;
-        return its l-th power and its commutators with every basis element."""
+        return its l-th power and its commutators with the basis elements.
+
+        x^l lies in K_(j+1) and the commutator with an element of depth i in
+        K_(i+j), and an element of K_(full_from) sifts to I, so a product
+        that deep is not formed."""
         l, m = self.l, self.m
         piv = next(i for i, a in enumerate(v) if a)
         scale = pow(v[piv], -1, l)
         x = _pow(x, scale, m)
         lead = [a * scale % l for a in v]
         x_inv = _inv(x, m)
-        out = [_pow(x, l, m)]
-        out.extend(_mul(_mul(x, y, m), _mul(x_inv, y_inv, m), m)
-                   for y, y_inv in self.elements)
         self.layers[j].append((piv, lead, {1: x_inv}))
-        self.elements.append((x, x_inv))
         while self.full_from > 1 and len(self.layers[self.full_from - 1]) == 4:
             self.full_from -= 1
+        full = self.full_from
+        out = [_pow(x, l, m)] if j + 1 < full else []
+        out.extend(_mul(_mul(x, y, m), _mul(x_inv, y_inv, m), m)
+                   for y, y_inv, i in self.elements if i + j < full)
+        self.elements.append((x, x_inv, j))
         return out
 
 
@@ -526,7 +543,8 @@ def bundled_scenarios(primes: Sequence[int] = (2, 3, 5),
 # ---------------------------------------------------------------------------
 
 def parse_rational_matrix(text: str) -> RatMat:
-    """Parse "a,b;c,d" with entries like "3" or "p/q" into exact rationals."""
+    """Parse "a,b;c,d" with entries like "3", "p/q" or "1.5e3" into exact
+    rationals (see `_parse_entry`)."""
     rows = text.strip().split(";")
     if len(rows) != 2:
         raise LatticeError(f"expected two rows 'a,b;c,d', got {text!r}")
@@ -535,12 +553,57 @@ def parse_rational_matrix(text: str) -> RatMat:
         parts = row.split(",")
         if len(parts) != 2:
             raise LatticeError(f"expected two entries per row in {text!r}")
-        for p in parts:
-            try:
-                entries.append(Fraction(p.strip()))
-            except (ValueError, ZeroDivisionError):
-                raise LatticeError(f"bad rational entry {p.strip()!r}") from None
+        entries.extend(_parse_entry(p.strip()) for p in parts)
     return tuple(entries)
+
+
+# Python reads and prints an int of at most this many digits by default
+MAX_ENTRY_DIGITS = 4300
+_ENTRY_LIMIT = 10 ** MAX_ENTRY_DIGITS
+_DIGIT_RUN = re.compile(r"\d+")
+_NUMERAL = re.compile(r"\d+(?:_\d+)*")
+
+
+def _parse_entry(tok: str) -> int | Fraction:
+    """The rational `Fraction(tok)` reads, refused when a numeral written in
+    tok, or the numerator or denominator of its value, has more than
+    MAX_ENTRY_DIGITS digits.
+
+    A plain integer is read by `int`, which takes the same tokens.  Fraction
+    forms 10**|exponent| before it reduces, so an exponent is read first:
+    past 3 * MAX_ENTRY_DIGITS no nonzero mantissa (at most 2 *
+    MAX_ENTRY_DIGITS digits over at most MAX_ENTRY_DIGITS) brings either
+    side back under the limit.
+    """
+    body = tok[1:] if tok.startswith(("+", "-")) else tok
+    if body.isdecimal() and len(body) <= MAX_ENTRY_DIGITS:
+        return int(tok)
+    try:
+        # each digit run cut to one digit: Fraction reads this iff it reads
+        # tok, and forms no large number doing so
+        Fraction(_DIGIT_RUN.sub("1", tok))
+    except ValueError:
+        raise LatticeError(f"bad rational entry {tok!r}") from None
+    if len(tok) > MAX_ENTRY_DIGITS and any(
+            len(n) - n.count("_") > MAX_ENTRY_DIGITS for n in _NUMERAL.findall(tok)):
+        raise _too_long(tok)
+    cut = max(tok.rfind("e"), tok.rfind("E"))
+    if cut >= 0 and abs(int(tok[cut + 1:])) > 3 * MAX_ENTRY_DIGITS:
+        if Fraction(tok[:cut]):
+            raise _too_long(tok)
+        return Fraction(0)
+    try:
+        q = Fraction(tok)
+    except ZeroDivisionError:
+        raise LatticeError(f"bad rational entry {tok!r}") from None
+    if abs(q.numerator) >= _ENTRY_LIMIT or q.denominator >= _ENTRY_LIMIT:
+        raise _too_long(tok)
+    return q
+
+
+def _too_long(tok: str) -> LatticeError:
+    shown = tok if len(tok) <= 40 else tok[:20] + "..."
+    return LatticeError(f"entry {shown!r} has more than {MAX_ENTRY_DIGITS} digits")
 
 
 def parse_scenarios(text: str) -> list[LatticeScenario]:

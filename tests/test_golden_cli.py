@@ -100,6 +100,8 @@ CASES = {
     "lattice-check-precision-0": ["lattice-check", "--scenario-file", "precision_0.txt"],
     "lattice-check-precision-800": ["lattice-check", "--scenario-file",
                                     "precision_800.txt"],
+    "lattice-check-oversized-entry": ["lattice-check", "--scenario-file",
+                                      "oversized_entry.txt"],
     "bounds-epsilon-1-50": ["bounds", "records.csv", "--epsilon", "1/50", "--degree", "10"],
     "b-epsilon-1-132": ["b-epsilon", "--epsilon", "1/132"],
     "bounds-epsilon-1-66": ["bounds", "records.csv", "--epsilon", "1/66", "--degree", "10"],

@@ -1,4 +1,5 @@
 """Lattice stabilizers and index comparisons at finite precision."""
+import math
 import tracemalloc
 from collections import deque
 from fractions import Fraction
@@ -84,6 +85,103 @@ def test_adic_group_validation():
         AdicGroup(2, (rat_mat((2, 0, 0, 1)),))  # det not a 2-unit
     with pytest.raises(LatticeError):
         AdicGroup(2, (rat_mat((1, 1, 1, 1)),))  # singular
+
+
+# -- the valuation-based validation, kept as an oracle ----------------------
+
+def _valuation_group_outcome(l, gens):
+    """What AdicGroup(l, gens) raises, by the earlier per-entry valuations."""
+    for g in gens:
+        if any(q != 0 and valuation(q, l) < 0 for q in g):
+            return LatticeError, f"generator {lattice._fmt_rat(g)} is not {l}-integral"
+        det = rat_det(g)
+        if det == 0 or valuation(det, l) != 0:
+            return LatticeError, f"generator {lattice._fmt_rat(g)} is not invertible mod {l}"
+    return None
+
+
+def _valuation_basis_outcome(l, basis):
+    """What LatticeBasis(l, basis) raises, by the earlier denominator loop."""
+    if rat_det(basis) == 0:
+        return SingularInputError, "lattice basis is singular"
+    for q in basis:
+        den = q.denominator
+        while den % l == 0:
+            den //= l
+        if den != 1:
+            return LatticeError, f"entry {q} has a denominator not a power of {l}"
+    return None
+
+
+def _outcome(build):
+    try:
+        build()
+    except LatticeError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def rational_matrices(draw):
+    """(l, [m, ...]): rational 2x2 matrices with l-power and other
+    denominators, some singular, some with determinant divisible by l."""
+    l = draw(st.sampled_from([2, 3, 5, 7]))
+    entry = st.builds(lambda n, d, j: Fraction(n * l ** max(j, 0), d * l ** max(-j, 0)),
+                      st.integers(min_value=-2 * l * l, max_value=2 * l * l),
+                      st.sampled_from([1, 1, 2, 3, 5, 7, 9]),
+                      st.integers(min_value=-2, max_value=2))
+    matrices = []
+    for shape in draw(st.lists(st.sampled_from(["any", "singular", "l_det"]),
+                               min_size=1, max_size=3)):
+        a, b, c, d = (draw(entry) for _ in range(4))
+        if shape == "singular":
+            c, d = c * a, c * b
+        elif shape == "l_det":
+            a, b = l * a, l * b
+        matrices.append((a, b, c, d))
+    return l, matrices
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+@example((3, [(Fraction(1, 3), 0, 0, 1), (3, 0, 0, 1)]))
+@example((2, [(1, 0, 0, 1), (Fraction(1, 2), Fraction(1, 3), 0, 0)]))
+def test_integer_validation_matches_valuation_oracle(case):
+    l, matrices = case
+    assert _outcome(lambda: AdicGroup(l, tuple(matrices))) \
+        == _valuation_group_outcome(l, matrices)
+    for m in matrices:
+        assert _outcome(lambda: LatticeBasis(l, m)) == _valuation_basis_outcome(l, m)
+        if _valuation_basis_outcome(l, m) is None:
+            M, ls, u = LatticeBasis(l, m)._form
+            e = math.lcm(*(q.denominator for q in m))
+            assert M == tuple(e * q for q in m)
+            assert ls * u == rat_det(M) and ls == l ** valuation(ls * u, l) and u % l
+
+
+def test_integer_forms_are_built_once(monkeypatch):
+    calls = 0
+    real = lattice._integral
+
+    def counted(m):
+        nonlocal calls
+        calls += 1
+        return real(m)
+
+    sc = bundled_scenarios(primes=(3,), precisions=(1,))[0]
+    monkeypatch.setattr(lattice, "_integral", counted)
+    G = AdicGroup(3, sc.group.generators)
+    T, T2 = LatticeBasis(3, sc.lattice.basis), LatticeBasis(3, sc.lattice2.basis)
+    assert calls == len(G.generators) + 2
+    for k in range(1, 5):
+        assert verify_index_equality(G, T, T2, k).equal
+    assert calls == len(G.generators) + 2
+    # the stored forms take no part in equality, hashing or repr
+    ints = AdicGroup(3, tuple(tuple(int(q) for q in g) for g in G.generators))
+    assert ints == G and hash(ints) == hash(G) == hash(sc.group)
+    assert repr(G) == f"AdicGroup(prime=3, generators={G.generators!r})"
+    assert repr(T) == f"LatticeBasis(prime=3, basis={T.basis!r})"
+    assert T == sc.lattice and hash(T) == hash(sc.lattice)
 
 
 # -- stabilization ----------------------------------------------------------
@@ -389,12 +487,13 @@ def _coset_bfs_orders(gens, l, k):
 
 
 @st.composite
-def relator_generators(draw):
+def relator_generators(draw, max_k=None):
     """(l, k, gens) with 1-5 generators mod l^k: generic ones, ones in K_1
     (I + l*A), ones redundant mod l but not = I there (x*y*(I + l*A) for
-    earlier generators x, y), duplicates and the identity."""
+    earlier generators x, y), duplicates and the identity.  k is at most
+    max_k, or 4 for l = 2 and 3 otherwise."""
     l = draw(st.sampled_from([2, 3, 5, 7]))
-    k = draw(st.integers(min_value=1, max_value=4 if l == 2 else 3))
+    k = draw(st.integers(min_value=1, max_value=max_k or (4 if l == 2 else 3)))
     m = l ** k
     entry = st.integers(min_value=0, max_value=m - 1)
     unit_det = st.tuples(entry, entry, entry, entry).filter(
@@ -451,6 +550,58 @@ def test_borel_sifts_fewer_relators_than_its_image(monkeypatch):
     # the Borel mod 7 has 6 * 6 * 7 elements; the coset scan sifts 157
     assert expected[0] == 252
     assert calls < 252
+
+
+class _AllProductsBasis(lattice._LayeredBasis):
+    """The sift before the depth cutoff, kept as an oracle: `_insert` forms
+    the l-th power of each new element and its commutator with every basis
+    element, however deep, and leaves the sift to discard the deep ones."""
+
+    def _insert(self, x, j, v):
+        l, m = self.l, self.m
+        piv = next(i for i, a in enumerate(v) if a)
+        scale = pow(v[piv], -1, l)
+        x = lattice._pow(x, scale, m)
+        lead = [a * scale % l for a in v]
+        x_inv = _inv(x, m)
+        out = [lattice._pow(x, l, m)]
+        out.extend(_mul(_mul(x, y, m), _mul(x_inv, y_inv, m), m)
+                   for y, y_inv, _ in self.elements)
+        self.layers[j].append((piv, lead, {1: x_inv}))
+        self.elements.append((x, x_inv, j))
+        while self.full_from > 1 and len(self.layers[self.full_from - 1]) == 4:
+            self.full_from -= 1
+        return out
+
+
+def _sift_states(sifter_class, gens, l, k):
+    """The orders of <gens> mod l^j for j = 1..k with `sifter_class` as the
+    sifter, and the layers, elements and full_from it ends with."""
+    made = []
+
+    class Recorded(sifter_class):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_LayeredBasis", Recorded)
+        orders = subgroup_orders(gens, l, k)
+    return orders, [(s.layers, s.elements, s.full_from) for s in made]
+
+
+@settings(max_examples=200, deadline=None)
+@given(relator_generators(max_k=6))
+# all of GL2(Z/2^6) and the Borel mod 3^6: the last layers fill from the
+# commutators and powers just above them
+@example((2, 6, [(1, 1, 0, 1), (0, 63, 1, 0), (3, 0, 0, 1), (5, 0, 0, 1)]))
+@example((3, 6, [(1, 1, 0, 1), (1, 0, 3, 1), (2, 0, 0, 1), (1, 0, 0, 2)]))
+def test_depth_cutoff_matches_all_products(case):
+    """Every product the cutoff skips sifts to I, so the basis is the same,
+    element for element, layer by layer."""
+    l, k, gens = case
+    assert _sift_states(lattice._LayeredBasis, gens, l, k) \
+        == _sift_states(_AllProductsBasis, gens, l, k)
 
 
 def _filtration_oracle(gens, l, k):
@@ -798,6 +949,104 @@ def test_parse_rational_matrix():
     assert parse_rational_matrix("1,1/2;0,3") == rat_mat((1, Fraction(1, 2), 0, 3))
     with pytest.raises(LatticeError):
         parse_rational_matrix("1,2,3")
+
+
+def _fraction_entry(tok):
+    """The entry Fraction reads from tok, or the message the parser must
+    give: an entry with a numeral Python does not read (more than 4300
+    digits) or a value whose numerator or denominator has more than 4300
+    digits is too long, any other entry Fraction refuses is bad."""
+    try:
+        q = Fraction(tok)
+    except ZeroDivisionError:
+        return f"bad rational entry {tok!r}"
+    except ValueError as exc:
+        if "Exceeds the limit" in str(exc):
+            return str(lattice._too_long(tok))
+        return f"bad rational entry {tok!r}"
+    if max(abs(q.numerator), q.denominator) >= 10 ** lattice.MAX_ENTRY_DIGITS:
+        return str(lattice._too_long(tok))
+    return q
+
+
+# ASCII, Arabic-Indic and Devanagari decimal digits
+_DIGIT_SETS = ("0123456789", "٠١٢٣٤٥٦٧٨٩",
+               "०१२३४५६७८९")
+
+
+@st.composite
+def numerals(draw, lengths=(1, 2, 3)):
+    """A run of decimal digits, perhaps with an underscore (which may be
+    misplaced), of a length drawn from `lengths`."""
+    digits = draw(st.sampled_from(_DIGIT_SETS))
+    run = draw(st.text(digits, min_size=1, max_size=3))
+    run = (run * 4301)[:draw(st.sampled_from(lengths))]
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        i = draw(st.integers(min_value=0, max_value=len(run)))
+        run = run[:i] + "_" + run[i:]
+    return run
+
+
+@st.composite
+def entry_tokens(draw):
+    """Entry text: integers, p/q, decimals and exponents with signs, spaces
+    and any of three digit sets, numerals near the 4300-digit limit,
+    exponents on both sides of the limits, and junk."""
+    sign = st.sampled_from(["", "", "+", "-", "--", "+ "])
+    short = numerals()
+    edge = numerals(lengths=(1, 2, 4299, 4300, 4301))
+    exponent = st.sampled_from([0, 1, 7, 4299, 4300, 4301, 8600, 12900, 12901, 20000]).map(str)
+    form = draw(st.sampled_from(["int", "ratio", "decimal", "exponent", "junk"]))
+    if form == "int":
+        body = draw(sign) + draw(edge)
+    elif form == "ratio":
+        body = draw(sign) + draw(st.one_of(short, edge)) + "/" + draw(st.one_of(short, edge))
+    elif form == "junk":
+        body = draw(st.text("019٣²+-_./eE xd", max_size=8))
+    else:
+        whole = draw(st.sampled_from(["", "0"])) or draw(short)
+        frac = draw(st.one_of(st.just(""), short, edge))
+        body = draw(sign) + whole + draw(st.sampled_from([".", ""])) + frac
+        if form == "exponent":
+            body += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"])) \
+                + draw(exponent)
+    space = st.sampled_from(["", " ", "\t", "\u00a0", "\u2003"])
+    return draw(space) + body + draw(space)
+
+
+@settings(max_examples=600, deadline=None)
+@given(entry_tokens())
+@example("1e4299")
+@example("1e4300")
+@example("-1.5E4299")
+@example("1e-12901")
+@example("0.000e-20000")
+@example("1_000/3")
+@example(" ٣/٤ ")
+@example("0" * 4300 + "1")
+@example("²")
+@example("1.d")
+def test_parse_entry_matches_fraction(tok):
+    expected = _fraction_entry(tok.strip())
+    if isinstance(expected, str):
+        with pytest.raises(LatticeError) as info:
+            parse_rational_matrix(f"{tok},0;0,1")
+        assert str(info.value) == expected
+    else:
+        assert parse_rational_matrix(f"{tok},0;0,1") == (expected, 0, 0, 1)
+
+
+def test_huge_exponents_are_read_before_the_power_is_formed():
+    for tok in ("1e100000000", "-2.5E-100000000", "1" * 4301, "7/" + "3" * 4301):
+        with pytest.raises(LatticeError, match=f"^entry '.*' has more than "
+                           f"{lattice.MAX_ENTRY_DIGITS} digits$"):
+            parse_rational_matrix(f"{tok},0;0,1")
+    # a zero mantissa has the value 0 whatever its exponent
+    assert parse_rational_matrix("0e100000000,-0.0E-100000000;0,1") == (0, 0, 0, 1)
+    text = SCENARIO_TEXT.replace("generator 2,0;0,1", "generator 1e100000000,0;0,1")
+    with pytest.raises(LatticeError, match="^line 5: entry '1e100000000' has more "
+                       "than 4300 digits$"):
+        parse_scenarios(text)
 
 
 SCENARIO_TEXT = """\
