@@ -114,17 +114,6 @@ def exponent_candidates(ctx: BoundContext) -> CandidateSet:
     return CandidateSet(B, tuple(sorted(n for n, _ in cands)), ceiling)
 
 
-def _c_exact(I: int, d0: int, epsilon: Fraction) -> PowerProduct:
-    """The exponent-bound constant c_epsilon, exactly:
-    (2 * I * b_eps**-1 * (d0-1)!)**(1/(2-eps))."""
-    if not 0 < epsilon < 2:
-        raise BoundsError(f"epsilon must lie in (0, 2), got {epsilon}")
-    if I < 1 or d0 < 1:
-        raise BoundsError("I and d0 must be >= 1")
-    base = PowerProduct.from_int(2 * I * math.factorial(d0 - 1)) / _b_exact(epsilon)[1]
-    return base ** Fraction(1, 2 - epsilon)
-
-
 @dataclass(frozen=True)
 class TheoremBounds:
     exponent_bound: UpperBoundValue  # c_eps * d**(1/2 + eps)
@@ -134,14 +123,24 @@ class TheoremBounds:
 
 def theorem_bounds(ctx: BoundContext, epsilon: Rational,
                    digits: int = 12) -> TheoremBounds:
+    """c_eps * d**(1/2+eps) and c_(eps/2)**2 * d**(1+eps), c_eps = (N/b_eps)**(1/(2-eps))
+    for N = 2*I*(d0-1)!. With eps = a/q these are the products N**(q/(2q-a)) b_eps**(-q/(2q-a))
+    d**((q+2a)/(2q)) and N**(4q/(4q-a)) b_(eps/2)**(-4q/(4q-a)) d**((q+a)/q), one each."""
     epsilon = Fraction(epsilon)
-    d_pow = PowerProduct.from_int(ctx.d)
-    expo = _c_exact(ctx.I, ctx.d0, epsilon) * d_pow ** (Fraction(1, 2) + epsilon)
-    order = _c_exact(ctx.I, ctx.d0, epsilon / 2) ** 2 * d_pow ** (1 + epsilon)
+    a, q = epsilon.numerator, epsilon.denominator
+    if not 0 < a < 2 * q:
+        raise BoundsError(f"epsilon must lie in (0, 2), got {epsilon}")
+    b_eps, b_half = _b_exact(epsilon)[1], _b_exact(epsilon / 2)[1]
+    N = PowerProduct.from_int(2 * ctx.I * math.factorial(ctx.d0 - 1))
+    d = PowerProduct.from_int(ctx.d)
+    expo = PowerProduct._product(((N, q, 2 * q - a), (b_eps, -q, 2 * q - a),
+                                  (d, q + 2 * a, 2 * q)))
+    order = PowerProduct._product(((N, 4 * q, 4 * q - a), (b_half, -4 * q, 4 * q - a),
+                                   (d, q + a, q)))
     return TheoremBounds(
         exponent_bound=UpperBoundValue(expo, expo.decimal(digits, round_up=True)),
         order_bound=UpperBoundValue(order, order.decimal(digits, round_up=True)),
-        weak_epsilon=epsilon >= 1,
+        weak_epsilon=a >= q,
     )
 
 
@@ -165,10 +164,8 @@ def baselines(d: int, digits: int = 12) -> Baselines:
         raise BoundsError(f"degree {d} exceeds the baseline limit {MAX_BASELINE_DEGREE}")
     parent = 129 * (5 ** d - 1) * (3 * d) ** 6
     hs = 1977408 * d * math.log(d) if d > 1 else None
-    root = PowerProduct.from_int(35) ** Fraction(1, 2) \
-        * PowerProduct.from_int(d) ** Fraction(1, 2)
-    bn_exp = PowerProduct.from_int(720720) * root
-    bn_ord = PowerProduct.from_int(1441440) * root
+    bn_exp, bn_ord = (PowerProduct._product(((PowerProduct.from_int(c * c * 35 * d), 1, 2),))
+                      for c in (720720, 1441440))
     return Baselines(
         d=d,
         parent=parent,

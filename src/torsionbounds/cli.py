@@ -266,6 +266,10 @@ def _cmd_lattice_check(args) -> int:
     rows = []
     for sc in scenarios:
         res = lattice.run_scenario(sc)
+        for r in res.reports:  # refused before any output: str() would not print it
+            if max(r.index_T, r.index_Tprime) >= 10 ** MAX_DIGITS:
+                raise lattice.LatticeError(f"scenario {sc.ident} precision {r.precision}: "
+                                           f"index has more than {MAX_DIGITS} digits")
         rows.append({
             "ident": sc.ident,
             "prime": sc.prime,

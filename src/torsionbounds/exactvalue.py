@@ -154,30 +154,28 @@ class PowerProduct:
             (p, -k) for p, k in _factorize(q.denominator))
         return PowerProduct._reduced(1, sorted(pairs))
 
-    def _merge(self, other: "PowerProduct", sign: int) -> "PowerProduct":
-        """self * other ** sign, sign = 1 or -1."""
-        L = math.lcm(self._L, other._L)
-        s1, s2 = L // self._L, L // other._L * sign
-        exps = {p: k * s1 for p, k in self._pairs}
-        for p, k in other._pairs:
-            exps[p] = exps.get(p, 0) + k * s2
-        return PowerProduct._reduced(L, sorted((p, k) for p, k in exps.items() if k))
+    @classmethod
+    def _product(cls, terms) -> "PowerProduct":
+        """prod(x ** (a / b)) over the (x, a, b) in terms, b >= 1, reduced once."""
+        L = math.lcm(*[x._L * b for x, _, b in terms])
+        exps = {}
+        for x, a, b in terms:
+            s = a * (L // (x._L * b))
+            for p, k in x._pairs:
+                exps[p] = exps.get(p, 0) + k * s
+        return cls._reduced(L, sorted((p, k) for p, k in exps.items() if k))
 
     def __mul__(self, other: "PowerProduct | Rational") -> "PowerProduct":
-        return self._merge(_coerce(other), 1)
+        return PowerProduct._product(((self, 1, 1), (_coerce(other), 1, 1)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "PowerProduct | Rational") -> "PowerProduct":
-        return self._merge(_coerce(other), -1)
+        return PowerProduct._product(((self, 1, 1), (_coerce(other), -1, 1)))
 
     def __pow__(self, exponent: Rational) -> "PowerProduct":
-        if not isinstance(exponent, (int, Fraction)):
-            exponent = Fraction(exponent)
-        a, b = exponent.numerator, exponent.denominator
-        if a == 0:
-            return PowerProduct._reduced(1, [])
-        return PowerProduct._reduced(self._L * b, [(p, k * a) for p, k in self._pairs])
+        e = Fraction(exponent)
+        return PowerProduct._product(((self, e.numerator, e.denominator),))
 
     # -- exact comparison ------------------------------------------------
 

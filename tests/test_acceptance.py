@@ -13,9 +13,9 @@ import pytest
 from torsionbounds.arith import b_epsilon, dedekind_psi, euler_phi
 from torsionbounds.bounds import (
     BoundContext,
-    _c_exact,
     baselines,
     exponent_candidates,
+    theorem_bounds,
 )
 from torsionbounds.exactvalue import PowerProduct
 from torsionbounds.lattice import bundled_scenarios, run_scenario
@@ -138,7 +138,6 @@ def test_sieve_candidates_below_exponent_bound():
     cache = {}
     for d0 in (1, 2, 3):
         for I in range(1, 49):
-            consts = {eps: _c_exact(I, d0, eps) for eps in grid}
             for d in range(1, 51):
                 ctx = BoundContext(I, d0, d)
                 B = 2 * I * math.factorial(d0 - 1) * d
@@ -146,7 +145,7 @@ def test_sieve_candidates_below_exponent_bound():
                     cache[B] = exponent_candidates(ctx).candidates
                 top = PowerProduct.from_int(max(cache[B]))
                 for eps in grid:
-                    bound = consts[eps] * PowerProduct.from_int(d) ** (Fraction(1, 2) + eps)
+                    bound = theorem_bounds(ctx, eps, digits=1).exponent_bound.exact
                     assert top <= bound, (I, d0, d, eps)
 
 

@@ -8,16 +8,16 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from torsionbounds.arith import b_epsilon, dedekind_psi, euler_phi
+from torsionbounds import exactvalue
+from torsionbounds.arith import _b_exact, b_epsilon, dedekind_psi, euler_phi
 from torsionbounds.bounds import (
     BoundContext,
     BoundsError,
     CeilingTooLargeError,
     MAX_BASELINE_DEGREE,
     ZETA2_UPPER,
-    _c_exact,
     baselines,
     exponent_candidates,
     sieve_modulus,
@@ -164,6 +164,30 @@ def test_ceiling_past_the_printable_range_is_refused_unprinted():
 
 # -- c_epsilon and theorem bounds ------------------------------------------
 
+def _c_exact(I, d0, epsilon):
+    """c_epsilon = (2 * I * (d0-1)! / b_eps)**(1/(2-eps)), composed by / and
+    ** as the library built it before each bound became one product."""
+    if not 0 < epsilon < 2:
+        raise BoundsError(f"epsilon must lie in (0, 2), got {epsilon}")
+    base = PowerProduct.from_int(2 * I * math.factorial(d0 - 1)) / _b_exact(epsilon)[1]
+    return base ** Fraction(1, 2 - epsilon)
+
+
+def _theorem_bounds_oracle(ctx, eps):
+    """(exponent bound, order bound): c_eps * d**(1/2+eps) and
+    c_(eps/2)**2 * d**(1+eps), one operation at a time."""
+    d = PowerProduct.from_int(ctx.d)
+    return (_c_exact(ctx.I, ctx.d0, eps) * d ** (Fraction(1, 2) + eps),
+            _c_exact(ctx.I, ctx.d0, eps / 2) ** 2 * d ** (1 + eps))
+
+
+def _bn_oracle(d):
+    """(bn_exponent, bn_order): 720720 * sqrt(35) * sqrt(d), and twice that."""
+    root = PowerProduct.from_int(35) ** Fraction(1, 2) \
+        * PowerProduct.from_int(d) ** Fraction(1, 2)
+    return PowerProduct.from_int(720720) * root, PowerProduct.from_int(1441440) * root
+
+
 def test_c_epsilon_examples():
     c = _c_exact(2, 1, Fraction(1, 2))
     # (4 * sqrt(2))**(2/3) = 2**(5/3)
@@ -180,12 +204,66 @@ def test_c_epsilon_monotone_in_index():
 
 
 def test_c_epsilon_domain():
+    ctx = BoundContext(2, 1, 1)
+    for eps in (Fraction(0), Fraction(2), Fraction(-1, 2), Fraction(5, 2), 7):
+        message = f"epsilon must lie in (0, 2), got {eps}"
+        with pytest.raises(BoundsError) as info:
+            theorem_bounds(ctx, eps)
+        assert str(info.value) == message
+        with pytest.raises(BoundsError) as info:
+            _c_exact(2, 1, Fraction(eps))
+        assert str(info.value) == message
     with pytest.raises(BoundsError):
-        _c_exact(2, 1, Fraction(0))
-    with pytest.raises(BoundsError):
-        _c_exact(2, 1, Fraction(2))
-    with pytest.raises(BoundsError):
-        _c_exact(0, 1, Fraction(1, 2))
+        BoundContext(0, 1, 1)
+
+
+@st.composite
+def epsilons(draw):
+    """eps = a/q with q <= 24, so 1/24 <= eps < 2."""
+    q = draw(st.integers(min_value=1, max_value=24))
+    a = draw(st.integers(min_value=1, max_value=2 * q - 1))
+    return Fraction(a, q)
+
+
+@given(eps=epsilons(),
+       ctx=st.builds(BoundContext, st.integers(min_value=1, max_value=10 ** 4),
+                     st.integers(min_value=1, max_value=8),
+                     st.integers(min_value=1, max_value=MAX_BASELINE_DEGREE)),
+       digits=st.integers(min_value=1, max_value=40))
+@example(eps=Fraction(1, 2), ctx=BoundContext(6, 2, 10), digits=12)
+@example(eps=Fraction(1), ctx=BoundContext(24, 3, 9), digits=12)
+@example(eps=Fraction(3, 2), ctx=BoundContext(2, 1, 7), digits=40)
+@example(eps=Fraction(1, 3), ctx=BoundContext(1, 1, 1), digits=1)
+@example(eps=Fraction(1, 25), ctx=BoundContext(10 ** 4, 8, MAX_BASELINE_DEGREE), digits=40)
+@settings(max_examples=150, deadline=None)
+def test_bounds_match_the_composed_oracle(eps, ctx, digits):
+    tb = theorem_bounds(ctx, eps, digits)
+    expo, order = _theorem_bounds_oracle(ctx, eps)
+    assert (tb.exponent_bound.exact, tb.order_bound.exact) == (expo, order)
+    assert tb.exponent_bound.decimal == expo.decimal(digits, round_up=True)
+    assert tb.order_bound.decimal == order.decimal(digits, round_up=True)
+    assert tb.weak_epsilon == (eps >= 1)
+    base = baselines(ctx.d, digits)
+    bn_exp, bn_ord = _bn_oracle(ctx.d)
+    assert (base.bn_exponent.exact, base.bn_order.exact) == (bn_exp, bn_ord)
+    assert base.bn_exponent.decimal == bn_exp.decimal(digits, round_up=True)
+    assert base.bn_order.decimal == bn_ord.decimal(digits, round_up=True)
+
+
+def test_each_bound_is_one_product_and_n_is_factored_once(monkeypatch):
+    products, factored = [], []
+    real_product, real_factorize = PowerProduct._product, exactvalue._factorize
+    monkeypatch.setattr(PowerProduct, "_product", classmethod(
+        lambda cls, terms: products.append(terms) or real_product(terms)))
+    monkeypatch.setattr(exactvalue, "_factorize",
+                        lambda n: factored.append(n) or real_factorize(n))
+    # N = 2 * 6 * 1! = 12 is no p - 1 for the primes 2, 3 of b_(1/3) and b_(1/6)
+    theorem_bounds(BoundContext(6, 2, 10), Fraction(1, 3))
+    assert len(products) == 2
+    assert factored.count(12) == 1
+    products.clear()
+    baselines(9)
+    assert len(products) == 2
 
 
 def test_theorem_bounds_example():

@@ -411,6 +411,22 @@ def test_integer_form_matches_the_dict_oracle(value, other, digits):
         assert x != Fraction(x.decimal(3)) and old != Fraction(old.decimal(3))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(chained_values(), st.integers(-6, 6), st.integers(1, 6)),
+                max_size=4))
+@example([])
+@example([(({2: Fraction(1, 2)}, []), 2, 1), (({4: Fraction(-1, 2)}, []), 1, 1)])
+def test_one_product_matches_the_chained_operations(terms):
+    """_product over (x, a, b) equals the product of the x ** (a/b) formed
+    one power and one product at a time, on the dict oracle."""
+    got = PowerProduct._product([(_both(value)[0], a, b) for value, a, b in terms])
+    want = DictPowerProduct({})
+    for value, a, b in terms:
+        want = want * _both(value)[1] ** Fraction(a, b)
+    assert got.factors == _prime_exponents(want)
+    assert got == PowerProduct(want.factors)
+
+
 # -- the primality test against trial division --------------------------------
 
 def _prime_by_trial_division(n: int) -> bool:

@@ -116,6 +116,11 @@ CASES = {
     "candidates-base-degree-1e6": ["candidates", "--index", "1", "--base-degree", "1000000"],
     "bounds-base-degree-3000": ["bounds", "base_degree_3000.csv", "--epsilon", "1/2",
                                 "--degree", "10"],
+    "lattice-check-index-over-4300-digits": ["lattice-check", "--scenario-file",
+                                             "index_over_4300_digits.txt"],
+    "lattice-check-index-over-4300-digits-json": ["lattice-check", "--scenario-file",
+                                                  "index_over_4300_digits.txt",
+                                                  "--format", "json"],
 }
 
 

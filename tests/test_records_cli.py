@@ -239,6 +239,20 @@ def test_lattice_check_scenario_file(tmp_path, capsys):
     assert "demo k=1:4/4 k=2:4/4 pass" in out
 
 
+def test_lattice_check_prints_an_index_below_the_digit_limit(tmp_path, capsys):
+    # |GL2(Z/l^60)| at l = 10^18+3 has about 4,320 digits, but the index of
+    # the cyclic group of order l^59 that 1,l;0,1 generates has about 3,270
+    l = 10 ** 18 + 3
+    path = tmp_path / "sc.txt"
+    path.write_text(f"scenario kernel\nprime {l}\nprecisions 60\n"
+                    f"generator 1,{l};0,1\nlattice 1,0;0,1\nlattice2 1,0;0,1\nend\n")
+    code, out, err = run_cli(capsys, "lattice-check", "--scenario-file", str(path))
+    index = l ** 236 * (l * l - 1) * (l * l - l) // l ** 59
+    assert 10 ** 3200 < index < 10 ** 4300
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"kernel k=60:{index}/{index} pass"
+
+
 def test_verify_command_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "6")
     assert code == 0
