@@ -102,6 +102,10 @@ CASES = {
                                     "precision_800.txt"],
     "lattice-check-oversized-entry": ["lattice-check", "--scenario-file",
                                       "oversized_entry.txt"],
+    "bounds-isogeny-class": ["bounds", "isogeny_class.csv", "--epsilon", "1/3",
+                             "--degree", "10"],
+    "bounds-isogeny-class-json": ["bounds", "isogeny_class.csv", "--epsilon", "1/3",
+                                  "--degree", "10", "--format", "json"],
     "bounds-epsilon-1-50": ["bounds", "records.csv", "--epsilon", "1/50", "--degree", "10"],
     "b-epsilon-1-132": ["b-epsilon", "--epsilon", "1/132"],
     "bounds-epsilon-1-66": ["bounds", "records.csv", "--epsilon", "1/66", "--degree", "10"],
