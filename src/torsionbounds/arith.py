@@ -4,10 +4,13 @@ euler_phi and dedekind_psi are computed from the prime factorization.
 b_epsilon computes the exact minimum of phi(n) / n**(1-eps) over all n >= 1:
 the minimizer is a primorial, because the per-prime factor (1 - 1/p) * p**eps
 is < 1 exactly for an initial run of primes and is strictly increasing in p.
+Its exact value depends on epsilon alone, so `_b_exact` keeps the last
+B_EXACT_MEMO_SIZE of them (a refusal is raised again on every call).
 """
 from __future__ import annotations
 
 import decimal
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,6 +20,9 @@ from fractions import Fraction
 from .exactvalue import PowerProduct, Rational, _factorize, _is_prime
 
 FACTORIZATION_CAP = 10**12
+
+# the most values of b_epsilon `_b_exact` keeps, one per epsilon
+B_EXACT_MEMO_SIZE = 64
 
 
 class ArithError(ValueError):
@@ -76,6 +82,7 @@ def b_epsilon(epsilon: Rational, digits: int = 12) -> EffectiveConstant:
                              value.decimal(digits, round_up=False), digits)
 
 
+@functools.lru_cache(maxsize=B_EXACT_MEMO_SIZE)
 def _b_exact(epsilon: Fraction) -> tuple[int, PowerProduct]:
     """(witness, exact value) of b_epsilon.
 

@@ -37,7 +37,8 @@ the trivial group mod 1.  One scan kernel, `_lifts`, lists the codes mod n
 of the lifts of codes mod m with unit determinant: their admissible (b, c)
 depend only on a*d mod n and b, c mod m, so each call tabulates b*n^2 + c*n
 once per such key against a byte table of units and adds each (a, d) as
-the offset a*n^3 + d.
+the offset a*n^3 + d.  `_lift_rows` yields those (offset, row) pairs, so a
+count of the lifts sums the row lengths and forms no code.
 """
 from __future__ import annotations
 
@@ -203,38 +204,44 @@ def _closure(gens: Iterable[Entries], m: int) -> set[int]:
     return seen
 
 
-def _lifts(codes: Iterable[int], m: int, n: int) -> Iterator[int]:
-    """Codes mod n of the matrices with unit determinant whose reduction mod
-    m (m | n) has its code in `codes`.  With m = 1 and codes {0}: all of
-    GL2(Z/nZ)."""
+def _lift_rows(codes: Iterable[int], m: int, n: int) -> Iterator[tuple[int, list[int]]]:
+    """(offset, row) pairs whose sums offset + x, x in row, are the codes of
+    `_lifts`: one pair per (a, d), offset a*n^3 + d, and the row of its key
+    (a*d mod n, b mod m, c mod m), shared by the pairs of that key."""
     unit = bytes(math.gcd(x, n) == 1 for x in range(n))
     nn = n * n
     n3 = nn * n
     rows = {}  # (a*d mod n, b mod m, c mod m) -> b*n^2 + c*n of each admissible (b, c)
+    for code in codes:
+        ha, hb, hc, hd = _decode(code, m)
+        for a in range(ha, n, m):
+            for d in range(hd, n, m):
+                ad = a * d % n
+                row = rows.get((ad, hb, hc))
+                if row is None:
+                    row = rows[ad, hb, hc] = [
+                        b * nn + c * n for b in range(hb, n, m)
+                        for c in range(hc, n, m) if unit[(ad - b * c) % n]]
+                yield a * n3 + d, row
 
-    def row_lifts():
-        for code in codes:
-            ha, hb, hc, hd = _decode(code, m)
-            for a in range(ha, n, m):
-                for d in range(hd, n, m):
-                    ad = a * d % n
-                    row = rows.get((ad, hb, hc))
-                    if row is None:
-                        row = rows[ad, hb, hc] = [
-                            b * nn + c * n for b in range(hb, n, m)
-                            for c in range(hc, n, m) if unit[(ad - b * c) % n]]
-                    yield map(add, repeat(a * n3 + d), row)
-    return chain.from_iterable(row_lifts())
+
+def _lifts(codes: Iterable[int], m: int, n: int) -> Iterator[int]:
+    """Codes mod n of the matrices with unit determinant whose reduction mod
+    m (m | n) has its code in `codes`.  With m = 1 and codes {0}: all of
+    GL2(Z/nZ)."""
+    return chain.from_iterable(map(add, repeat(offset), row)
+                               for offset, row in _lift_rows(codes, m, n))
 
 
 _TRIVIAL_MOD_1 = frozenset({0})
 
 
 def _scan_gl2_size(n: int) -> int:
-    """|GL2(Z/n)| counted by the determinant scan, holding no elements; the
-    closed form sets only the cap (`enumerate_gl2` raises if the two differ)."""
+    """|GL2(Z/n)| counted by the determinant scan as the sum of its row
+    lengths, forming no code; the closed form sets only the cap
+    (`enumerate_gl2` raises if the two differ)."""
     _check_enumeration(gl2_order(n))
-    return sum(1 for _ in _lifts(_TRIVIAL_MOD_1, 1, n))
+    return sum(len(row) for _, row in _lift_rows(_TRIVIAL_MOD_1, 1, n))
 
 
 @dataclass(frozen=True, order=True, slots=True, init=False)

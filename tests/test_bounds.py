@@ -10,8 +10,8 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torsionbounds import exactvalue
-from torsionbounds.arith import _b_exact, b_epsilon, dedekind_psi, euler_phi
+from torsionbounds import arith, bounds, exactvalue
+from torsionbounds.arith import ArithError, _b_exact, b_epsilon, dedekind_psi, euler_phi
 from torsionbounds.bounds import (
     BoundContext,
     BoundsError,
@@ -305,6 +305,70 @@ def test_theorem_bounds_renders_only_its_two_bounds(monkeypatch):
     d = PowerProduct.from_int(ctx.d)
     assert tb.exponent_bound.exact == _c_exact(6, 2, eps) * d ** (Fraction(1, 2) + eps)
     assert tb.order_bound.exact == _c_exact(6, 2, eps / 2) ** 2 * d ** (1 + eps)
+
+
+# -- memos: each value built once per argument it depends on ----------------
+
+def _clear_memos():
+    for memo in (_b_exact, bounds._sieve, bounds._theorem_bounds):
+        memo.cache_clear()
+
+
+@given(I=st.integers(min_value=1, max_value=10 ** 4),
+       d0=st.integers(min_value=1, max_value=8),
+       d=st.integers(min_value=1, max_value=MAX_BASELINE_DEGREE),
+       eps=epsilons(), digits=st.integers(min_value=1, max_value=40))
+@example(I=6, d0=2, d=10, eps=Fraction(1, 3), digits=12)
+@example(I=5, d0=4, d=1, eps=Fraction(3, 2), digits=1)
+@settings(max_examples=100, deadline=None)
+def test_memoized_values_match_a_cold_call_and_the_oracle(I, d0, d, eps, digits):
+    ctx = BoundContext(I, d0, d)
+    # the same N = 2*I*(d0-1)! and B = N*d from another context, asked first,
+    # so that ctx is answered from the memo entries the twin built
+    twin = BoundContext(I * math.factorial(d0 - 1), 1, d)
+    warm_sets = [exponent_candidates(c) for c in (twin, ctx)]
+    warm = [theorem_bounds(c, eps, digits) for c in (twin, ctx)]
+    _clear_memos()
+    cold_set, cold = exponent_candidates(ctx), theorem_bounds(ctx, eps, digits)
+    assert warm_sets == [cold_set, cold_set]
+    expo, order = _theorem_bounds_oracle(ctx, eps)
+    for tb in warm + [cold]:
+        assert (tb.exponent_bound.exact, tb.order_bound.exact) == (expo, order)
+        assert tb.exponent_bound.decimal == expo.decimal(digits, round_up=True)
+        assert tb.order_bound.decimal == order.decimal(digits, round_up=True)
+        assert tb.weak_epsilon == (eps >= 1)
+
+
+def test_bounds_command_builds_each_value_once(monkeypatch, capsys):
+    # one isogeny class of three records (N = 24, B = 240) and one other
+    # record (N = 8, B = 80); b_(1/3) and b_(1/6) both have the witness 6
+    witnesses, sieved, products = [], [], []
+    real_cap, real_divisors = arith._check_cap, bounds._divisors
+    real_product = PowerProduct._product
+    # each body of _b_exact checks its witness once, each sieve lists the
+    # divisors of B once, and each bound is one product of three terms
+    monkeypatch.setattr(arith, "_check_cap", lambda n: witnesses.append(n) or real_cap(n))
+    monkeypatch.setattr(bounds, "_divisors", lambda n: sieved.append(n) or real_divisors(n))
+    monkeypatch.setattr(PowerProduct, "_product", classmethod(
+        lambda cls, terms: products.append(len(terms)) or real_product(terms)))
+    code = main(["bounds", str(RECORDS.parent / "isogeny_class.csv"),
+                 "--epsilon", "1/3", "--degree", "10"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert witnesses == [6, 6]
+    assert sieved == [240, 80]
+    assert products.count(3) == 4
+
+
+def test_refusals_are_raised_on_every_call():
+    ctx = BoundContext(6, 1, 10)
+    theorem_bounds(ctx, Fraction(1, 2))
+    for _ in range(2):
+        with pytest.raises(ArithError, match="exceeds factorization cap"):
+            theorem_bounds(ctx, Fraction(1, 66))
+        with pytest.raises(BoundsError, match="epsilon must lie in"):
+            theorem_bounds(ctx, Fraction(2))
+        with pytest.raises(CeilingTooLargeError):
+            exponent_candidates(BoundContext(10 ** 9, 3, 10 ** 6))
 
 
 def test_weak_epsilon_flagged():

@@ -182,6 +182,7 @@ def test_verify_precheck_covers_every_modulus(monkeypatch):
         raise AssertionError("enumerated before the cap pre-check")
     for module in (modmatrix, verify):
         monkeypatch.setattr(module, "_lifts", no_enumeration)
+    monkeypatch.setattr(modmatrix, "_lift_rows", no_enumeration)
     monkeypatch.setattr(modmatrix, "_closure", no_enumeration)
     with pytest.raises(EnumerationTooLargeError, match="2016 elements exceeds cap 1536"):
         verify.run_verification_suite(8)
@@ -606,6 +607,18 @@ def test_lifts_match_the_gcd_scan(case):
     codes = [encode(e, m) for e in images]
     assert ({decode(code, n) for code in _lifts(codes, m, n)}
             == frozenset(_oracle_lifts(images, m, n)))
+
+
+def test_gl2_count_from_row_lengths(monkeypatch):
+    # the count holds no element, so past the cap too (n = 59 and other
+    # primes); the listing it replaced, sum(1 for _ in _lifts(...)), is the
+    # oracle
+    monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", max(map(gl2_order, range(1, 85))))
+    for n in range(1, 85):
+        size = modmatrix._scan_gl2_size(n)
+        assert size == gl2_order(n), n
+        if n <= 30:
+            assert size == sum(1 for _ in _lifts([0], 1, n)), n
 
 
 # -- differential: the coded engine against the entry-tuple code it replaced -
