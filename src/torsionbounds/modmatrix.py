@@ -22,6 +22,11 @@ for Permutation Groups*, LNCS 559, 1991; Holt, Eick and O'Brien, *Handbook
 of Computational Group Theory*, 2005).  A coset of a group of more than
 2*n^2 elements is read off the row table; a smaller one, where the n^2 row
 images would cost more than the coset, is formed product by product.
+Dimino stops by Lagrange once the group holds SL2(Z/n): the group so far
+lies in C = det^-1(D), D generated by the determinants of its generators,
+and its order divides |C| = |SL2(Z/n)|*|D|, so once it has more than |C|/2
+elements it is C.  From there the closure is the full preimage of the
+determinants of all the generators, which the lift scan lists.
 An open subgroup of the profinite GL2 is always represented here by its
 image mod N for some multiple N of its level; reduction maps, full
 preimages and the level-within-N computation make the finite-level
@@ -34,11 +39,13 @@ one is missing: at most |K_m| <= |G| lookups, and no pass over G.  At m = N
 (K_m = {I}) and m = 1 (K_m = GL2(Z/N)) the answers, yes and
 |G| = |GL2(Z/N)|, need no listing, and the reduction returns G itself or
 the trivial group mod 1.  One scan kernel, `_lifts`, lists the codes mod n
-of the lifts of codes mod m with unit determinant: their admissible (b, c)
-depend only on a*d mod n and b, c mod m, so each call tabulates b*n^2 + c*n
-once per such key against a byte table of units and adds each (a, d) as
-the offset a*n^3 + d.  `_lift_rows` yields those (offset, row) pairs, so a
-count of the lifts sums the row lengths and forms no code.
+of the lifts of codes mod m whose determinant lies in a byte table over
+Z/n (the units, or the preimage D of the closure's exit): their
+admissible (b, c) depend only on a*d mod n and b, c mod m, so each call
+tabulates b*n^2 + c*n once per such key and adds each (a, d) as the offset
+a*n^3 + d.  `_lift_rows` yields those (offset, row) pairs; the enumeration,
+the full preimages, the closure's exit and the count of GL2(Z/n) all run
+it, and the count keeps one row length per key and forms no code.
 """
 from __future__ import annotations
 
@@ -127,9 +134,10 @@ def _map_rows(table: list[int], codes: list[int], nn: int, shift: int) -> Iterat
                map(table.__getitem__, map(mod, codes, repeat(nn))))
 
 
-def _closure(gens: Iterable[Entries], m: int) -> set[int]:
+def _closure(gens: Iterable[Entries], m: int) -> set[int] | frozenset[int]:
     """Code set of the subgroup of GL2(Z/mZ) generated by `gens` (entry
-    tuples reduced mod m with unit determinant), by Dimino's algorithm.
+    tuples reduced mod m with unit determinant), by Dimino's algorithm,
+    which stops by Lagrange once the group holds SL2(Z/mZ).
 
     Each generator g not yet in the group so far, H, grows it to <H, g> by
     right cosets H*x, starting from x = g.  The group so far is always a
@@ -140,18 +148,43 @@ def _closure(gens: Iterable[Entries], m: int) -> set[int]:
     grows the trivial group by its powers.
 
     Right multiplication by x maps each row of h on its own, so once H has
-    more than 2*m^2 elements the coset H*x is read off one table of the m^2
-    row images of x.  Below that each product is formed directly, from
-    entry tuples: H is then base*trans, base the powers of the first
-    generator and trans a transversal of it (I and the list `trans`), so
-    h*x = b*(w*x) and no code is decoded.
+    more than 2*m^2 elements the coset H*x is read off one table T of the
+    m^2 row images of x, from the row codes of H split once per stage.
+    Below that each product is formed directly, from entry tuples: H is
+    then base*trans, base the powers of the first generator and trans a
+    transversal of it (I and the list `trans`), so h*x = b*(w*x) and no code
+    is decoded.
+
+    The exit.  Let D be the subgroup of (Z/m)^x generated by the
+    determinants of the generators used so far, and C = det^-1(D).  det is
+    a homomorphism onto D from C (diag(u, 1) has determinant u) with kernel
+    SL2(Z/m), so |C| = |SL2(Z/m)|*|D|, and the group G of the stage lies in
+    C, so |G| divides |C| by Lagrange.  The elements found so far lie in G,
+    so once they number more than |C|/2, |G| > |C|/2 and G = C, which
+    holds SL2(Z/m).  A group that holds SL2 = ker det is the full preimage
+    of its determinants, so then the closure is det^-1(D_all), D_all
+    generated by the determinants of all of `gens`.  That set, of
+    |SL2|*|D_all| elements checked against the cap first, is listed by the
+    lift scan and returned as a frozenset.
+
+    The test comes before each coset the stage would form, in the one
+    comparison that also guards the cap, so it costs nothing while the
+    elements found are few, and the exit is taken only where Dimino has
+    work left.  Since |SL2(Z/m)| = m^3 * prod over p | m of (1 - 1/p^2)
+    > m^3 * 6/pi^2, the exit needs |found| > m^3/4; past that, once per
+    stage, the bound |C| >= |SL2|*(number of distinct determinants of the
+    generators used), which spans no D, and only past that bound |C|
+    itself.  A cyclic group never holds SL2 (non-abelian for m >= 2), so
+    the powers of the first generator are not tested.
     """
+    gens = dict.fromkeys(gens)  # iterated again by the exit
     mm = m * m
+    m3 = mm * m
     one = 1 % m
-    seen = {one * mm * m + one}
+    seen = {one * m3 + one}
     used = []
     cap = ENUMERATION_CAP
-    for gen in dict.fromkeys(gens):
+    for gen in gens:
         e, f, g, h = gen
         if ((e * m + f) * m + g) * m + h in seen:  # codes written out: a hot path
             continue
@@ -173,20 +206,42 @@ def _closure(gens: Iterable[Entries], m: int) -> set[int]:
                      (r * e + s * g) % m, (r * f + s * h) % m)
             continue
         size = len(seen)
+        # the exit needs |seen| > |C|/2; bar starts at m^3/4 < |C|/2 and
+        # rises to least/2, least a lower bound of |C|, then to whole/2,
+        # whole = |C|, as each is formed
+        bar, least, whole = m3 // 4, 0, 0
+        check = cap - size  # one comparison a coset for the cap and the exit
+        if bar < check:
+            check = bar
         tabulate = size > 2 * mm
-        if tabulate:
-            H = list(seen)
+        if tabulate:  # the row codes of H, r and s of each code r*m^2 + s
+            R = list(map(floordiv, seen, repeat(mm)))
+            S = list(map(mod, seen, repeat(mm)))
         grown = []
         candidates = [gen]
         while candidates:
             e, f, g, h = x = candidates.pop()
             if ((e * m + f) * m + g) * m + h in seen:
                 continue
-            if len(seen) + size > cap:
-                raise EnumerationTooLargeError(cap + 1, cap)
+            if len(seen) > check:
+                while len(seen) > bar:
+                    if whole:
+                        return _det_preimage([(p * s - q * r) % m for p, q, r, s in gens], m)
+                    if least:
+                        whole = least // len(dets) * len(_unit_span(dets, m))
+                        bar = whole // 2
+                    else:  # D holds the distinct determinants of the generators
+                        dets = {(p * s - q * r) % m for p, q, r, s in used}
+                        least = _sl2_order(m) * len(dets)
+                        bar = least // 2
+                if len(seen) + size > cap:
+                    raise EnumerationTooLargeError(cap + 1, cap)
+                check = min(cap - size, bar)
             if tabulate:
-                seen.update(_map_rows([(a * e + b * g) % m * m + (a * f + b * h) % m
-                                       for a in range(m) for b in range(m)], H, mm, mm))
+                T = [(a * e + b * g) % m * m + (a * f + b * h) % m
+                     for a in range(m) for b in range(m)]
+                high = [t * mm for t in T]
+                seen.update(map(add, map(high.__getitem__, R), map(T.__getitem__, S)))
             else:
                 vs = [x]
                 if trans:
@@ -204,11 +259,18 @@ def _closure(gens: Iterable[Entries], m: int) -> set[int]:
     return seen
 
 
-def _lift_rows(codes: Iterable[int], m: int, n: int) -> Iterator[tuple[int, list[int]]]:
+def _unit_table(n: int) -> bytes:
+    """Byte table over Z/n of the units: the determinants GL2(Z/n) allows."""
+    return bytes(math.gcd(x, n) == 1 for x in range(n))
+
+
+def _lift_rows(codes: Iterable[int], m: int, n: int, dets: bytes,
+               count: bool = False) -> Iterator[tuple[int, list[int] | int]]:
     """(offset, row) pairs whose sums offset + x, x in row, are the codes of
-    `_lifts`: one pair per (a, d), offset a*n^3 + d, and the row of its key
-    (a*d mod n, b mod m, c mod m), shared by the pairs of that key."""
-    unit = bytes(math.gcd(x, n) == 1 for x in range(n))
+    `_lifts` with determinant t where dets[t]: one pair per (a, d), offset
+    a*n^3 + d, and the row of its key (a*d mod n, b mod m, c mod m), shared
+    by the pairs of that key.  With `count`, each key keeps only its row's
+    length, which its pairs carry in place of the row."""
     nn = n * n
     n3 = nn * n
     rows = {}  # (a*d mod n, b mod m, c mod m) -> b*n^2 + c*n of each admissible (b, c)
@@ -219,29 +281,67 @@ def _lift_rows(codes: Iterable[int], m: int, n: int) -> Iterator[tuple[int, list
                 ad = a * d % n
                 row = rows.get((ad, hb, hc))
                 if row is None:
-                    row = rows[ad, hb, hc] = [
-                        b * nn + c * n for b in range(hb, n, m)
-                        for c in range(hc, n, m) if unit[(ad - b * c) % n]]
+                    row = [b * nn + c * n for b in range(hb, n, m)
+                           for c in range(hc, n, m) if dets[(ad - b * c) % n]]
+                    if count:
+                        row = len(row)
+                    rows[ad, hb, hc] = row
                 yield a * n3 + d, row
 
 
-def _lifts(codes: Iterable[int], m: int, n: int) -> Iterator[int]:
-    """Codes mod n of the matrices with unit determinant whose reduction mod
-    m (m | n) has its code in `codes`.  With m = 1 and codes {0}: all of
-    GL2(Z/nZ)."""
+def _lifts(codes: Iterable[int], m: int, n: int, dets: bytes | None = None) -> Iterator[int]:
+    """Codes mod n of the matrices whose reduction mod m (m | n) has its code
+    in `codes` and whose determinant t has dets[t] (a unit, by default).
+    With m = 1 and codes {0}: all of GL2(Z/nZ)."""
+    if dets is None:
+        dets = _unit_table(n)
     return chain.from_iterable(map(add, repeat(offset), row)
-                               for offset, row in _lift_rows(codes, m, n))
+                               for offset, row in _lift_rows(codes, m, n, dets))
 
 
 _TRIVIAL_MOD_1 = frozenset({0})
 
+# the largest n whose |GL2(Z/n)| the lift scan counts; the count takes time
+# of order n^3, and every n up to this one counts in under 1 s in-process
+SCAN_COUNT_MAX_N = 226
+
 
 def _scan_gl2_size(n: int) -> int:
     """|GL2(Z/n)| counted by the determinant scan as the sum of its row
-    lengths, forming no code; the closed form sets only the cap
-    (`enumerate_gl2` raises if the two differ)."""
-    _check_enumeration(gl2_order(n))
-    return sum(len(row) for _, row in _lift_rows(_TRIVIAL_MOD_1, 1, n))
+    lengths, forming no code and holding one length per determinant, so
+    refused by n alone (`SCAN_COUNT_MAX_N`), not by the enumeration cap."""
+    if n > SCAN_COUNT_MAX_N:
+        raise ModMatrixError(f"counting GL2(Z/{n}) is limited to n <= {SCAN_COUNT_MAX_N}")
+    return sum(length for _, length in
+               _lift_rows(_TRIVIAL_MOD_1, 1, n, _unit_table(n), count=True))
+
+
+def _unit_span(units: Iterable[int], n: int) -> set[int]:
+    """The subgroup of (Z/n)^x generated by `units`."""
+    span = {1 % n}
+    for u in units:
+        x, powers = u, [1]
+        while x not in span:  # u^j for j below the order of u mod span
+            powers.append(x)
+            x = x * u % n
+        if len(powers) > 1:
+            span = {y * p % n for y in span for p in powers}
+    return span
+
+
+def _det_preimage(dets: Iterable[int], n: int) -> frozenset[int]:
+    """Codes of det^-1(D) in GL2(Z/n), D the subgroup of units generated by
+    `dets`: |SL2(Z/n)|*|D| elements, checked against the cap, then listed
+    by the lift scan."""
+    span = _unit_span(dets, n)
+    size = _sl2_order(n) * len(span)
+    _check_enumeration(size)
+    codes = frozenset(_lifts(_TRIVIAL_MOD_1, 1, n, bytes(x in span for x in range(n))))
+    if len(codes) != size:
+        raise ModMatrixError(
+            f"determinant preimage in GL2(Z/{n}) produced {len(codes)} elements, "
+            f"expected {size}")
+    return codes
 
 
 @dataclass(frozen=True, order=True, slots=True, init=False)
@@ -327,6 +427,14 @@ def _gl2_prime_power_order(p: int, k: int) -> int:
     return p ** (4 * (k - 1)) * (p * p - 1) * (p * p - p)
 
 
+def _sl2_order(n: int) -> int:
+    """Order of SL2(Z/nZ), the kernel of det: |GL2(Z/n)| / phi(n)."""
+    order = 1
+    for p, k in _factorize(n):
+        order *= _gl2_prime_power_order(p, k) // (p ** (k - 1) * (p - 1))
+    return order
+
+
 def enumerate_gl2(n: int) -> SubgroupModN:
     """All of GL2(Z/nZ) by the determinant scan, as the preimage of {I} mod 1."""
     return full_preimage(SubgroupModN(1, _TRIVIAL_MOD_1), n)
@@ -340,6 +448,7 @@ def subgroup_closure(gens: Iterable[Mat2], n: int) -> SubgroupModN:
             raise ModulusMismatchError(
                 f"generator {g!r} has modulus {g.n}, expected {n}")
         entries.append(g.entries)
+    # a frozenset from the closure's exit is taken as it is, not copied
     return SubgroupModN(n, frozenset(_closure(entries, n)))
 
 

@@ -30,6 +30,7 @@ CASES = {
     "b1-index-100": ["b1-index", "--n", "100", "--verify"],
     "b1-index-58": ["b1-index", "--n", "58", "--verify"],
     "b1-index-59": ["b1-index", "--n", "59", "--verify"],
+    "b1-index-227": ["b1-index", "--n", "227", "--verify"],
     "baselines-d9": ["baselines", "--degree", "9"],
     "baselines-d10": ["baselines", "--degree", "10"],
     "bounds": ["bounds", "records.csv", "--epsilon", "1/2", "--degree", "10"],

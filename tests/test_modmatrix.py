@@ -5,6 +5,7 @@ import pickle
 from collections import deque
 from functools import lru_cache
 from itertools import repeat
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +17,7 @@ from torsionbounds.modmatrix import (
     EnumerationTooLargeError,
     InvalidModulusError,
     Mat2,
+    ModMatrixError,
     ModulusMismatchError,
     NotADivisorError,
     NotInvertibleError,
@@ -239,6 +241,9 @@ def test_closure_idempotent():
     ([(2, 0, 0, 1), (1, 1, 0, 1)], 5),
     ([(1, 0, 0, 1)], 4),
     ([(1, 1, 0, 1)], 5),
+    # all of GL2(Z/5): Dimino stops inside SL2 (120 elements), and the cap
+    # falls on the listing of the determinant preimage (480)
+    ([(1, 1, 0, 1), (0, 4, 1, 0), (2, 0, 0, 1)], 5),
 ])
 def test_closure_cap_boundary(monkeypatch, gens, n):
     order = len(_bfs_closure(gens, n))
@@ -249,6 +254,18 @@ def test_closure_cap_boundary(monkeypatch, gens, n):
         with pytest.raises(EnumerationTooLargeError,
                            match=f"^enumeration of {order} elements exceeds cap {order - 1}$"):
             _closure(gens, n)
+
+
+def test_exit_refuses_before_listing(monkeypatch):
+    # Dimino would refuse at the 201st element; the exit names the true size
+    # of the group, |SL2(Z/5)| * 4 = 480, and lists nothing
+    def no_listing(*args, **kwargs):
+        raise AssertionError("listed before the cap check")
+    monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", 200)
+    monkeypatch.setattr(modmatrix, "_lift_rows", no_listing)
+    with pytest.raises(EnumerationTooLargeError,
+                       match="^enumeration of 480 elements exceeds cap 200$"):
+        _closure([(1, 1, 0, 1), (0, 4, 1, 0), (2, 0, 0, 1)], 5)
 
 
 def test_closure_rejects_mixed_moduli():
@@ -610,15 +627,22 @@ def test_lifts_match_the_gcd_scan(case):
 
 
 def test_gl2_count_from_row_lengths(monkeypatch):
-    # the count holds no element, so past the cap too (n = 59 and other
-    # primes); the listing it replaced, sum(1 for _ in _lifts(...)), is the
+    # the count holds no element and keeps one row length per determinant,
+    # so it does not read the enumeration cap (n = 59 and other primes are
+    # past it); the listing it replaced, sum(1 for _ in _lifts(...)), is the
     # oracle
-    monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", max(map(gl2_order, range(1, 85))))
+    monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", 0)
     for n in range(1, 85):
         size = modmatrix._scan_gl2_size(n)
         assert size == gl2_order(n), n
         if n <= 30:
             assert size == sum(1 for _ in _lifts([0], 1, n)), n
+    rows = modmatrix._lift_rows([0], 1, 12, modmatrix._unit_table(12), count=True)
+    assert {type(length) for _, length in rows} == {int}
+    top = modmatrix.SCAN_COUNT_MAX_N
+    with pytest.raises(ModMatrixError,
+                       match=f"^counting GL2\\(Z/{top + 1}\\) is limited to n <= {top}$"):
+        modmatrix._scan_gl2_size(top + 1)
 
 
 # -- differential: the coded engine against the entry-tuple code it replaced -
@@ -778,3 +802,126 @@ def test_random_subgroup_order_divides_group_order(n, data):
     G = subgroup_closure(gens, n)
     assert gl2_order(n) % G.order == 0
     assert Mat2.identity(n) in G
+
+
+# -- differential: the exit past SL2 against the oracles --------------------
+#
+# Once the elements found pass half of C = det^-1(D), D generated by the
+# determinants of the generators used so far, the closure stops Dimino and
+# lists det^-1(D_all) by the lift scan.  The breadth-first closure and the
+# entry-tuple engine never stop early, so they check the whole set.
+
+def _sl2_pair(n):
+    """t = (1,1;0,1) and s = (0,-1;1,0) mod n, which generate SL2(Z/n)."""
+    return [(1 % n, 1 % n, 0, 1 % n), (0, -1 % n, 1 % n, 0)]
+
+
+@st.composite
+def sl2_cases(draw):
+    """A modulus n <= 24 and generators of a group that holds SL2(Z/n): t and
+    s conjugated by one random element, and up to two random generators,
+    in random order."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    c = draw(_unit_entries(n))
+    ci = _inv(c, n)
+    pair = [_mul(_mul(ci, g, n), c, n) for g in _sl2_pair(n)]
+    extra = draw(st.lists(_unit_entries(n), max_size=2))
+    return n, draw(st.permutations(pair + extra))
+
+
+def _closure_and_exits(gens, n):
+    """subgroup_closure of the entry tuples `gens`, and the code sets the
+    exit returned."""
+    real = modmatrix._det_preimage
+    returned = []
+
+    def spy(dets, m):
+        returned.append(real(dets, m))
+        return returned[-1]
+
+    with mock.patch.object(modmatrix, "_det_preimage", spy):
+        G = subgroup_closure([Mat2(n, *g) for g in gens], n)
+    return G, returned
+
+
+_T16, _S16 = _sl2_pair(16)
+_T2, _S2 = _sl2_pair(2)
+
+# the pair first, last and interleaved with other generators, at n = 2,
+# where SL2 is all of GL2, and at n = 16; each takes the exit
+_EXIT_CASES = [
+    (2, [_T2, _S2, (1, 0, 1, 1)]),
+    (2, [(1, 0, 1, 1), _T2, _S2]),
+    (2, [_T2, (1, 0, 1, 1), _S2]),
+    (16, [_T16, _S16]),
+    (16, [_T16, _S16, (3, 0, 0, 1)]),
+    (16, [(3, 0, 0, 1), (1, 0, 0, 5), _T16, _S16]),
+    (16, [_T16, (3, 0, 0, 1), _S16, (1, 0, 0, 5)]),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(sl2_cases())
+# at n = 1 both are I, and the exit is never taken
+@example((1, _sl2_pair(1) + [(0, 0, 0, 0)]))
+@example((1, [(0, 0, 0, 0)] + _sl2_pair(1)))
+# a first stage of order 3 that the pair's t doubles to all of SL2(Z/2)
+# in its last coset, so nothing is left for the exit to save
+@example((2, [(0, 1, 1, 1), _T2]))
+def test_closure_past_sl2_matches_the_oracles(case):
+    n, gens = case
+    G, returned = _closure_and_exits(gens, n)
+    assert entries(G) == _bfs_closure(gens, n) == _tuple_closure(gens, n)
+    # at most the first stage whose group holds SL2 takes the exit, before
+    # a coset it would form, and that set is the group's own, not a copy
+    assert len(returned) <= (n > 1)
+    if returned:
+        assert G.codes is returned[0]
+
+
+@pytest.mark.parametrize("n,gens", _EXIT_CASES)
+def test_closure_past_sl2_takes_the_exit(n, gens):
+    G, returned = _closure_and_exits(gens, n)
+    assert len(returned) == 1 and G.codes is returned[0]
+    assert entries(G) == _bfs_closure(gens, n) == _tuple_closure(gens, n)
+
+
+def test_borel_mod_7_never_takes_the_exit(monkeypatch):
+    # the largest closure mod l the lattice check runs: 252 elements pass
+    # the gate 4*|found| > 7^3 but not the lower bound |SL2(Z/7)| * 2 = 672
+    # on |C| (two distinct determinants at least), so D is never spanned
+    def no_span(*args):
+        raise AssertionError("spanned D")
+    monkeypatch.setattr(modmatrix, "_unit_span", no_span)
+    gens = _borel_generators(7)
+    for order in (gens, gens[::-1], gens[1:] + gens[:1]):
+        with mock.patch.object(modmatrix, "_sl2_order", wraps=modmatrix._sl2_order) as sl2:
+            G, returned = _closure_and_exits(order, 7)
+        assert returned == [] and sl2.call_count >= 1
+        assert entries(G) == _bfs_closure(order, 7) and G.order == 252
+
+
+@st.composite
+def determinant_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=16))
+    unit = st.integers(min_value=0, max_value=n - 1).filter(lambda u: math.gcd(u, n) == 1)
+    return n, draw(st.lists(unit, max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(determinant_cases())
+@example((1, []))
+@example((12, []))
+@example((12, [5, 7]))
+@example((16, [3]))
+def test_determinant_preimage_matches_brute_force(case):
+    n, dets = case
+    span = {1 % n}
+    while True:
+        grown = span | {x * u % n for x in span for u in dets}
+        if grown == span:
+            break
+        span = grown
+    want = {(a, b, c, d) for a in range(n) for b in range(n) for c in range(n)
+            for d in range(n) if (a * d - b * c) % n in span}
+    assert {decode(code, n) for code in modmatrix._det_preimage(dets, n)} == want

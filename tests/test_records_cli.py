@@ -288,9 +288,13 @@ def test_b1_index_verify_counts_without_the_closed_form(monkeypatch, capsys):
     assert (code, out, err) == (0, "n 5\nindex 24\nenumerated 24\nverified\n", "")
 
 
-def test_b1_index_verify_over_cap_exits_1(capsys):
-    # |GL2(Z/100)| = 28,800,000 is over the fixed 10**7 enumeration cap
-    code, _, err = run_cli(capsys, "b1-index", "--n", "100", "--verify")
-    assert code == 1
-    assert "cap" in err
-    assert len(err.splitlines()) == 1
+def test_b1_index_verify_past_the_count_limit_exits_1(capsys):
+    # the count forms no element, so the enumeration cap does not refuse it:
+    # |GL2(Z/100)| = 28,800,000 is over the cap and answers; the limit is on n
+    code, out, err = run_cli(capsys, "b1-index", "--n", "100", "--verify")
+    assert (code, out, err) == (0, "n 100\nindex 7200\nenumerated 7200\nverified\n", "")
+    n = modmatrix.SCAN_COUNT_MAX_N + 1
+    code, out, err = run_cli(capsys, "b1-index", "--n", str(n), "--verify")
+    assert (code, out) == (1, "")
+    assert err == (f"torsionbounds: error: counting GL2(Z/{n}) is limited to "
+                   f"n <= {n - 1}\n")
