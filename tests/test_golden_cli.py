@@ -31,6 +31,8 @@ CASES = {
     "b1-index-58": ["b1-index", "--n", "58", "--verify"],
     "b1-index-59": ["b1-index", "--n", "59", "--verify"],
     "b1-index-227": ["b1-index", "--n", "227", "--verify"],
+    "b1-index-3162": ["b1-index", "--n", "3162", "--verify"],
+    "b1-index-3163": ["b1-index", "--n", "3163", "--verify"],
     "baselines-d9": ["baselines", "--degree", "9"],
     "baselines-d10": ["baselines", "--degree", "10"],
     "bounds": ["bounds", "records.csv", "--epsilon", "1/2", "--degree", "10"],
@@ -57,6 +59,7 @@ CASES = {
     "verify-12-json": ["verify", "--max-n", "12", "--format", "json"],
     "verify-24": ["verify", "--max-n", "24"],
     "verify-24-json": ["verify", "--max-n", "24", "--format", "json"],
+    "verify-59": ["verify", "--max-n", "59"],
     "baselines-d6112": ["baselines", "--degree", "6112"],
     "baselines-d6113": ["baselines", "--degree", "6113"],
     "bounds-d6113": ["bounds", "records.csv", "--epsilon", "1/2", "--degree", "6113"],
