@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import _b_exact
-from .exactvalue import PowerProduct, Rational, _divisors, _is_prime
+from .exactvalue import MAX_DIGITS, PowerProduct, Rational, _divisors, _is_prime
 
 # rational upper bound for zeta(2) = pi**2 / 6, kept exact
 ZETA2_UPPER = Fraction(329, 200)
@@ -43,9 +44,14 @@ CEILING_BUDGET = 10**7
 SIEVE_MEMO_SIZE = 64
 BOUNDS_MEMO_SIZE = 256
 
-# the largest degree baselines accepts: the parent bound has 4300 digits at
-# d = 6112 and 4301 at d = 6113, past the default int-to-str limit
-MAX_BASELINE_DEGREE = 6112
+
+def _parent_bound(d: int) -> int:
+    return 129 * (5 ** d - 1) * (3 * d) ** 6
+
+
+# the largest degree baselines accepts, 6112: past it the parent bound, which
+# grows with d, has more than MAX_DIGITS digits (5^d alone has before 2*MAX_DIGITS)
+MAX_BASELINE_DEGREE = bisect_left(range(2 * MAX_DIGITS), 10**MAX_DIGITS, key=_parent_bound) - 1
 
 
 class BoundsError(ValueError):
@@ -109,11 +115,12 @@ def exponent_candidates(ctx: BoundContext) -> CandidateSet:
     (6/pi**2) * n**2, every candidate is at most isqrt(ceil(B * 329/200)),
     and inputs whose ceiling exceeds CEILING_BUDGET are refused.
     """
-    # an upper bound on log10(B) (d0 capped to a float), before (d0-1)! is
-    # formed: past 2 * 4299 the ceiling is over 10**4298, which may not print
+    # an upper bound on log10(B) (d0 capped to a float), before (d0-1)! is formed:
+    # past 2 * (MAX_DIGITS - 1) the ceiling is over 10**(MAX_DIGITS - 2), unprintable
     if ((2 * ctx.I * ctx.d).bit_length() * math.log10(2)
-            + math.lgamma(min(ctx.d0, 10 ** 300)) / math.log(10) > 2 * 4299):
-        raise BoundsError(f"sieve ceiling over 10**4298 exceeds budget {CEILING_BUDGET}")
+            + math.lgamma(min(ctx.d0, 10 ** 300)) / math.log(10) > 2 * (MAX_DIGITS - 1)):
+        raise BoundsError(f"sieve ceiling over 10**{MAX_DIGITS - 2} exceeds budget "
+                          f"{CEILING_BUDGET}")
     B = sieve_modulus(ctx)
     ceiling = _ceiling(B)
     if ceiling > CEILING_BUDGET:
@@ -199,7 +206,7 @@ def baselines(d: int, digits: int = 12) -> Baselines:
         raise BoundsError(f"degree must be >= 1, got {d}")
     if d > MAX_BASELINE_DEGREE:
         raise BoundsError(f"degree {d} exceeds the baseline limit {MAX_BASELINE_DEGREE}")
-    parent = 129 * (5 ** d - 1) * (3 * d) ** 6
+    parent = _parent_bound(d)
     hs = 1977408 * d * math.log(d) if d > 1 else None
     bn_exp, bn_ord = (PowerProduct._product(((PowerProduct.from_int(c * c * 35 * d), 1, 2),))
                       for c in (720720, 1441440))

@@ -4,7 +4,7 @@ One subcommand per artifact: `bounds` evaluates the polynomial torsion
 bounds per curve record, `candidates` runs the exponent sieve, `b-epsilon`
 prints the extremal totient constant, `b1-index` the upper-triangular index
 formula, `lattice-check` the lattice index comparisons, `baselines` the
-prior explicit bounds, and `verify` the full enumeration-backed suite.
+prior explicit bounds, and `verify` the full verification suite.
 
 Exit codes: 0 success, 1 usage or parse error, 2 any failed verification.
 All numeric flags are exact integers or rationals ("1/2"); reports are
@@ -27,7 +27,8 @@ from .bounds import (
     exponent_candidates,
     theorem_bounds,
 )
-from .modmatrix import ModMatrixError, _scan_gl2_size, b1_subgroup
+from .exactvalue import MAX_DIGITS
+from .modmatrix import ModMatrixError, _count_gl2, _unit_table
 from .records import RecordParseError, check_isogeny_class_indices, parse_curve_records
 from .verify import format_report, run_verification_suite
 
@@ -70,10 +71,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-# the longest decimal Python's default int-to-str limit lets a report print
-MAX_DIGITS = 4300
 
 
 def _digits(text: str) -> int:
@@ -140,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("b1-index", help="index of the upper-triangular subgroup")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--verify", action="store_true",
-                   help="cross-check the formula by full enumeration")
+                   help="cross-check the formula by counting GL2(Z/n)")
     add_format(p)
 
     p = sub.add_parser("lattice-check", help="lattice index comparisons")
@@ -250,7 +247,7 @@ def _cmd_b1_index(args) -> int:
     lines = _fields(report, "n", "index")
     if not args.verify:
         return _emit(args, report, lines)
-    brute = _scan_gl2_size(n) // b1_subgroup(n).order
+    brute = _count_gl2(n) // (n * sum(_unit_table(n)))  # |B1(n)| = n * (number of units)
     report.update(enumerated=brute, verified=brute == report["index"])
     lines += _fields(report, "enumerated")
     lines.append("verified" if report["verified"] else "MISMATCH")

@@ -19,6 +19,8 @@ from typing import Mapping, Union
 
 Rational = Union[int, Fraction]
 
+MAX_DIGITS = 4300  # the most digits Python's default int-to-str limit lets an int have
+
 
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     """(prime, exponent) pairs of n by trial division, primes increasing;

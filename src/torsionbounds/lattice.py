@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import modmatrix
-from .exactvalue import PRIME_TEST_LIMIT, _factorize, _is_prime
+from .exactvalue import MAX_DIGITS, PRIME_TEST_LIMIT, _factorize, _is_prime
 from .modmatrix import (
     EnumerationTooLargeError,
     Entries,
@@ -557,9 +557,7 @@ def parse_rational_matrix(text: str) -> RatMat:
     return tuple(entries)
 
 
-# Python reads and prints an int of at most this many digits by default
-MAX_ENTRY_DIGITS = 4300
-_ENTRY_LIMIT = 10 ** MAX_ENTRY_DIGITS
+_ENTRY_LIMIT = 10 ** MAX_DIGITS
 _DIGIT_RUN = re.compile(r"\d+")
 _NUMERAL = re.compile(r"\d+(?:_\d+)*")
 
@@ -567,16 +565,15 @@ _NUMERAL = re.compile(r"\d+(?:_\d+)*")
 def _parse_entry(tok: str) -> int | Fraction:
     """The rational `Fraction(tok)` reads, refused when a numeral written in
     tok, or the numerator or denominator of its value, has more than
-    MAX_ENTRY_DIGITS digits.
+    MAX_DIGITS digits.
 
     A plain integer is read by `int`, which takes the same tokens.  Fraction
     forms 10**|exponent| before it reduces, so an exponent is read first:
-    past 3 * MAX_ENTRY_DIGITS no nonzero mantissa (at most 2 *
-    MAX_ENTRY_DIGITS digits over at most MAX_ENTRY_DIGITS) brings either
-    side back under the limit.
+    past 3 * MAX_DIGITS no nonzero mantissa (at most 2 * MAX_DIGITS digits
+    over at most MAX_DIGITS) brings either side back under the limit.
     """
     body = tok[1:] if tok.startswith(("+", "-")) else tok
-    if body.isdecimal() and len(body) <= MAX_ENTRY_DIGITS:
+    if body.isdecimal() and len(body) <= MAX_DIGITS:
         return int(tok)
     try:
         # each digit run cut to one digit: Fraction reads this iff it reads
@@ -584,11 +581,11 @@ def _parse_entry(tok: str) -> int | Fraction:
         Fraction(_DIGIT_RUN.sub("1", tok))
     except ValueError:
         raise LatticeError(f"bad rational entry {tok!r}") from None
-    if len(tok) > MAX_ENTRY_DIGITS and any(
-            len(n) - n.count("_") > MAX_ENTRY_DIGITS for n in _NUMERAL.findall(tok)):
+    if len(tok) > MAX_DIGITS and any(
+            len(n) - n.count("_") > MAX_DIGITS for n in _NUMERAL.findall(tok)):
         raise _too_long(tok)
     cut = max(tok.rfind("e"), tok.rfind("E"))
-    if cut >= 0 and abs(int(tok[cut + 1:])) > 3 * MAX_ENTRY_DIGITS:
+    if cut >= 0 and abs(int(tok[cut + 1:])) > 3 * MAX_DIGITS:
         if Fraction(tok[:cut]):
             raise _too_long(tok)
         return Fraction(0)
@@ -603,7 +600,7 @@ def _parse_entry(tok: str) -> int | Fraction:
 
 def _too_long(tok: str) -> LatticeError:
     shown = tok if len(tok) <= 40 else tok[:20] + "..."
-    return LatticeError(f"entry {shown!r} has more than {MAX_ENTRY_DIGITS} digits")
+    return LatticeError(f"entry {shown!r} has more than {MAX_DIGITS} digits")
 
 
 def parse_scenarios(text: str) -> list[LatticeScenario]:

@@ -43,16 +43,16 @@ of the lifts of codes mod m whose determinant lies in a byte table over
 Z/n (the units, or the preimage D of the closure's exit): their
 admissible (b, c) depend only on a*d mod n and b, c mod m, so each call
 tabulates b*n^2 + c*n once per such key and adds each (a, d) as the offset
-a*n^3 + d.  `_lift_rows` yields those (offset, row) pairs; the enumeration,
-the full preimages, the closure's exit and the count of GL2(Z/n) all run
-it, and the count keeps one row length per key and forms no code.
+a*n^3 + d.  `_count_gl2` counts GL2(Z/n) without it, in O(n) integers,
+from the distribution of the n^2 products x*y mod n, capped by those pairs.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import add, floordiv, mod
+from operator import add, floordiv, mod, mul
 from typing import Iterable, Iterator
 
 from .exactvalue import _divisors, _factorize
@@ -264,56 +264,46 @@ def _unit_table(n: int) -> bytes:
     return bytes(math.gcd(x, n) == 1 for x in range(n))
 
 
-def _lift_rows(codes: Iterable[int], m: int, n: int, dets: bytes,
-               count: bool = False) -> Iterator[tuple[int, list[int] | int]]:
-    """(offset, row) pairs whose sums offset + x, x in row, are the codes of
-    `_lifts` with determinant t where dets[t]: one pair per (a, d), offset
-    a*n^3 + d, and the row of its key (a*d mod n, b mod m, c mod m), shared
-    by the pairs of that key.  With `count`, each key keeps only its row's
-    length, which its pairs carry in place of the row."""
-    nn = n * n
-    n3 = nn * n
-    rows = {}  # (a*d mod n, b mod m, c mod m) -> b*n^2 + c*n of each admissible (b, c)
-    for code in codes:
-        ha, hb, hc, hd = _decode(code, m)
-        for a in range(ha, n, m):
-            for d in range(hd, n, m):
-                ad = a * d % n
-                row = rows.get((ad, hb, hc))
-                if row is None:
-                    row = [b * nn + c * n for b in range(hb, n, m)
-                           for c in range(hc, n, m) if dets[(ad - b * c) % n]]
-                    if count:
-                        row = len(row)
-                    rows[ad, hb, hc] = row
-                yield a * n3 + d, row
-
-
 def _lifts(codes: Iterable[int], m: int, n: int, dets: bytes | None = None) -> Iterator[int]:
     """Codes mod n of the matrices whose reduction mod m (m | n) has its code
     in `codes` and whose determinant t has dets[t] (a unit, by default).
     With m = 1 and codes {0}: all of GL2(Z/nZ)."""
     if dets is None:
         dets = _unit_table(n)
-    return chain.from_iterable(map(add, repeat(offset), row)
-                               for offset, row in _lift_rows(codes, m, n, dets))
+
+    def shifted_rows():
+        rows = {}  # (a*d mod n, b mod m, c mod m) -> b*n^2 + c*n of each admissible (b, c)
+        for code in codes:
+            ha, hb, hc, hd = _decode(code, m)
+            for a in range(ha, n, m):
+                for d in range(hd, n, m):
+                    ad = a * d % n
+                    row = rows.get((ad, hb, hc))
+                    if row is None:
+                        row = rows[ad, hb, hc] = [(b * n + c) * n for b in range(hb, n, m)
+                                                  for c in range(hc, n, m)
+                                                  if dets[(ad - b * c) % n]]
+                    yield map(add, repeat(a * n ** 3 + d), row)
+
+    return chain.from_iterable(shifted_rows())  # the elements pass in C, not by yield
 
 
 _TRIVIAL_MOD_1 = frozenset({0})
 
-# the largest n whose |GL2(Z/n)| the lift scan counts; the count takes time
-# of order n^3, and every n up to this one counts in under 1 s in-process
-SCAN_COUNT_MAX_N = 226
 
-
-def _scan_gl2_size(n: int) -> int:
-    """|GL2(Z/n)| counted by the determinant scan as the sum of its row
-    lengths, forming no code and holding one length per determinant, so
-    refused by n alone (`SCAN_COUNT_MAX_N`), not by the enumeration cap."""
-    if n > SCAN_COUNT_MAX_N:
-        raise ModMatrixError(f"counting GL2(Z/{n}) is limited to n <= {SCAN_COUNT_MAX_N}")
-    return sum(length for _, length in
-               _lift_rows(_TRIVIAL_MOD_1, 1, n, _unit_table(n), count=True))
+def _count_gl2(n: int) -> int:
+    """|GL2(Z/nZ)| from the definition alone, with no factorizer or closed
+    form: the sum over units u and all t of f(t)*f(t - u), f(t) = #{(x, y)
+    mod n : x*y = t}, counts each (a, b, c, d) once by a*d = t, b*c = t - u."""
+    if n * n > ENUMERATION_CAP:
+        raise ModMatrixError(f"counting GL2(Z/{n}) visits {n * n} pairs, "
+                             f"which exceeds cap {ENUMERATION_CAP}")
+    products = Counter({0: n})  # x = 0
+    for x in range(1, n):  # x*y for y < n, in C-level loops
+        products.update(map(mod, range(0, x * n, x), repeat(n)))
+    f = [products[t] for t in range(n)] * 2  # f[t - u + n] = f(t - u) for 0 <= t, u < n
+    return sum(sum(map(mul, f, f[n - u:2 * n - u]))  # n terms: map stops at the slice's end
+               for u, unit in enumerate(_unit_table(n)) if unit)
 
 
 def _unit_span(units: Iterable[int], n: int) -> set[int]:

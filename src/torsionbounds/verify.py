@@ -1,4 +1,4 @@
-"""One-shot verification suite: re-proves the finite-level facts by enumeration.
+"""One-shot verification suite: re-proves the finite-level facts by count and enumeration.
 
 Each check is deterministic and self-contained; the suite report lists one
 line per check with pass/fail/skip status.  The same checks back the
@@ -18,9 +18,10 @@ from .modmatrix import (
     _TRIVIAL_MOD_1,
     Mat2,
     SubgroupModN,
+    _count_gl2,
     _encode,
     _lifts,
-    _scan_gl2_size,
+    _unit_table,
     b1_subgroup,
     gl2_order,
     is_full_preimage,
@@ -64,6 +65,9 @@ class SuiteReport:
         return self.failed == 0
 
 
+SETS_MAX_N = 24  # the largest modulus of the checks that hold element sets
+
+
 def subgroup_family(n: int):
     """A deterministic family of subgroups of GL2(Z/nZ) for the index tests."""
     modmatrix._check_enumeration(gl2_order(n))
@@ -98,9 +102,8 @@ def _scan_preimage(H: SubgroupModN, n: int) -> SubgroupModN:
 def run_verification_suite(max_n: int = 16) -> SuiteReport:
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    # |GL2(Z/n)| is not monotone in n, and every check enumerates only
-    # moduli n <= max_n: refuse at the first one over the cap
-    for n in range(1, max_n + 1):
+    # only the checks of n <= SETS_MAX_N hold sets, and |GL2(Z/n)| is not monotone in n
+    for n in range(1, min(max_n, SETS_MAX_N) + 1):
         modmatrix._check_enumeration(gl2_order(n))
     report = SuiteReport()
     _check_gl2_orders(report, max_n)
@@ -116,8 +119,7 @@ def run_verification_suite(max_n: int = 16) -> SuiteReport:
 
 def _check_gl2_orders(report, max_n):
     top = min(max_n, 16)
-    bad = [n for n in range(1, top + 1)
-           if _scan_gl2_size(n) != gl2_order(n)]
+    bad = [n for n in range(1, top + 1) if _count_gl2(n) != gl2_order(n)]
     report.add("gl2-order-vs-enumeration", f"n<=:{top}", not bad,
                f"mismatches at {bad}" if bad else f"checked n=1..{top}")
 
@@ -126,17 +128,21 @@ def _check_b1_index(report, max_n):
     if max_n < 2:
         report.skip("b1-index-formula", "n<=1", "B1(n) needs n >= 2")
         return
-    bad = []
+    # |B1(n)| is n times the units; stop before the counts' n^2 pairs pass the cap
+    bad, pairs, top = [], 0, 1
     for n in range(2, max_n + 1):
-        brute = _scan_gl2_size(n) // b1_subgroup(n).order
-        if brute != euler_phi(n) * dedekind_psi(n):
+        pairs += n * n
+        if pairs > modmatrix.ENUMERATION_CAP:
+            break
+        top = n
+        if _count_gl2(n) // (n * sum(_unit_table(n))) != euler_phi(n) * dedekind_psi(n):
             bad.append(n)
-    report.add("b1-index-formula", f"2<=n<=:{max_n}", not bad,
+    report.add("b1-index-formula", f"2<=n<=:{top}", not bad,
                f"mismatches at {bad}" if bad else "index equals phi(n)*psi(n)")
 
 
 def _check_preimage_suite(report, max_n):
-    top = min(max_n, 24)
+    top = min(max_n, SETS_MAX_N)
     if top < 2:
         report.skip("preimage-index-preservation", "n<=1", "needs n >= 2")
         report.skip("preimage-detection", "n<=1", "needs n >= 2")
@@ -194,7 +200,7 @@ def _check_crt_orders(report, max_n):
                 continue
             if gl2_order(a * b) != gl2_order(a) * gl2_order(b):
                 bad.append((a, b))
-            if _scan_gl2_size(a * b) != gl2_order(a) * gl2_order(b):
+            if _count_gl2(a * b) != gl2_order(a) * gl2_order(b):
                 bad.append((a, b, "enum"))
     params = f"ab<=:{top}"
     if top < 6:

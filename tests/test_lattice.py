@@ -964,7 +964,7 @@ def _fraction_entry(tok):
         if "Exceeds the limit" in str(exc):
             return str(lattice._too_long(tok))
         return f"bad rational entry {tok!r}"
-    if max(abs(q.numerator), q.denominator) >= 10 ** lattice.MAX_ENTRY_DIGITS:
+    if max(abs(q.numerator), q.denominator) >= 10 ** lattice.MAX_DIGITS:
         return str(lattice._too_long(tok))
     return q
 
@@ -1039,7 +1039,7 @@ def test_parse_entry_matches_fraction(tok):
 def test_huge_exponents_are_read_before_the_power_is_formed():
     for tok in ("1e100000000", "-2.5E-100000000", "1" * 4301, "7/" + "3" * 4301):
         with pytest.raises(LatticeError, match=f"^entry '.*' has more than "
-                           f"{lattice.MAX_ENTRY_DIGITS} digits$"):
+                           f"{lattice.MAX_DIGITS} digits$"):
             parse_rational_matrix(f"{tok},0;0,1")
     # a zero mantissa has the value 0 whatever its exponent
     assert parse_rational_matrix("0e100000000,-0.0E-100000000;0,1") == (0, 0, 0, 1)

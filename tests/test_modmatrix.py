@@ -184,7 +184,6 @@ def test_verify_precheck_covers_every_modulus(monkeypatch):
         raise AssertionError("enumerated before the cap pre-check")
     for module in (modmatrix, verify):
         monkeypatch.setattr(module, "_lifts", no_enumeration)
-    monkeypatch.setattr(modmatrix, "_lift_rows", no_enumeration)
     monkeypatch.setattr(modmatrix, "_closure", no_enumeration)
     with pytest.raises(EnumerationTooLargeError, match="2016 elements exceeds cap 1536"):
         verify.run_verification_suite(8)
@@ -262,7 +261,7 @@ def test_exit_refuses_before_listing(monkeypatch):
     def no_listing(*args, **kwargs):
         raise AssertionError("listed before the cap check")
     monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", 200)
-    monkeypatch.setattr(modmatrix, "_lift_rows", no_listing)
+    monkeypatch.setattr(modmatrix, "_lifts", no_listing)
     with pytest.raises(EnumerationTooLargeError,
                        match="^enumeration of 480 elements exceeds cap 200$"):
         _closure([(1, 1, 0, 1), (0, 4, 1, 0), (2, 0, 0, 1)], 5)
@@ -626,23 +625,72 @@ def test_lifts_match_the_gcd_scan(case):
             == frozenset(_oracle_lifts(images, m, n)))
 
 
+def _scan_gl2_size(n):
+    """|GL2(Z/n)| as the sum of the row lengths of the determinant scan: for
+    each (a, d), the (b, c) with a*d - b*c a unit, counted once per value
+    of a*d mod n.  Takes time of order n^3."""
+    units = modmatrix._unit_table(n)
+    lengths = {}
+    total = 0
+    for a in range(n):
+        for d in range(n):
+            ad = a * d % n
+            if ad not in lengths:
+                lengths[ad] = sum(units[(ad - b * c) % n] for b in range(n) for c in range(n))
+            total += lengths[ad]
+    return total
+
+
 def test_gl2_count_from_row_lengths(monkeypatch):
-    # the count holds no element and keeps one row length per determinant,
-    # so it does not read the enumeration cap (n = 59 and other primes are
-    # past it); the listing it replaced, sum(1 for _ in _lifts(...)), is the
-    # oracle
-    monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", 0)
+    # the count holds no element, so the order may pass the enumeration cap
+    # (|GL2(Z/59)| and beyond); it uses neither the factorizer nor the
+    # closed form, and is refused by its n^2 pairs alone
+    def unused(n):
+        raise AssertionError("the count factored n or read the closed form")
+    monkeypatch.setattr(modmatrix, "_factorize", unused)
+    monkeypatch.setattr(modmatrix, "gl2_order", unused)
     for n in range(1, 85):
-        size = modmatrix._scan_gl2_size(n)
-        assert size == gl2_order(n), n
+        size = modmatrix._count_gl2(n)
+        assert size == _scan_gl2_size(n), n
         if n <= 30:
             assert size == sum(1 for _ in _lifts([0], 1, n)), n
-    rows = modmatrix._lift_rows([0], 1, 12, modmatrix._unit_table(12), count=True)
-    assert {type(length) for _, length in rows} == {int}
-    top = modmatrix.SCAN_COUNT_MAX_N
-    with pytest.raises(ModMatrixError,
-                       match=f"^counting GL2\\(Z/{top + 1}\\) is limited to n <= {top}$"):
-        modmatrix._scan_gl2_size(top + 1)
+    monkeypatch.undo()
+    prime_powers = (4, 8, 9, 16, 25, 27, 49, 81, 121, 125, 128, 169, 243, 289, 343,
+                    361, 529, 625, 729, 841, 961, 1024, 1331)
+    for n in (1, 2) + prime_powers + (3137, 3162):
+        assert modmatrix._count_gl2(n) == gl2_order(n), n
+
+
+def test_gl2_count_refuses_past_the_cap_in_pairs(monkeypatch):
+    # 3162^2 = 9,998,244 pairs fit the cap of 10^7; 3163^2 do not
+    assert 3162 ** 2 <= modmatrix.ENUMERATION_CAP < 3163 ** 2
+    def no_scan(*args):
+        raise AssertionError("scanned before the refusal")
+    monkeypatch.setattr(modmatrix, "_unit_table", no_scan)
+    with pytest.raises(ModMatrixError, match="^counting GL2\\(Z/3163\\) visits 10004569 "
+                                             "pairs, which exceeds cap 10000000$"):
+        modmatrix._count_gl2(3163)
+    # the cap is read at each call
+    monkeypatch.setattr(modmatrix, "ENUMERATION_CAP", 99)
+    with pytest.raises(ModMatrixError, match="^counting GL2\\(Z/10\\) visits 100 pairs"):
+        modmatrix._count_gl2(10)
+
+
+def test_verify_holds_sets_only_up_to_24_and_counts_b1_to_310():
+    # the cap is checked for the moduli whose checks hold sets, n <= 24;
+    # |GL2(Z/59)| = 11,908,560 is over the cap and is only counted
+    assert gl2_order(59) > modmatrix.ENUMERATION_CAP
+    report = verify.run_verification_suite(59)
+    assert report.ok and report.failed == 0
+    b1 = [c for c in report.checks if c.name == "b1-index-formula"]
+    assert [(c.status, c.params) for c in b1] == [("pass", "2<=n<=:59")]
+    # the b1 counts stop before the sum of n^2 over 2..N passes the cap
+    assert sum(n * n for n in range(2, 311)) <= modmatrix.ENUMERATION_CAP
+    assert sum(n * n for n in range(2, 312)) > modmatrix.ENUMERATION_CAP
+    report = verify.run_verification_suite(400)
+    assert report.ok
+    assert ("PASS b1-index-formula [2<=n<=:310] index equals phi(n)*psi(n)\n"
+            in verify.format_report(report))
 
 
 # -- differential: the coded engine against the entry-tuple code it replaced -

@@ -5,7 +5,7 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
-from torsionbounds import modmatrix, verify
+from torsionbounds import cli, modmatrix, verify
 from torsionbounds.cli import main
 from torsionbounds.records import (
     CurveRecord,
@@ -260,8 +260,8 @@ def test_verify_command_small(capsys):
 
 
 def test_verify_scan_mismatch_fails_with_exit_2(monkeypatch, capsys):
-    real = verify._scan_gl2_size
-    monkeypatch.setattr(verify, "_scan_gl2_size", lambda n: real(n) + (n == 5))
+    real = verify._count_gl2
+    monkeypatch.setattr(verify, "_count_gl2", lambda n: real(n) + (n == 5))
     code, out, err = run_cli(capsys, "verify", "--max-n", "6")
     assert (code, err) == (2, "")
     assert "FAIL gl2-order-vs-enumeration [n<=:6] mismatches at [5]\n" in out
@@ -281,20 +281,25 @@ def test_verify_wrong_gl2_order_fails_the_preimage_suite(monkeypatch, capsys):
 
 
 def test_b1_index_verify_counts_without_the_closed_form(monkeypatch, capsys):
-    # --verify counts GL2(Z/5) by the scan; the closed form only sets the cap
+    # --verify counts GL2(Z/5) from the products mod 5; the closed form is
+    # not read
     real = modmatrix.gl2_order
     monkeypatch.setattr(modmatrix, "gl2_order", lambda n: 481 if n == 5 else real(n))
     code, out, err = run_cli(capsys, "b1-index", "--n", "5", "--verify")
     assert (code, out, err) == (0, "n 5\nindex 24\nenumerated 24\nverified\n", "")
+    # a wrong count fails the verification with exit 2
+    count = cli._count_gl2
+    monkeypatch.setattr(cli, "_count_gl2", lambda n: count(n) + 20 * (n == 5))
+    code, out, err = run_cli(capsys, "b1-index", "--n", "5", "--verify")
+    assert (code, out, err) == (2, "n 5\nindex 24\nenumerated 25\nMISMATCH\n", "")
 
 
 def test_b1_index_verify_past_the_count_limit_exits_1(capsys):
-    # the count forms no element, so the enumeration cap does not refuse it:
-    # |GL2(Z/100)| = 28,800,000 is over the cap and answers; the limit is on n
-    code, out, err = run_cli(capsys, "b1-index", "--n", "100", "--verify")
-    assert (code, out, err) == (0, "n 100\nindex 7200\nenumerated 7200\nverified\n", "")
-    n = modmatrix.SCAN_COUNT_MAX_N + 1
-    code, out, err = run_cli(capsys, "b1-index", "--n", str(n), "--verify")
+    # the count forms no element, so the order is not capped: |GL2(Z/227)|
+    # = 2,643,489,456 answers; the limit is on the n^2 pairs counted
+    code, out, err = run_cli(capsys, "b1-index", "--n", "227", "--verify")
+    assert (code, out, err) == (0, "n 227\nindex 51528\nenumerated 51528\nverified\n", "")
+    code, out, err = run_cli(capsys, "b1-index", "--n", "3163", "--verify")
     assert (code, out) == (1, "")
-    assert err == (f"torsionbounds: error: counting GL2(Z/{n}) is limited to "
-                   f"n <= {n - 1}\n")
+    assert err == ("torsionbounds: error: counting GL2(Z/3163) visits 10004569 pairs, "
+                   "which exceeds cap 10000000\n")
