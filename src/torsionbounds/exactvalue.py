@@ -4,18 +4,17 @@ All bound constants produced by this package are products of integer bases
 raised to rational powers.  A PowerProduct factors its bases once, when it
 is built, and keeps the value as prod(p_i ** (k_i / L)): one exponent
 denominator L and sorted (prime, integer k) pairs, reduced so that equal
-values have one form.  Multiplication, division and rational powers are
-then integer arithmetic on that form.  Two values compare exactly (raise
-both sides to L and compare integers), and decimals render with directed
-rounding, so an emitted upper bound is never understated and a constant
-sitting in a denominator is never overstated.
+values have one form.  One routine, `PowerProduct._product`, forms every
+product of rational powers by integer arithmetic on that form.  Two values
+compare exactly (raise their quotient to L and compare integers), and
+decimals render with directed rounding, so an emitted upper bound is never
+understated and a constant sitting in a denominator is never overstated.
 """
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Union
 
 Rational = Union[int, Fraction]
 
@@ -108,22 +107,10 @@ class PowerProduct:
 
     Stored as one exponent denominator L >= 1 and a tuple of (p, k) pairs,
     primes increasing, every k nonzero, gcd(L, all k) = 1; so each value has
-    exactly one form, and arithmetic on it is integer arithmetic.
+    exactly one form, and two values are equal when their forms are.
     """
 
     __slots__ = ("_L", "_pairs")
-
-    def __new__(cls, factors: Mapping[int, Rational] | None = None) -> "PowerProduct":
-        exps: dict[int, Fraction] = {}
-        for base, e in (factors or {}).items():
-            if base < 1:
-                raise ValueError(f"PowerProduct bases must be >= 1, got {base}")
-            e = Fraction(e)
-            for p, k in _factorize(base):
-                exps[p] = exps.get(p, 0) + k * e
-        L = math.lcm(*(e.denominator for e in exps.values()))
-        return cls._reduced(L, [(p, e.numerator * (L // e.denominator))
-                                for p, e in sorted(exps.items()) if e])
 
     @classmethod
     def _reduced(cls, L: int, pairs: list[tuple[int, int]]) -> "PowerProduct":
@@ -135,26 +122,11 @@ class PowerProduct:
         x._pairs = tuple(pairs) if g == 1 else tuple((p, k // g) for p, k in pairs)
         return x
 
-    @property
-    def factors(self) -> dict[int, Fraction]:
-        """{prime: exponent}, a new dict on every read."""
-        return {p: Fraction(k, self._L) for p, k in self._pairs}
-
     @staticmethod
     def from_int(n: int) -> "PowerProduct":
         if n <= 0:
             raise ValueError("PowerProduct represents positive values only")
         return PowerProduct._reduced(1, _factorize(n))
-
-    @staticmethod
-    def from_fraction(q: Rational) -> "PowerProduct":
-        q = Fraction(q)
-        if q <= 0:
-            raise ValueError("PowerProduct represents positive values only")
-        # numerator and denominator are coprime: no prime occurs twice
-        pairs = _factorize(q.numerator) + tuple(
-            (p, -k) for p, k in _factorize(q.denominator))
-        return PowerProduct._reduced(1, sorted(pairs))
 
     @classmethod
     def _product(cls, terms) -> "PowerProduct":
@@ -167,20 +139,6 @@ class PowerProduct:
                 exps[p] = exps.get(p, 0) + k * s
         return cls._reduced(L, sorted((p, k) for p, k in exps.items() if k))
 
-    def __mul__(self, other: "PowerProduct | Rational") -> "PowerProduct":
-        return PowerProduct._product(((self, 1, 1), (_coerce(other), 1, 1)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "PowerProduct | Rational") -> "PowerProduct":
-        return PowerProduct._product(((self, 1, 1), (_coerce(other), -1, 1)))
-
-    def __pow__(self, exponent: Rational) -> "PowerProduct":
-        e = Fraction(exponent)
-        return PowerProduct._product(((self, e.numerator, e.denominator),))
-
-    # -- exact comparison ------------------------------------------------
-
     def _root_data(self) -> tuple[int, int, int]:
         """Return (num, den, L) with value == (num/den) ** (1/L)."""
         num = den = 1
@@ -191,46 +149,18 @@ class PowerProduct:
                 den *= p ** -k
         return num, den, self._L
 
-    def compare(self, other: "PowerProduct | Rational") -> int:
-        num, den, _ = (self / other)._root_data()
+    def compare(self, other: "PowerProduct") -> int:
+        """-1, 0 or 1 as self is below, equal to or above other, exactly."""
+        num, den, _ = PowerProduct._product(((self, 1, 1), (other, -1, 1)))._root_data()
         return (num > den) - (num < den)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (PowerProduct, int, Fraction)):
-            other = _coerce(other)
+        if isinstance(other, PowerProduct):
             return self._L == other._L and self._pairs == other._pairs
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._L > 1:
-            return hash((self._L, self._pairs))
-        # a rational value hashes as its Fraction, since __eq__ accepts ints
-        # and Fractions: num * den**-1 modulo the hash modulus P, found
-        # prime by prime without forming num and den (Python's numeric hash)
-        P = sys.hash_info.modulus
-        num = den = 1
-        for p, k in self._pairs:
-            if k > 0:
-                num = num * pow(p, k, P) % P
-            else:
-                den = den * pow(p, -k, P) % P
-        if den == 0:
-            return hash(num * sys.hash_info.inf)
-        return num * pow(den, -1, P) % P
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
-    # -- decimal rendering ----------------------------------------------
+        return hash((self._L, self._pairs))
 
     def decimal(self, digits: int = 12, round_up: bool = False) -> str:
         """Decimal string with `digits` significant digits, directed rounding.
@@ -260,16 +190,8 @@ class PowerProduct:
         return _format_scaled(m, -s)
 
     def __repr__(self) -> str:
-        if not self._pairs:
-            return "PowerProduct(1)"
-        parts = [f"{p}^{e}" for p, e in self.factors.items()]
-        return "PowerProduct(" + " * ".join(parts) + ")"
-
-
-def _coerce(x: "PowerProduct | Rational") -> PowerProduct:
-    if isinstance(x, PowerProduct):
-        return x
-    return PowerProduct.from_fraction(x)
+        parts = [f"{p}^{Fraction(k, self._L)}" for p, k in self._pairs]
+        return "PowerProduct(" + (" * ".join(parts) or "1") + ")"
 
 
 def _format_scaled(m: int, e: int) -> str:

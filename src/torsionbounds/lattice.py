@@ -200,7 +200,7 @@ def _checked_conjugates(G: AdicGroup, T: LatticeBasis, k: int,
 
 
 def subgroup_orders(gens: Sequence[Entries], l: int, k: int) -> list[int]:
-    """Orders of <gens> mod l^j for j = 1..k, from one closure mod l.
+    """Orders of <gens> mod l^j for j = 1..k (k >= 1), from one closure mod l.
 
     K_j is the kernel of reduction GL2(Z/l^k) -> GL2(Z/l^j).  At k = 1 the
     order is that of the closure mod l.  For k >= 2 the image mod l is built
@@ -229,8 +229,6 @@ def subgroup_orders(gens: Sequence[Entries], l: int, k: int) -> list[int]:
     |image mod l| * l**(d_1 + ... + d_(j-1)), d_i the size of layer i.
     Relators are formed and sifted only until every layer is full.
     """
-    if k < 1:
-        raise LatticeError(f"precision must be >= 1, got {k}")
     top = l ** k
     raw = list(dict.fromkeys(gens))
     if k == 1:

@@ -19,7 +19,6 @@ from .modmatrix import (
     Mat2,
     SubgroupModN,
     _count_gl2,
-    _encode,
     _lifts,
     _unit_table,
     b1_subgroup,
@@ -150,7 +149,8 @@ def _check_preimage_suite(report, max_n):
     checked = 0
     pres_bad, detect_bad = [], []
     for n in range(2, top + 1):
-        kernels = {m: _reduction_kernel(n, m) for m in _divisors(n)}
+        # |K_m| = |GL2(Z/n)| / |GL2(Z/m)|, the reduction n -> m being onto
+        gl2 = {m: _count_gl2(m) for m in _divisors(n)}
         for name, G in subgroup_family(n):
             entries = [_entries_of(code, n) for code in G.codes]
             for m in _divisors(n):
@@ -161,7 +161,7 @@ def _check_preimage_suite(report, max_n):
                 inside = sum(1 for a, b, c, d in entries
                              if not b % m and not c % m
                              and not (a - 1) % m and not (d - 1) % m)
-                truth = inside == len(kernels[m])
+                truth = inside == gl2[n] // gl2[m]
                 if claimed != truth:
                     detect_bad.append((n, name, m))
                 # indices as exact fractions: a wrong closed form for
@@ -184,11 +184,6 @@ def _entries_of(code: int, n: int) -> tuple[int, int, int, int]:
     code, c = divmod(code, n)
     a, b = divmod(code, n)
     return a, b, c, d
-
-
-def _reduction_kernel(n: int, m: int) -> list[int]:
-    """Codes of all matrices = I mod m with unit determinant mod n."""
-    return list(_lifts([_encode((1 % m, 0, 0, 1 % m), m)], m, n))
 
 
 def _check_crt_orders(report, max_n):
@@ -275,7 +270,7 @@ def _check_b_epsilon(report):
                 best_n = n
         if best_n != b.witness:
             bad.append((eps, best_n, b.witness))
-        if last is not None and b.value < last:
+        if last is not None and b.value.compare(last) < 0:
             bad.append((eps, "not monotone"))
         last = b.value
     report.add("b-epsilon-primorial-scan", "n<=10^4 oracle", not bad,

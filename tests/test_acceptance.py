@@ -17,17 +17,18 @@ from torsionbounds.bounds import (
     exponent_candidates,
     theorem_bounds,
 )
-from torsionbounds.exactvalue import PowerProduct
 from torsionbounds.lattice import bundled_scenarios, run_scenario
 from torsionbounds.modmatrix import (
+    _count_gl2,
     b1_subgroup,
     enumerate_gl2,
     is_full_preimage,
     reduce_subgroup,
     subgroup_index,
 )
-from torsionbounds.verify import _phi_sieve, _reduction_kernel, subgroup_family
+from torsionbounds.verify import _phi_sieve, subgroup_family
 
+from dict_power_product import DictPowerProduct, assert_matches, from_library
 from entry_codes import entries
 
 
@@ -54,12 +55,13 @@ def test_preimage_suite_up_to_24():
     """Full preimages preserve the index; non-full ones are detected.
 
     Detection oracle: the elements of G that are the identity mod m, counted
-    and compared with the size of the enumerated reduction kernel,
-    independent of the Lagrange test and kernel lookups under test.
+    and compared with the size |GL2(Z/n)| / |GL2(Z/m)| of the reduction
+    kernel, each order counted from the products x*y mod n, independent of
+    the Lagrange test and the lift scan under test.
     """
     families = 0
     for n in range(2, 25):
-        kernels = {m: _reduction_kernel(n, m) for m in _divisors(n)}
+        gl2 = {m: _count_gl2(m) for m in _divisors(n)}
         for name, G in subgroup_family(n):
             families += 1
             elems = entries(G)
@@ -68,7 +70,7 @@ def test_preimage_suite_up_to_24():
                 inside = sum(1 for a, b, c, d in elems
                              if not b % m and not c % m
                              and not (a - 1) % m and not (d - 1) % m)
-                truth = inside == len(kernels[m])
+                truth = inside == gl2[n] // gl2[m]
                 assert claimed == truth, (n, name, m)
                 if claimed:
                     image = reduce_subgroup(G, m)
@@ -103,7 +105,8 @@ def test_b_epsilon_equals_brute_force_minimum_to_1e6(eps):
     """Primorial scan == brute-force min of phi(n)/n^(1-eps) over n <= 10^6.
 
     Float scan locates near-minimal n; the winner among them is confirmed by
-    exact integer comparison, then matched symbolically against b_epsilon.
+    exact integer comparison, then matched against b_epsilon by form and
+    decimals on the dict oracle.
     """
     limit = 10 ** 6
     phi = _phi_table(limit)
@@ -126,9 +129,8 @@ def test_b_epsilon_equals_brute_force_minimum_to_1e6(eps):
 
     c = b_epsilon(eps)
     assert c.witness == best
-    expected = (PowerProduct.from_int(phi[best])
-                * PowerProduct.from_int(best) ** (eps - 1))
-    assert c.value == expected
+    expected = DictPowerProduct({phi[best]: 1}) * DictPowerProduct({best: eps - 1})
+    assert_matches(c.value, expected)
 
 
 def test_sieve_candidates_below_exponent_bound():
@@ -143,10 +145,10 @@ def test_sieve_candidates_below_exponent_bound():
                 B = 2 * I * math.factorial(d0 - 1) * d
                 if B not in cache:
                     cache[B] = exponent_candidates(ctx).candidates
-                top = PowerProduct.from_int(max(cache[B]))
+                top = DictPowerProduct({max(cache[B]): 1})
                 for eps in grid:
                     bound = theorem_bounds(ctx, eps, digits=1).exponent_bound.exact
-                    assert top <= bound, (I, d0, d, eps)
+                    assert top.compare(from_library(bound)) <= 0, (I, d0, d, eps)
 
 
 def test_baseline_formulas_against_mpmath():

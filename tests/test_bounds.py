@@ -26,6 +26,8 @@ from torsionbounds.bounds import (
 from torsionbounds.cli import main
 from torsionbounds.exactvalue import PowerProduct
 
+from dict_power_product import DictPowerProduct, assert_matches, from_library
+
 RECORDS = Path(__file__).parent / "golden" / "records.csv"
 
 
@@ -166,32 +168,40 @@ def test_ceiling_past_the_printable_range_is_refused_unprinted():
 
 def _c_exact(I, d0, epsilon):
     """c_epsilon = (2 * I * (d0-1)! / b_eps)**(1/(2-eps)), composed by / and
-    ** as the library built it before each bound became one product."""
+    ** on the dict oracle, as the library built it before each bound became
+    one product."""
     if not 0 < epsilon < 2:
         raise BoundsError(f"epsilon must lie in (0, 2), got {epsilon}")
-    base = PowerProduct.from_int(2 * I * math.factorial(d0 - 1)) / _b_exact(epsilon)[1]
+    N = DictPowerProduct({2 * I * math.factorial(d0 - 1): 1})
+    base = N / from_library(_b_exact(epsilon)[1])
     return base ** Fraction(1, 2 - epsilon)
 
 
 def _theorem_bounds_oracle(ctx, eps):
     """(exponent bound, order bound): c_eps * d**(1/2+eps) and
     c_(eps/2)**2 * d**(1+eps), one operation at a time."""
-    d = PowerProduct.from_int(ctx.d)
+    d = DictPowerProduct({ctx.d: 1})
     return (_c_exact(ctx.I, ctx.d0, eps) * d ** (Fraction(1, 2) + eps),
             _c_exact(ctx.I, ctx.d0, eps / 2) ** 2 * d ** (1 + eps))
 
 
 def _bn_oracle(d):
     """(bn_exponent, bn_order): 720720 * sqrt(35) * sqrt(d), and twice that."""
-    root = PowerProduct.from_int(35) ** Fraction(1, 2) \
-        * PowerProduct.from_int(d) ** Fraction(1, 2)
-    return PowerProduct.from_int(720720) * root, PowerProduct.from_int(1441440) * root
+    root = DictPowerProduct({35: Fraction(1, 2)}) * DictPowerProduct({d: Fraction(1, 2)})
+    return DictPowerProduct({720720: 1}) * root, DictPowerProduct({1441440: 1}) * root
+
+
+def _assert_bound_matches(bound, oracle, digits):
+    """An UpperBoundValue has the oracle's form and renders as it does at
+    both roundings; the bound's own decimal is the rounded-up one."""
+    assert_matches(bound.exact, oracle, digits)
+    assert bound.decimal == oracle.decimal(digits, round_up=True)
 
 
 def test_c_epsilon_examples():
     c = _c_exact(2, 1, Fraction(1, 2))
     # (4 * sqrt(2))**(2/3) = 2**(5/3)
-    assert c == PowerProduct.from_int(2) ** Fraction(5, 3)
+    assert c == DictPowerProduct({2: Fraction(5, 3)})
     assert (c.decimal(5), c.decimal(5, round_up=True)) == ("3.1748", "3.1749")
     c4 = _c_exact(4, 1, Fraction(1, 2))
     assert (c4.decimal(5), c4.decimal(5, round_up=True)) == ("5.0396", "5.0397")
@@ -200,7 +210,7 @@ def test_c_epsilon_examples():
 def test_c_epsilon_monotone_in_index():
     for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(3, 4)):
         for I in (1, 2, 5, 24):
-            assert _c_exact(2 * I, 1, eps) > _c_exact(I, 1, eps)
+            assert _c_exact(2 * I, 1, eps).compare(_c_exact(I, 1, eps)) > 0
 
 
 def test_c_epsilon_domain():
@@ -239,15 +249,13 @@ def epsilons(draw):
 def test_bounds_match_the_composed_oracle(eps, ctx, digits):
     tb = theorem_bounds(ctx, eps, digits)
     expo, order = _theorem_bounds_oracle(ctx, eps)
-    assert (tb.exponent_bound.exact, tb.order_bound.exact) == (expo, order)
-    assert tb.exponent_bound.decimal == expo.decimal(digits, round_up=True)
-    assert tb.order_bound.decimal == order.decimal(digits, round_up=True)
+    _assert_bound_matches(tb.exponent_bound, expo, digits)
+    _assert_bound_matches(tb.order_bound, order, digits)
     assert tb.weak_epsilon == (eps >= 1)
     base = baselines(ctx.d, digits)
     bn_exp, bn_ord = _bn_oracle(ctx.d)
-    assert (base.bn_exponent.exact, base.bn_order.exact) == (bn_exp, bn_ord)
-    assert base.bn_exponent.decimal == bn_exp.decimal(digits, round_up=True)
-    assert base.bn_order.decimal == bn_ord.decimal(digits, round_up=True)
+    _assert_bound_matches(base.bn_exponent, bn_exp, digits)
+    _assert_bound_matches(base.bn_order, bn_ord, digits)
 
 
 def test_each_bound_is_one_product_and_n_is_factored_once(monkeypatch):
@@ -277,7 +285,7 @@ def test_theorem_bounds_degree_scaling():
     tb1 = theorem_bounds(BoundContext(2, 1, 1), Fraction(1, 2))
     tb4 = theorem_bounds(BoundContext(2, 1, 4), Fraction(1, 2))
     # d**(1/2+1/2) = 4
-    assert tb4.exponent_bound.exact == tb1.exponent_bound.exact * 4
+    assert from_library(tb4.exponent_bound.exact) == from_library(tb1.exponent_bound.exact) * 4
 
 
 def test_order_bound_is_square_of_half_epsilon_exponent_bound():
@@ -286,7 +294,7 @@ def test_order_bound_is_square_of_half_epsilon_exponent_bound():
             ctx = BoundContext(6, 2, d)
             order = theorem_bounds(ctx, eps).order_bound.exact
             half = theorem_bounds(ctx, eps / 2).exponent_bound.exact
-            assert order == half ** 2
+            assert from_library(order) == from_library(half) ** 2
 
 
 def test_theorem_bounds_renders_only_its_two_bounds(monkeypatch):
@@ -302,9 +310,9 @@ def test_theorem_bounds_renders_only_its_two_bounds(monkeypatch):
     tb = theorem_bounds(ctx, eps)
     assert calls == [tb.exponent_bound.exact, tb.order_bound.exact]
     # the constants it builds without rendering are c_epsilon's
-    d = PowerProduct.from_int(ctx.d)
-    assert tb.exponent_bound.exact == _c_exact(6, 2, eps) * d ** (Fraction(1, 2) + eps)
-    assert tb.order_bound.exact == _c_exact(6, 2, eps / 2) ** 2 * d ** (1 + eps)
+    expo, order = _theorem_bounds_oracle(ctx, eps)
+    assert_matches(tb.exponent_bound.exact, expo)
+    assert_matches(tb.order_bound.exact, order)
 
 
 # -- memos: each value built once per argument it depends on ----------------
@@ -332,11 +340,11 @@ def test_memoized_values_match_a_cold_call_and_the_oracle(I, d0, d, eps, digits)
     cold_set, cold = exponent_candidates(ctx), theorem_bounds(ctx, eps, digits)
     assert warm_sets == [cold_set, cold_set]
     expo, order = _theorem_bounds_oracle(ctx, eps)
-    for tb in warm + [cold]:
-        assert (tb.exponent_bound.exact, tb.order_bound.exact) == (expo, order)
-        assert tb.exponent_bound.decimal == expo.decimal(digits, round_up=True)
-        assert tb.order_bound.decimal == order.decimal(digits, round_up=True)
-        assert tb.weak_epsilon == (eps >= 1)
+    _assert_bound_matches(cold.exponent_bound, expo, digits)
+    _assert_bound_matches(cold.order_bound, order, digits)
+    assert cold.weak_epsilon == (eps >= 1)
+    # equal exact values and equal decimals
+    assert warm == [cold, cold]
 
 
 def test_bounds_command_builds_each_value_once(monkeypatch, capsys):
@@ -378,16 +386,16 @@ def test_weak_epsilon_flagged():
 def test_decimal_bounds_round_up():
     tb = theorem_bounds(BoundContext(2, 1, 10), Fraction(1, 2), digits=6)
     # the rendered decimal never understates the exact value
-    assert PowerProduct.from_fraction(
-        Fraction(tb.exponent_bound.decimal)) >= tb.exponent_bound.exact
-    assert PowerProduct.from_fraction(
-        Fraction(tb.order_bound.decimal)) >= tb.order_bound.exact
+    for bound in (tb.exponent_bound, tb.order_bound):
+        assert DictPowerProduct.from_fraction(
+            Fraction(bound.decimal)).compare(from_library(bound.exact)) >= 0
 
 
 def test_d1_candidates_below_exponent_bound():
     cs = exponent_candidates(BoundContext(2, 1, 1))
     tb = theorem_bounds(BoundContext(2, 1, 1), Fraction(1, 2))
-    assert PowerProduct.from_int(max(cs.candidates)) <= tb.exponent_bound.exact
+    assert DictPowerProduct({max(cs.candidates): 1}).compare(
+        from_library(tb.exponent_bound.exact)) <= 0
 
 
 # -- small epsilon against mpmath -------------------------------------------
@@ -476,9 +484,8 @@ def test_bourdon_najman_baseline():
     base = baselines(9)
     assert base.bn_applicable
     # 720720 * sqrt(35) * sqrt(9)
-    assert base.bn_exponent.exact \
-        == PowerProduct.from_int(2162160) * PowerProduct.from_int(35) ** Fraction(1, 2)
-    assert base.bn_order.exact == 2 * base.bn_exponent.exact
+    assert_matches(base.bn_exponent.exact, DictPowerProduct({2162160: 1, 35: Fraction(1, 2)}))
+    assert from_library(base.bn_order.exact) == from_library(base.bn_exponent.exact) * 2
     assert not baselines(2).bn_applicable
 
 

@@ -1,4 +1,4 @@
-"""Exact prime-power products: arithmetic, comparison, directed rounding."""
+"""Exact prime-power products: the one product, comparison, directed rounding."""
 import math
 from fractions import Fraction
 
@@ -9,11 +9,12 @@ from torsionbounds import exactvalue
 from torsionbounds.exactvalue import (
     PRIME_TEST_LIMIT,
     PowerProduct,
-    _factorize,
     _format_scaled,
     _is_prime,
     integer_nth_root,
 )
+
+from dict_power_product import DictPowerProduct, assert_matches, to_library
 
 
 # keep numerators and denominators small: construction factorizes them
@@ -23,94 +24,99 @@ rationals = st.builds(
     st.integers(min_value=1, max_value=10 ** 6))
 
 
+def _root(n, a, b):
+    """n ** (a/b) by the library."""
+    return PowerProduct._product(((PowerProduct.from_int(n), a, b),))
+
+
+def _from_fraction(q):
+    """The rational q by the library: its numerator over its denominator."""
+    return PowerProduct._product(((PowerProduct.from_int(q.numerator), 1, 1),
+                                  (PowerProduct.from_int(q.denominator), -1, 1)))
+
+
 def test_from_int_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        PowerProduct.from_int(0)
-    with pytest.raises(ValueError):
-        PowerProduct.from_fraction(Fraction(-1, 2))
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            PowerProduct.from_int(n)
 
 
 def test_one_is_empty_product():
-    assert PowerProduct.from_int(1) == PowerProduct({})
-    assert PowerProduct({}) == Fraction(1)
-
-
-@pytest.mark.parametrize("base", [0, -1, -12])
-def test_bases_below_one_are_refused(base):
-    with pytest.raises(ValueError, match="bases must be >= 1"):
-        PowerProduct({base: 1})
+    one = PowerProduct.from_int(1)
+    assert (one._L, one._pairs) == (1, ())
+    assert one == PowerProduct._product(()) == _root(6, 0, 1)
+    assert repr(one) == "PowerProduct(1)"
 
 
 def test_factors_are_computed_over_prime_bases():
-    x = PowerProduct({12: Fraction(1, 2), 3: Fraction(-1, 6), 1: 5})
-    assert x.factors == {2: Fraction(1), 3: Fraction(1, 3)}
-    x.factors[2] = Fraction(7)  # a new dict on every read
-    assert x.factors == {2: Fraction(1), 3: Fraction(1, 3)}
-    with pytest.raises(AttributeError):
-        x.factors = {}
-    assert PowerProduct({6: 1, 2: -1, 3: -1}).factors == {}
+    # 12**(1/2) * 3**(-1/6) * 1**5 = 2 * 3**(1/3)
+    x = PowerProduct._product(((PowerProduct.from_int(12), 1, 2),
+                               (PowerProduct.from_int(3), -1, 6),
+                               (PowerProduct.from_int(1), 5, 1)))
+    assert (x._L, x._pairs) == (3, ((2, 3), (3, 1)))
+    assert repr(x) == "PowerProduct(2^1 * 3^1/3)"
+    assert _root(6, 1, 1) == _from_fraction(Fraction(6))
+    assert _from_fraction(Fraction(6, 6)) == PowerProduct.from_int(1)
 
 
 @given(rationals, rationals)
 def test_mul_div_match_fraction_arithmetic(a, b):
-    x = PowerProduct.from_fraction(a)
-    y = PowerProduct.from_fraction(b)
-    assert x * y == a * b
-    assert x / y == a / b
+    x, y = _from_fraction(a), _from_fraction(b)
+    assert_matches(PowerProduct._product(((x, 1, 1), (y, 1, 1))),
+                   DictPowerProduct.from_fraction(a * b))
+    assert_matches(PowerProduct._product(((x, 1, 1), (y, -1, 1))),
+                   DictPowerProduct.from_fraction(a / b))
 
 
 @given(rationals, st.integers(min_value=-6, max_value=6))
 def test_integer_powers_match_fraction_arithmetic(a, k):
-    x = PowerProduct.from_fraction(a)
-    assert x ** k == Fraction(a) ** k
+    x = _from_fraction(a)
+    assert_matches(PowerProduct._product(((x, k, 1),)),
+                   DictPowerProduct.from_fraction(Fraction(a) ** k))
 
 
 @given(rationals, rationals)
 def test_comparison_agrees_with_fractions(a, b):
-    x = PowerProduct.from_fraction(a)
-    y = PowerProduct.from_fraction(b)
-    assert (x < y) == (a < b)
+    x, y = _from_fraction(a), _from_fraction(b)
+    assert x.compare(y) == (a > b) - (a < b)
     assert (x == y) == (a == b)
-    assert (x >= y) == (a >= b)
 
 
 def test_hash_agrees_with_eq():
-    assert len({PowerProduct.from_int(6), 6}) == 1
-    assert hash(PowerProduct({4: 1})) == hash(PowerProduct({2: 2}))
-    assert hash(PowerProduct({4: Fraction(1, 2)})) == hash(2)
-    assert hash(PowerProduct({12: Fraction(1, 3)})) \
-        == hash(PowerProduct({2: Fraction(2, 3), 3: Fraction(1, 3)}))
-    assert hash(PowerProduct({6: 1, 3: -1})) == hash(PowerProduct.from_int(2))
+    two = PowerProduct.from_int(2)
+    six = PowerProduct._product(((two, 1, 1), (_root(3, 1, 1), 1, 1)))
+    assert len({PowerProduct.from_int(6), six}) == 1
+    assert hash(PowerProduct.from_int(4)) == hash(_root(2, 2, 1))
+    assert hash(_root(4, 1, 2)) == hash(two)
+    assert hash(_root(12, 1, 3)) \
+        == hash(PowerProduct._product(((two, 2, 3), (_root(3, 1, 3), 1, 1))))
+    # equality is between PowerProducts alone
+    assert PowerProduct.from_int(6) != 6 and two != Fraction(2)
 
 
 @given(st.dictionaries(st.integers(min_value=2, max_value=60),
                        st.fractions(min_value=-3, max_value=3, max_denominator=4),
                        max_size=4))
 def test_equal_values_hash_equal(factors):
-    x = PowerProduct(factors)
-    canonical = PowerProduct({})
-    for base, e in factors.items():
-        canonical = canonical * PowerProduct.from_int(base) ** e
+    x = PowerProduct._product([(PowerProduct.from_int(base), e.numerator, e.denominator)
+                               for base, e in factors.items()])
+    canonical = to_library(DictPowerProduct(factors))
     assert x == canonical and hash(x) == hash(canonical)
-    if all(e.denominator == 1 for e in canonical.factors.values()):
-        q = math.prod(Fraction(p) ** int(e) for p, e in canonical.factors.items())
-        assert x == q and hash(x) == hash(q)
+    assert_matches(x, DictPowerProduct(factors))
 
 
 def test_irrational_comparison_is_exact():
     # 2**(1/2) vs 3**(1/3): 2**3 = 8 < 9 = 3**2, so 2**(1/2) < 3**(1/3)
-    sqrt2 = PowerProduct.from_int(2) ** Fraction(1, 2)
-    cbrt3 = PowerProduct.from_int(3) ** Fraction(1, 3)
-    assert sqrt2 < cbrt3
+    sqrt2, cbrt3 = _root(2, 1, 2), _root(3, 1, 3)
+    assert (sqrt2.compare(cbrt3), cbrt3.compare(sqrt2)) == (-1, 1)
     assert not sqrt2 == cbrt3
     # and a very tight pair: 5**(1/5) vs 2**(2/5) = 4**(1/5)
-    assert PowerProduct.from_int(2) ** Fraction(2, 5) \
-        < PowerProduct.from_int(5) ** Fraction(1, 5)
+    assert _root(2, 2, 5).compare(_root(5, 1, 5)) == -1
 
 
 def test_pow_roundtrip_cancels():
-    x = PowerProduct.from_int(12) ** Fraction(3, 7)
-    assert x ** Fraction(7, 3) == Fraction(12)
+    x = _root(12, 3, 7)
+    assert PowerProduct._product(((x, 7, 3),)) == PowerProduct.from_int(12)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 4000),
@@ -130,11 +136,11 @@ def test_integer_nth_root_of_exact_powers(r, n):
 
 def test_decimal_rational_exact():
     assert PowerProduct.from_int(376164).decimal(12) == "376164.000000"
-    assert PowerProduct.from_fraction(Fraction(1, 4)).decimal(3) == "0.250"
+    assert _from_fraction(Fraction(1, 4)).decimal(3) == "0.250"
 
 
 def test_decimal_directed_rounding_sqrt2():
-    sqrt2 = PowerProduct.from_int(2) ** Fraction(1, 2)
+    sqrt2 = _root(2, 1, 2)
     down = sqrt2.decimal(12, round_up=False)
     up = sqrt2.decimal(12, round_up=True)
     assert down == "1.41421356237"
@@ -144,7 +150,7 @@ def test_decimal_directed_rounding_sqrt2():
 @given(rationals, st.integers(min_value=1, max_value=10),
        st.integers(min_value=2, max_value=5))
 def test_decimal_brackets_the_true_value(q, digits, root):
-    x = PowerProduct.from_fraction(q) ** Fraction(1, root)
+    x = PowerProduct._product(((_from_fraction(q), 1, root),))
     lo = Fraction(x.decimal(digits, round_up=False))
     hi = Fraction(x.decimal(digits, round_up=True))
     assert lo ** root <= q <= hi ** root
@@ -152,21 +158,19 @@ def test_decimal_brackets_the_true_value(q, digits, root):
 
 
 def test_decimal_scientific_for_extremes():
-    big = PowerProduct.from_int(10) ** 30
-    assert big.decimal(3) == "1.00e+30"
-    small = PowerProduct.from_fraction(Fraction(1, 10 ** 30))
-    assert small.decimal(3) == "1.00e-30"
+    assert _root(10, 30, 1).decimal(3) == "1.00e+30"
+    assert _root(10, -30, 1).decimal(3) == "1.00e-30"
 
 
 def test_decimal_of_a_tiny_value():
-    tiny = PowerProduct.from_fraction(Fraction(1, 10 ** 400))
+    tiny = _from_fraction(Fraction(1, 10 ** 400))
     assert tiny.decimal() == "1.00000000000e-400"
     assert tiny.decimal(3, round_up=True) == "1.00e-400"
-    assert (tiny ** Fraction(1, 3)).decimal(4) == "4.641e-134"
+    assert PowerProduct._product(((tiny, 1, 3),)).decimal(4) == "4.641e-134"
 
 
 def test_float_matches_math_sqrt():
-    sqrt2 = PowerProduct.from_int(2) ** Fraction(1, 2)
+    sqrt2 = _root(2, 1, 2)
     assert math.isclose(float(sqrt2.decimal(17)), math.sqrt(2), rel_tol=1e-15)
 
 
@@ -203,7 +207,7 @@ def _oracle_decimal(x: PowerProduct, digits: int, round_up: bool) -> str:
 # products of small primes with exponents of denominator <= 12, some times
 # 10**400 or 10**-400
 small_products = st.builds(
-    lambda factors, t: PowerProduct(factors) * PowerProduct({2: t, 5: t}),
+    lambda factors, t: to_library(DictPowerProduct(factors) * DictPowerProduct({10: t})),
     st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13]),
                     st.fractions(min_value=-30, max_value=30, max_denominator=12),
                     max_size=3),
@@ -212,9 +216,9 @@ small_products = st.builds(
 
 # the float estimate of the exponent is one too low for 7 * 10**64 / 7 and
 # one too high for (10**30 - 1)**(1/2), so the exponent must step once
-@example(PowerProduct({70: 1, 10: 63, 7: -1}), 12, False)
-@example(PowerProduct.from_int(10 ** 30 - 1) ** Fraction(1, 2), 12, True)
-@example(PowerProduct({2: -400, 5: -400}), 25, True)
+@example(to_library(DictPowerProduct({70: 1, 10: 63, 7: -1})), 12, False)
+@example(to_library(DictPowerProduct({10 ** 30 - 1: Fraction(1, 2)})), 12, True)
+@example(_root(10, -400, 1), 25, True)
 @settings(max_examples=300, deadline=None)
 @given(small_products, st.integers(min_value=1, max_value=25), st.booleans())
 def test_decimal_matches_the_old_renderer(x, digits, round_up):
@@ -224,18 +228,20 @@ def test_decimal_matches_the_old_renderer(x, digits, round_up):
 def test_decimal_takes_the_root_data_once(monkeypatch):
     calls = []
     real = PowerProduct._root_data
+    x = _root(2, 1, 3)
 
     def counted(self):
         calls.append(self)
         return real(self)
 
     monkeypatch.setattr(PowerProduct, "_root_data", counted)
-    (PowerProduct.from_int(2) ** Fraction(1, 3)).decimal(12, round_up=True)
+    x.decimal(12, round_up=True)
     assert len(calls) == 1
 
 
 def test_hash_and_root_data_neither_factor_nor_build_fractions(monkeypatch):
-    values = [PowerProduct({12: Fraction(1, 3), 5: -2}), PowerProduct({6: 2, 7: -1})]
+    values = [to_library(DictPowerProduct({12: Fraction(1, 3), 5: -2})),
+              to_library(DictPowerProduct({6: 2, 7: -1}))]
 
     def refuse(*args):
         raise AssertionError("called")
@@ -247,105 +253,8 @@ def test_hash_and_root_data_neither_factor_nor_build_fractions(monkeypatch):
         x._root_data()
 
 
-# -- the {base: Fraction} PowerProduct from before the integer form: kept as
-# the oracle for arithmetic, comparison, hashing and rendering --------------
-
-class DictPowerProduct:
-    """A positive real number prod(b ** e), integer b >= 1, rational e."""
-
-    def __init__(self, factors):
-        self.factors = factors
-
-    @staticmethod
-    def from_fraction(q):
-        q = Fraction(q)
-        if q <= 0:
-            raise ValueError("PowerProduct represents positive values only")
-        f = {p: Fraction(k) for p, k in _factorize(q.numerator)}
-        for p, k in _factorize(q.denominator):
-            f[p] = f.get(p, Fraction(0)) - k
-        return DictPowerProduct({p: e for p, e in f.items() if e})
-
-    def __mul__(self, other):
-        other = _dict_coerce(other)
-        f = dict(self.factors)
-        for p, e in other.factors.items():
-            e2 = f.get(p, Fraction(0)) + e
-            if e2:
-                f[p] = e2
-            else:
-                f.pop(p, None)
-        return DictPowerProduct(f)
-
-    def __truediv__(self, other):
-        return self * _dict_coerce(other) ** -1
-
-    def __pow__(self, exponent):
-        exponent = Fraction(exponent)
-        if exponent == 0:
-            return DictPowerProduct({})
-        return DictPowerProduct({p: e * exponent for p, e in self.factors.items()})
-
-    def _root_data(self):
-        L = 1
-        for e in self.factors.values():
-            L = math.lcm(L, e.denominator)
-        num = den = 1
-        for p, e in self.factors.items():
-            k = int(e * L)
-            if k >= 0:
-                num *= p ** k
-            else:
-                den *= p ** (-k)
-        return num, den, L
-
-    def compare(self, other):
-        num, den, _ = (self / _dict_coerce(other))._root_data()
-        return (num > den) - (num < den)
-
-    def __eq__(self, other):
-        if isinstance(other, (DictPowerProduct, int, Fraction)):
-            return self.compare(other) == 0
-        return NotImplemented
-
-    def __hash__(self):
-        primes = {}
-        for base, e in self.factors.items():
-            for p, k in _factorize(base):
-                primes[p] = primes.get(p, 0) + k * e
-        primes = {p: e for p, e in primes.items() if e}
-        if all(e.denominator == 1 for e in primes.values()):
-            return hash(math.prod(Fraction(p) ** int(e) for p, e in primes.items()))
-        return hash(frozenset(primes.items()))
-
-    def decimal(self, digits, round_up=False):
-        num, den, L = self._root_data()
-        s = digits - 1 - math.floor(math.log10(num) - math.log10(den)) // L
-        while True:
-            tn, td = (num * 10 ** (s * L), den) if s >= 0 else (num, den * 10 ** (-s * L))
-            m = integer_nth_root(tn // td, L)
-            if m < 10 ** (digits - 1):
-                s += 1
-            elif m >= 10 ** digits:
-                s -= 1
-            else:
-                break
-        if round_up and m ** L * td != tn:
-            m += 1
-        return _format_scaled(m, -s)
-
-
-def _dict_coerce(x):
-    return x if isinstance(x, DictPowerProduct) else DictPowerProduct.from_fraction(x)
-
-
-def _prime_exponents(x: DictPowerProduct) -> dict:
-    primes = {}
-    for base, e in x.factors.items():
-        for p, k in _factorize(base):
-            primes[p] = primes.get(p, 0) + k * e
-    return {p: e for p, e in primes.items() if e}
-
+# -- the one product against the dict oracle, which forms each value one
+# product, quotient and power at a time ------------------------------------
 
 # composite bases 2..60 with exponents of denominator <= 12, then a chain
 # of products, quotients and rational powers; all exponents of one value
@@ -372,21 +281,24 @@ def chained_values(draw):
     return draw(factors(4)), chain
 
 
-def _apply(x, chain, cls):
-    for op, arg in chain:
-        if op == "pow":
-            x = x ** arg
-        elif op == "mul":
-            x = x * cls(arg)
-        else:
-            x = x / cls(arg)
-    return x
+def _library_value(factors):
+    return PowerProduct._product([(PowerProduct.from_int(base), e.numerator, e.denominator)
+                                  for base, e in factors.items()])
 
 
 def _both(value):
+    """The chained value by `_product`, one call per step, and by the oracle."""
     f, chain = value
-    return (_apply(PowerProduct(f), chain, PowerProduct),
-            _apply(DictPowerProduct(f), chain, DictPowerProduct))
+    x, old = _library_value(f), DictPowerProduct(f)
+    for op, arg in chain:
+        if op == "pow":
+            x = PowerProduct._product(((x, arg.numerator, arg.denominator),))
+            old = old ** arg
+        else:
+            sign = 1 if op == "mul" else -1
+            x = PowerProduct._product(((x, 1, 1), (_library_value(arg), sign, 1)))
+            old = old * DictPowerProduct(arg) ** sign
+    return x, old
 
 
 @settings(max_examples=150, deadline=None)
@@ -394,21 +306,12 @@ def _both(value):
 def test_integer_form_matches_the_dict_oracle(value, other, digits):
     x, old = _both(value)
     y, old_y = _both(other)
-    assert x.factors == _prime_exponents(old)
-    for round_up in (False, True):
-        assert x.decimal(digits, round_up) == old.decimal(digits, round_up)
+    assert_matches(x, old, digits)
     assert x.compare(y) == old.compare(old_y)
     assert (x == y) == (old == old_y)
-    # the same value by another path has the same form and hash
-    same = PowerProduct(old.factors)
+    # the same value by another path has the same form, hash and repr
+    same = to_library(old)
     assert x == same and hash(x) == hash(same) and repr(x) == repr(same)
-    if all(e.denominator == 1 for e in x.factors.values()):
-        q = math.prod(Fraction(p) ** int(e) for p, e in x.factors.items())
-        assert x == q and old == q
-        assert hash(x) == hash(q) == hash(old)
-    else:
-        # three digits keep the Fraction cheap to factor
-        assert x != Fraction(x.decimal(3)) and old != Fraction(old.decimal(3))
 
 
 @settings(max_examples=100, deadline=None)
@@ -423,8 +326,8 @@ def test_one_product_matches_the_chained_operations(terms):
     want = DictPowerProduct({})
     for value, a, b in terms:
         want = want * _both(value)[1] ** Fraction(a, b)
-    assert got.factors == _prime_exponents(want)
-    assert got == PowerProduct(want.factors)
+    # by form alone: L reaches the thousands here, too many for a render
+    assert (got._L, got._pairs) == want.form()
 
 
 # -- the primality test against trial division --------------------------------

@@ -706,11 +706,6 @@ def test_layered_order_cap_guards_the_mod_l_scan(monkeypatch):
     assert gl2_order(8) == 1536
 
 
-def test_layered_order_rejects_wrong_modulus():
-    with pytest.raises(LatticeError, match="precision must be >= 1, got 0"):
-        subgroup_orders([(1, 0, 0, 1)], 2, 0)
-
-
 # -- one sift per lattice against the per-precision path --------------------
 
 def _per_precision_reports(sc):

@@ -265,7 +265,9 @@ def test_verify_scan_mismatch_fails_with_exit_2(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "verify", "--max-n", "6")
     assert (code, err) == (2, "")
     assert "FAIL gl2-order-vs-enumeration [n<=:6] mismatches at [5]\n" in out
-    assert "1 failed" in out
+    # the same count sizes the reduction kernel of the detection check
+    assert "FAIL preimage-detection [n<=:6] violations [(5, 'full', 1)]\n" in out
+    assert "2 failed" in out
 
 
 def test_verify_wrong_gl2_order_fails_the_preimage_suite(monkeypatch, capsys):
