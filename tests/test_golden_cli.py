@@ -129,6 +129,14 @@ CASES = {
     "lattice-check-index-over-4300-digits-json": ["lattice-check", "--scenario-file",
                                                   "index_over_4300_digits.txt",
                                                   "--format", "json"],
+    "candidates-i6": ["candidates", "--index", "6"],
+    "candidates-i6-json": ["candidates", "--index", "6", "--format", "json"],
+    "b-epsilon-1-58": ["b-epsilon", "--epsilon", "1/58"],
+    "b-epsilon-1-100000": ["b-epsilon", "--epsilon", "1/100000"],
+    "b-epsilon-1-10000000": ["b-epsilon", "--epsilon", "1/10000000"],
+    "b1-index-101": ["b1-index", "--n", "101", "--verify"],
+    "lattice-check-full-image-l31": ["lattice-check", "--scenario-file",
+                                     "full_image_l31.txt"],
 }
 
 
