@@ -58,13 +58,6 @@ class BoundsError(ValueError):
     pass
 
 
-class CeilingTooLargeError(BoundsError):
-    def __init__(self, ceiling, budget):
-        super().__init__(f"sieve ceiling {ceiling} exceeds budget {budget}")
-        self.ceiling = ceiling
-        self.budget = budget
-
-
 @dataclass(frozen=True)
 class BoundContext:
     """(adelic index I, base degree d0, target degree d), all >= 1."""
@@ -124,7 +117,7 @@ def exponent_candidates(ctx: BoundContext) -> CandidateSet:
     B = sieve_modulus(ctx)
     ceiling = _ceiling(B)
     if ceiling > CEILING_BUDGET:
-        raise CeilingTooLargeError(ceiling, CEILING_BUDGET)
+        raise BoundsError(f"sieve ceiling {ceiling} exceeds budget {CEILING_BUDGET}")
     return _sieve(B)
 
 

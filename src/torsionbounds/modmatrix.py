@@ -67,22 +67,6 @@ class ModMatrixError(ValueError):
     pass
 
 
-class InvalidModulusError(ModMatrixError):
-    pass
-
-
-class NotInvertibleError(ModMatrixError):
-    pass
-
-
-class ModulusMismatchError(ModMatrixError):
-    pass
-
-
-class NotADivisorError(ModMatrixError):
-    pass
-
-
 class EnumerationTooLargeError(ModMatrixError):
     def __init__(self, size, cap):
         super().__init__(f"enumeration of {size} elements exceeds cap {cap}")
@@ -346,11 +330,11 @@ class Mat2:
 
     def __init__(self, n: int, a: int, b: int, c: int, d: int):
         if n < 1:
-            raise InvalidModulusError(f"modulus must be >= 1, got {n}")
+            raise ModMatrixError(f"modulus must be >= 1, got {n}")
         a, b, c, d = a % n, b % n, c % n, d % n
         det = (a * d - b * c) % n
         if math.gcd(det, n) != 1:
-            raise NotInvertibleError(f"determinant {det} is not a unit mod {n}")
+            raise ModMatrixError(f"determinant {det} is not a unit mod {n}")
         # each slot written once, past the frozen __setattr__
         _set_n(self, n)
         _set_a(self, a)
@@ -405,7 +389,7 @@ class SubgroupModN:
 def gl2_order(n: int) -> int:
     """Order of GL2(Z/nZ)."""
     if n < 1:
-        raise InvalidModulusError(f"modulus must be >= 1, got {n}")
+        raise ModMatrixError(f"modulus must be >= 1, got {n}")
     order = 1
     for p, k in _factorize(n):
         order *= _gl2_prime_power_order(p, k)
@@ -435,8 +419,7 @@ def subgroup_closure(gens: Iterable[Mat2], n: int) -> SubgroupModN:
     entries = []
     for g in gens:
         if g.n != n:
-            raise ModulusMismatchError(
-                f"generator {g!r} has modulus {g.n}, expected {n}")
+            raise ModMatrixError(f"generator {g!r} has modulus {g.n}, expected {n}")
         entries.append(g.entries)
     # a frozenset from the closure's exit is taken as it is, not copied
     return SubgroupModN(n, frozenset(_closure(entries, n)))
@@ -445,7 +428,7 @@ def subgroup_closure(gens: Iterable[Mat2], n: int) -> SubgroupModN:
 def b1_subgroup(n: int) -> SubgroupModN:
     """Upper-triangular matrices mod n with first column (1,0); order n*phi(n)."""
     if n < 2:
-        raise InvalidModulusError(f"B1(n) is defined for n >= 2, got {n}")
+        raise ModMatrixError(f"B1(n) is defined for n >= 2, got {n}")
     units = [d for d in range(1, n) if math.gcd(d, n) == 1]
     nn = n * n
     # the code of (1, b, 0, d)
@@ -464,7 +447,7 @@ def reduce_subgroup(G: SubgroupModN, m: int) -> SubgroupModN:
     """Image of G under entrywise reduction mod m (m | n), through one table
     of the n^2 rows mod n reduced mod m."""
     if m < 1 or G.n % m != 0:
-        raise NotADivisorError(f"{m} does not divide modulus {G.n}")
+        raise ModMatrixError(f"{m} does not divide modulus {G.n}")
     if m == G.n:
         return G
     if m == 1:
@@ -478,9 +461,9 @@ def full_preimage(H: SubgroupModN, n: int) -> SubgroupModN:
     """Preimage of H under GL2(Z/nZ) -> GL2(Z/mZ), where m = H.n divides n."""
     m = H.n
     if n < 1:
-        raise InvalidModulusError(f"modulus must be >= 1, got {n}")
+        raise ModMatrixError(f"modulus must be >= 1, got {n}")
     if n % m != 0:
-        raise NotADivisorError(f"{m} does not divide {n}")
+        raise ModMatrixError(f"{m} does not divide {n}")
     size = H.order * (gl2_order(n) // gl2_order(m))
     _check_enumeration(size)
     elems = frozenset(_lifts(H.codes, m, n))
@@ -502,7 +485,7 @@ def is_full_preimage(G: SubgroupModN, m: int) -> bool:
     """
     n = G.n
     if m < 1 or n % m != 0:
-        raise NotADivisorError(f"{m} does not divide modulus {n}")
+        raise ModMatrixError(f"{m} does not divide modulus {n}")
     if m == n:  # the kernel is {I}
         return True
     if m == 1:  # the kernel is all of GL2(Z/n)

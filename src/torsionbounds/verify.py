@@ -94,7 +94,11 @@ def subgroup_family(n: int):
 def _scan_preimage(H: SubgroupModN, n: int) -> SubgroupModN:
     """The preimage of H in GL2(Z/n) by the determinant scan alone: unlike
     `full_preimage`, which checks its size against `gl2_order` and raises on
-    a mismatch, a wrong closed form here shows up as a failed check."""
+    a mismatch, a wrong closed form here shows up as a failed check.
+
+    It runs the same lift scan, `_lifts`, as `full_preimage`, so the
+    family's `full` member is not an independent route to GL2(Z/n): a fault
+    in `_lifts` shapes that member and the library's preimages alike."""
     return SubgroupModN(n, frozenset(_lifts(H.codes, H.n, n)))
 
 

@@ -1,14 +1,18 @@
-"""CLI stdout, stderr and exit codes against recorded golden output.
+"""The CLI contract: stdout, stderr and exit code against recorded golden
+output, each case within one wall budget.
 
 `tests/golden/expected.json` holds what each command in CASES printed when
 it was recorded; input files named in a command live in `tests/golden/`.
-After an intended output change, rewrite the record from the current source
-with `PYTHONPATH=src python tests/test_golden_cli.py` and review its diff.
+A new case is recorded from the parent commit's source, in a commit of its
+own, before the change it guards: add it to CASES and run
+`PYTHONPATH=src python tests/test_golden_cli.py`. After an intended output
+change, rewrite the record the same way and review its diff.
 """
 import contextlib
 import io
 import json
 import os
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +22,9 @@ from torsionbounds.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 EXPECTED = GOLDEN / "expected.json"
+# wall seconds any one case may take in-process; the slowest, lattice-check
+# of all of GL2 at l = 31, takes about 1 s on a 2-vCPU Xeon
+BUDGET_S = 10
 
 CASES = {
     "candidates-i6-d10": ["candidates", "--index", "6", "--degree", "10"],
@@ -150,10 +157,22 @@ def _run(argv):
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def _records():
+    return json.loads(EXPECTED.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_matches_golden(name):
-    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))[name]
-    assert _run(CASES[name]) == expected
+    expected = _records()[name]
+    start = time.perf_counter()
+    got = _run(CASES[name])
+    elapsed = time.perf_counter() - start
+    assert got == expected
+    assert elapsed < BUDGET_S, f"{name} took {elapsed:.1f} s"
+
+
+def test_every_case_has_a_record_and_every_record_a_case():
+    assert sorted(_records()) == sorted(CASES)
 
 
 if __name__ == "__main__":

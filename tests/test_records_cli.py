@@ -1,5 +1,4 @@
 """Curve-record CSV handling and the command-line surface."""
-import json
 import string
 
 import pytest
@@ -114,19 +113,6 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_candidates_command(capsys):
-    code, out, _ = run_cli(capsys, "candidates", "--index", "6")
-    assert code == 0
-    assert "candidates 1 2 4" in out
-
-
-def test_candidates_json(capsys):
-    code, out, _ = run_cli(capsys, "candidates", "--index", "6",
-                           "--format", "json")
-    assert code == 0
-    assert json.loads(out)["candidates"] == [1, 2, 4]
-
-
 def test_b_epsilon_command(capsys):
     code, out, _ = run_cli(capsys, "b-epsilon", "--epsilon", "1/2")
     assert code == 0
@@ -150,20 +136,6 @@ def test_epsilon_denominator_1e300_is_accepted(capsys):
         assert code == 1
         assert err == ("torsionbounds: error: input 7420738134810 exceeds "
                        "factorization cap 1000000000000\n")
-
-
-def test_b1_index_with_verification(capsys):
-    code, out, _ = run_cli(capsys, "b1-index", "--n", "12", "--verify")
-    assert code == 0
-    assert "index 96" in out
-    assert "verified" in out
-
-
-def test_baselines_command(capsys):
-    code, out, _ = run_cli(capsys, "baselines", "--degree", "1")
-    assert code == 0
-    assert "parent 376164" in out
-    assert "natural log" in out
 
 
 def test_cli_output_is_deterministic(capsys):
@@ -294,14 +266,3 @@ def test_b1_index_verify_counts_without_the_closed_form(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_count_gl2", lambda n: count(n) + 20 * (n == 5))
     code, out, err = run_cli(capsys, "b1-index", "--n", "5", "--verify")
     assert (code, out, err) == (2, "n 5\nindex 24\nenumerated 25\nMISMATCH\n", "")
-
-
-def test_b1_index_verify_past_the_count_limit_exits_1(capsys):
-    # the count forms no element, so the order is not capped: |GL2(Z/227)|
-    # = 2,643,489,456 answers; the limit is on the n^2 pairs counted
-    code, out, err = run_cli(capsys, "b1-index", "--n", "227", "--verify")
-    assert (code, out, err) == (0, "n 227\nindex 51528\nenumerated 51528\nverified\n", "")
-    code, out, err = run_cli(capsys, "b1-index", "--n", "3163", "--verify")
-    assert (code, out) == (1, "")
-    assert err == ("torsionbounds: error: counting GL2(Z/3163) visits 10004569 pairs, "
-                   "which exceeds cap 10000000\n")
