@@ -9,15 +9,12 @@ B_EXACT_MEMO_SIZE of them (a refusal is raised again on every call).
 """
 from __future__ import annotations
 
-import decimal
 import functools
 import itertools
-import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 
-from .exactvalue import PowerProduct, Rational, _factorize, _is_prime
+from .exactvalue import PowerProduct, Rational, _factorize, _is_prime, _log_sign
 
 FACTORIZATION_CAP = 10**12
 
@@ -34,13 +31,9 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     inputs capped at 10**12."""
     if n < 1:
         raise ArithError(f"can only factor integers >= 1, got {n}")
-    _check_cap(n)
-    return _factorize(n)
-
-
-def _check_cap(n: int) -> None:
     if n > FACTORIZATION_CAP:
         raise ArithError(f"input {n} exceeds factorization cap {FACTORIZATION_CAP}")
+    return _factorize(n)
 
 
 def euler_phi(n: int) -> int:
@@ -84,68 +77,28 @@ def b_epsilon(epsilon: Rational, digits: int = 12) -> EffectiveConstant:
 
 @functools.lru_cache(maxsize=B_EXACT_MEMO_SIZE)
 def _b_exact(epsilon: Fraction) -> tuple[int, PowerProduct]:
-    """(witness, exact value) of b_epsilon.
+    """(witness, exact value) of b_epsilon, epsilon = a/q.
 
-    Scans primes in increasing order, multiplying the witness by p while the
-    per-prime factor (1 - 1/p) * p**epsilon stays below 1; the factor is
-    strictly increasing in p, so the first failure ends the scan.
+    Scans primes in increasing order, multiplying the witness by p while
+    (1 - 1/p) * p**epsilon = ((p - 1)**q * p**(a - q)) ** (1/q) stays below
+    1; it is strictly increasing in p, so the first failure ends the scan.
+    The value phi(w) * w**(epsilon - 1) is the product of those factors over
+    the primes of w; its exponents over q sum theirs, so each is a mod q, not 0.
     """
     if epsilon <= 0:
         raise ArithError("epsilon must be > 0 (the infimum is 0 otherwise)")
     a, q = epsilon.numerator, epsilon.denominator
-    primes = []
-    witness = 1
+    witness, exps = 1, {}
     for p in filter(_is_prime, itertools.count(2)):
-        if a >= q or witness > FACTORIZATION_CAP or _factor_reaches_one(p, a, q):
+        factor = [(r, k * q) for r, k in _factorize(p - 1)] + [(p, a - q)]
+        if _log_sign(factor) >= 0:
             break
-        primes.append(p)
+        # the cap keeps the walk to the primes up to 31 (epsilon above about
+        # 1/132); it guards the L-th-root render of values built on b_epsilon
+        if witness * p > FACTORIZATION_CAP:
+            raise ArithError(f"b_epsilon at epsilon {epsilon}: the witness reaches "
+                             f"{p}# = {witness * p}, past the cap {FACTORIZATION_CAP}")
         witness *= p
-    # past the cap the exact value takes minutes to render: refuse the
-    # witness as factorize refuses its inputs
-    _check_cap(witness)
-    # phi(w) * w**(eps - 1) over the denominator q: each p of the squarefree
-    # w adds a - q, and phi(w) = prod(p - 1) adds q times the factors of
-    # p - 1; with 0 < a < q no exponent sums to 0
-    exps = dict.fromkeys(primes, a - q)
-    for p in primes:
-        for r, k in _factorize(p - 1):
-            exps[r] = exps.get(r, 0) + k * q
+        for r, k in factor:
+            exps[r] = exps.get(r, 0) + k
     return witness, PowerProduct._reduced(q, sorted(exps.items()))
-
-
-def _factor_reaches_one(p: int, a: int, q: int) -> bool:
-    """(1 - 1/p) * p**(a/q) >= 1, that is (p-1)**q * p**a >= p**q, for a
-    prime p and integers a, q >= 1.
-
-    For p = 2 that is a >= q.  For p > 2 the two sides are never equal (p - 1
-    has a prime factor other than p), so the sign of
-    q*ln(p-1) + a*ln(p) - q*ln(p) decides it.  Floating point decides first,
-    with an error of a few units in the last place; when the two sides are
-    within a relative 1e-9, or a float overflows, `decimal` logarithms of
-    growing precision decide, and no power of size q is formed.
-    """
-    if p == 2:
-        return a >= q
-    try:
-        lhs, rhs = a * math.log(p), q * math.log1p(1 / (p - 1))
-    except OverflowError:
-        pass
-    else:
-        # false when either side is infinite
-        if abs(lhs - rhs) > 1e-9 * max(lhs, rhs):
-            return lhs > rhs
-    digits = 32
-    while True:
-        with decimal.localcontext() as ctx:
-            ctx.prec, ctx.Emax = digits, decimal.MAX_EMAX
-            ln_p = Decimal(p).ln()
-            u = Decimal(q) * Decimal(p - 1).ln() + Decimal(a) * ln_p
-            v = Decimal(q) * ln_p
-        # ln is correctly rounded, and each product and the sum round once
-        # more, each by half an ulp: u and v, sums of positive terms, are
-        # within a relative 2 * 10**(1 - digits) of their exact values, so a
-        # gap over 10**(2 - digits) * (u + v) has the sign of the exact one
-        gap, scale = Fraction(u) - Fraction(v), Fraction(u) + Fraction(v)
-        if abs(gap) * 10 ** (digits - 2) > scale:
-            return gap > 0
-        digits *= 2

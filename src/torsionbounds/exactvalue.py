@@ -5,13 +5,15 @@ raised to rational powers.  A PowerProduct factors its bases once, when it
 is built, and keeps the value as prod(p_i ** (k_i / L)): one exponent
 denominator L and sorted (prime, integer k) pairs, reduced so that equal
 values have one form.  One routine, `PowerProduct._product`, forms every
-product of rational powers by integer arithmetic on that form.  Two values
-compare exactly (raise their quotient to L and compare integers), and
-decimals render with directed rounding, so an emitted upper bound is never
+product of rational powers by integer arithmetic on that form.  One routine,
+`_log_sign`, decides exactly on which side of 1 such a product lies; it
+orders two values and drives the primorial walk of `arith.b_epsilon`.
+Decimals render with directed rounding, so an emitted upper bound is never
 understated and a constant sitting in a denominator is never overstated.
 """
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 from typing import Union
@@ -76,6 +78,51 @@ def _divisors(n: int) -> list[int]:
     for p, k in _factorize(n):
         divs = [d * p ** j for d in divs for j in range(k + 1)]
     return sorted(divs)
+
+
+def _log_sign(pairs) -> int:
+    """-1, 0 or 1 as prod(p ** k) over (prime, integer k) pairs, primes
+    distinct, is below, at or above 1: the sign of sum(k * ln p) = u - v,
+    with u over the k > 0 and v over the k < 0 (as -k * ln p); by unique
+    factorization u = v only when both sums are empty.
+
+    Floats decide first: each term is within a few units in the last place,
+    so for n < 10**6 pairs a gap over 1e-9 * max(u, v) has the exact sign.
+    Otherwise, or when a float overflows, `decimal` logarithms decide at
+    P = 32, 64, ... digits, and no power p ** k is formed.  Decimal(k) is
+    exact, ln p is correctly rounded, and each product and each sum rounds
+    once, within a relative eta = 5 * 10**-P.  A term of a side of m terms
+    takes at most m + 1 roundings, so the side is within a relative
+    (1 + eta)**(m + 1) - 1 <= (m + 1) * 10**(1 - P) of its exact value; the
+    computed gap is within (n + 1) * 10**(1 - P) * (u + v) <= (u + v) / 2 of
+    the exact one, and u + v is below twice its computed value.  So a
+    computed gap over 2 * (n + 1) * 10**(1 - P) times the computed u + v has
+    the exact sign; the exact gap is nonzero, so some P decides.
+    """
+    u = v = 0.0
+    try:
+        for p, k in pairs:
+            if k > 0:
+                u += k * math.log(p)
+            elif k < 0:
+                v -= k * math.log(p)
+    except OverflowError:
+        pass
+    else:
+        if u == v == 0:  # both sums empty: every term is at least ln 2
+            return 0
+        if abs(u - v) > 1e-9 * max(u, v):  # undecided when a side is infinite
+            return 1 if u > v else -1
+    digits = 32
+    while True:
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emax = digits, decimal.MAX_EMAX
+            u, v = (sum(decimal.Decimal(abs(k)) * decimal.Decimal(p).ln()
+                        for p, k in pairs if (k > 0) == side) for side in (True, False))
+        gap, scale = Fraction(u) - Fraction(v), Fraction(u) + Fraction(v)
+        if abs(gap) * 10 ** (digits - 1) > 2 * (len(pairs) + 1) * scale:
+            return 1 if gap > 0 else -1
+        digits *= 2
 
 
 def integer_nth_root(a: int, n: int) -> int:
@@ -151,8 +198,7 @@ class PowerProduct:
 
     def compare(self, other: "PowerProduct") -> int:
         """-1, 0 or 1 as self is below, equal to or above other, exactly."""
-        num, den, _ = PowerProduct._product(((self, 1, 1), (other, -1, 1)))._root_data()
-        return (num > den) - (num < den)
+        return _log_sign(PowerProduct._product(((self, 1, 1), (other, -1, 1)))._pairs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PowerProduct):

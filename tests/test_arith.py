@@ -13,13 +13,12 @@ from torsionbounds.arith import (
     FACTORIZATION_CAP,
     ArithError,
     _b_exact,
-    _factor_reaches_one,
     b_epsilon,
     dedekind_psi,
     euler_phi,
     factorize,
 )
-from torsionbounds.exactvalue import PowerProduct, _is_prime
+from torsionbounds.exactvalue import PowerProduct, _factorize, _is_prime, _log_sign
 
 from dict_power_product import DictPowerProduct, assert_matches
 
@@ -106,21 +105,25 @@ def test_b_epsilon_tenth():
 @pytest.mark.parametrize("eps", [Fraction(1, 132), Fraction(1, 1000),
                                  Fraction(1, 100000), Fraction(1, 10**7)])
 def test_b_epsilon_refuses_at_the_cap(eps):
-    # the primorial walk stops once the witness passes 10**12: 37# = 7420738134810
-    with pytest.raises(ArithError, match="^input 7420738134810 exceeds "
-                       "factorization cap 1000000000000$"):
+    # the primorial walk refuses a witness past 10**12: 37# = 7420738134810
+    with pytest.raises(ArithError, match=f"^b_epsilon at epsilon {eps}: the witness "
+                       "reaches 37# = 7420738134810, past the cap 1000000000000$"):
         b_epsilon(eps)
 
 
 def _b_exact_by_euler_phi(epsilon):
-    """_b_exact as it was: the primorial walk, then phi and the witness
-    re-factored, under the cap of factorize; the value on the dict oracle."""
+    """_b_exact by the earlier route: the primorial walk, deciding each
+    factor on exact integers (q < 600 keeps them small), then phi of the
+    witness under the cap of factorize; the value on the dict oracle."""
     a, q = epsilon.numerator, epsilon.denominator
     witness = 1
     for p in filter(_is_prime, itertools.count(2)):
-        if a >= q or witness > FACTORIZATION_CAP or _factor_reaches_one(p, a, q):
+        if witness > FACTORIZATION_CAP or (p - 1) ** q * p ** a >= p ** q:
             break
-        witness *= p
+        witness, last = witness * p, p
+    if witness > FACTORIZATION_CAP:
+        raise ArithError(f"b_epsilon at epsilon {epsilon}: the witness reaches "
+                         f"{last}# = {witness}, past the cap {FACTORIZATION_CAP}")
     return witness, (DictPowerProduct({euler_phi(witness): 1})
                      * DictPowerProduct({witness: epsilon - 1}))
 
@@ -154,11 +157,18 @@ def test_b_exact_builds_from_the_primes_it_walked(monkeypatch):
     witness, value = _b_exact(Fraction(1, 10))
     assert witness == 30
     assert_matches(value, DictPowerProduct({2: 3, 30: Fraction(-9, 10)}))
-    with pytest.raises(ArithError, match="^input 7420738134810 exceeds"):
+    with pytest.raises(ArithError, match="^b_epsilon at epsilon 1/132: the witness "
+                       "reaches 37# = 7420738134810, past the cap"):
         _b_exact(Fraction(1, 132))
 
 
 _SMALL_PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+
+
+def _factor_reaches_one(p, a, q):
+    """(p-1)**q * p**a >= p**q, that is (p-1)**q * p**(a-q) >= 1, by the
+    library's one sign routine, as the walk asks it."""
+    return _log_sign([(r, k * q) for r, k in _factorize(p - 1)] + [(p, a - q)]) >= 0
 
 
 @given(st.sampled_from(_SMALL_PRIMES), st.integers(min_value=2, max_value=3000),

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torsionbounds import arith, bounds, exactvalue
+from torsionbounds import bounds, exactvalue
 from torsionbounds.arith import ArithError, _b_exact, b_epsilon, dedekind_psi, euler_phi
 from torsionbounds.bounds import (
     BoundContext,
@@ -351,19 +351,17 @@ def test_memoized_values_match_a_cold_call_and_the_oracle(I, d0, d, eps, digits)
 def test_bounds_command_builds_each_value_once(monkeypatch, capsys):
     # one isogeny class of three records (N = 24, B = 240) and one other
     # record (N = 8, B = 80); b_(1/3) and b_(1/6) both have the witness 6
-    witnesses, sieved, products = [], [], []
-    real_cap, real_divisors = arith._check_cap, bounds._divisors
-    real_product = PowerProduct._product
-    # each body of _b_exact checks its witness once, each sieve lists the
+    sieved, products = [], []
+    real_divisors, real_product = bounds._divisors, PowerProduct._product
+    # _b_exact misses its memo once per epsilon, each sieve lists the
     # divisors of B once, and each bound is one product of three terms
-    monkeypatch.setattr(arith, "_check_cap", lambda n: witnesses.append(n) or real_cap(n))
     monkeypatch.setattr(bounds, "_divisors", lambda n: sieved.append(n) or real_divisors(n))
     monkeypatch.setattr(PowerProduct, "_product", classmethod(
         lambda cls, terms: products.append(len(terms)) or real_product(terms)))
     code = main(["bounds", str(RECORDS.parent / "isogeny_class.csv"),
                  "--epsilon", "1/3", "--degree", "10"])
     assert (code, capsys.readouterr().err) == (0, "")
-    assert witnesses == [6, 6]
+    assert _b_exact.cache_info().misses == 2
     assert sieved == [240, 80]
     assert products.count(3) == 4
 
@@ -372,7 +370,8 @@ def test_refusals_are_raised_on_every_call():
     ctx = BoundContext(6, 1, 10)
     theorem_bounds(ctx, Fraction(1, 2))
     for _ in range(2):
-        with pytest.raises(ArithError, match="exceeds factorization cap"):
+        with pytest.raises(ArithError, match="^b_epsilon at epsilon 1/132: the witness "
+                           "reaches 37#"):
             theorem_bounds(ctx, Fraction(1, 66))
         with pytest.raises(BoundsError, match="epsilon must lie in"):
             theorem_bounds(ctx, Fraction(2))

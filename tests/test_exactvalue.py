@@ -1,7 +1,9 @@
 """Exact prime-power products: the one product, comparison, directed rounding."""
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -112,6 +114,51 @@ def test_irrational_comparison_is_exact():
     assert not sqrt2 == cbrt3
     # and a very tight pair: 5**(1/5) vs 2**(2/5) = 4**(1/5)
     assert _root(2, 2, 5).compare(_root(5, 1, 5)) == -1
+
+
+def _integer_compare(x, y):
+    """compare as it was: the quotient raised to its exponent denominator,
+    numerator against denominator, in exact integers."""
+    num, den, _ = PowerProduct._product(((x, 1, 1), (y, -1, 1)))._root_data()
+    return (num > den) - (num < den)
+
+
+@given(st.sampled_from([(2, 3), (2, 5), (3, 5), (3, 7), (5, 7), (2, 11)]),
+       st.integers(min_value=1, max_value=3000), st.integers(min_value=-1, max_value=1),
+       st.integers(min_value=1, max_value=12))
+def test_compare_matches_the_integer_compare_near_ties(bases, b, offset, L):
+    # p**(a/L) against r**(b/L) with a next to b * log_p(r), where the two
+    # are closest
+    p, r = bases
+    a = max(1, round(b * math.log(r) / math.log(p)) + offset)
+    x, y = _root(p, a, L), _root(r, b, L)
+    assert x.compare(y) == _integer_compare(x, y) == -y.compare(x)
+
+
+@pytest.mark.parametrize("a,b", [(301994, 190537), (176251, 111202)])
+def test_compare_decides_convergent_near_ties(a, b):
+    # a/b are convergents of log2(3): the logarithms of 2**a and 3**b are
+    # within the float branch's relative 1e-9, so `decimal` logarithms decide
+    u, v = a * math.log(2), b * math.log(3)
+    assert abs(u - v) <= 1e-9 * max(u, v)
+    x, y = _root(2, a, 1), _root(3, b, 1)
+    truth = (2 ** a > 3 ** b) - (2 ** a < 3 ** b)
+    assert x.compare(y) == _integer_compare(x, y) == truth
+    assert y.compare(x) == -truth
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+def test_compare_decides_exponents_of_300_digits_at_once(offset):
+    # 2**(a/q) against 3**(b/q) at q = 10**300: the integer compare would
+    # raise both to q, integers of about 10**300 bits
+    q, b = 10 ** 300, 10 ** 300 - 1
+    with mpmath.workdps(700):
+        a = int(mpmath.floor(b * mpmath.log(3) / mpmath.log(2))) + offset
+        gap = a * mpmath.log(2) - b * mpmath.log(3)
+        assert abs(gap) > mpmath.mpf(10) ** -300
+    start = time.perf_counter()
+    assert _root(2, a, q).compare(_root(3, b, q)) == (1 if gap > 0 else -1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_pow_roundtrip_cancels():
@@ -307,7 +354,7 @@ def test_integer_form_matches_the_dict_oracle(value, other, digits):
     x, old = _both(value)
     y, old_y = _both(other)
     assert_matches(x, old, digits)
-    assert x.compare(y) == old.compare(old_y)
+    assert x.compare(y) == old.compare(old_y) == _integer_compare(x, y)
     assert (x == y) == (old == old_y)
     # the same value by another path has the same form, hash and repr
     same = to_library(old)

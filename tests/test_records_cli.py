@@ -134,8 +134,8 @@ def test_epsilon_denominator_1e300_is_accepted(capsys):
     for epsilon in (f"1/{10 ** 300}", f"2/{2 * 10 ** 300}"):
         code, _, err = run_cli(capsys, "b-epsilon", "--epsilon", epsilon)
         assert code == 1
-        assert err == ("torsionbounds: error: input 7420738134810 exceeds "
-                       "factorization cap 1000000000000\n")
+        assert err == (f"torsionbounds: error: b_epsilon at epsilon 1/{10 ** 300}: the "
+                       "witness reaches 37# = 7420738134810, past the cap 1000000000000\n")
 
 
 def test_cli_output_is_deterministic(capsys):
