@@ -40,18 +40,19 @@ one is missing: at most |K_m| <= |G| lookups, and no pass over G.  At m = N
 |G| = |GL2(Z/N)|, need no listing, and the reduction returns G itself or
 the trivial group mod 1.  One scan kernel, `_lifts`, lists the codes mod n
 of the lifts of codes mod m whose determinant lies in a byte table over
-Z/n (the units, or the preimage D of the closure's exit): their
-admissible (b, c) depend only on a*d mod n and b, c mod m, so each call
-tabulates b*n^2 + c*n once per such key and adds each (a, d) as the offset
-a*n^3 + d.  `_count_gl2` counts GL2(Z/n) without it, in O(n) integers,
-from the distribution of the n^2 products x*y mod n, capped by those pairs.
+Z/n (the units, or the preimage D of the closure's exit): it buckets the
+pairs (b, c) of each residue class mod m once by b*c mod n, so a row costs
+one lookup per bucket plus its length.  `_count_gl2` counts GL2(Z/n)
+without it, in O(n) integers, from the distribution of the n^2 products
+x*y mod n, capped by those pairs, summing over the units or over the
+non-units, whichever are fewer.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import add, floordiv, mod, mul
 from typing import Iterable, Iterator
 
@@ -158,8 +159,10 @@ def _closure(gens: Iterable[Entries], m: int) -> set[int] | frozenset[int]:
     > m^3 * 6/pi^2, the exit needs |found| > m^3/4; past that, once per
     stage, the bound |C| >= |SL2|*(number of distinct determinants of the
     generators used), which spans no D, and only past that bound |C|
-    itself.  A cyclic group never holds SL2 (non-abelian for m >= 2), so
-    the powers of the first generator are not tested.
+    itself.  |SL2(Z/m)| is formed from the factors of m at most once a
+    call, and the exit passes it on to `_det_preimage`.  A cyclic group
+    never holds SL2 (non-abelian for m >= 2), so the powers of the first
+    generator are not tested.
     """
     gens = dict.fromkeys(gens)  # iterated again by the exit
     mm = m * m
@@ -167,6 +170,7 @@ def _closure(gens: Iterable[Entries], m: int) -> set[int] | frozenset[int]:
     one = 1 % m
     seen = {one * m3 + one}
     used = []
+    sl2 = 0  # |SL2(Z/m)|, formed at most once, when an exit test first needs it
     cap = ENUMERATION_CAP
     for gen in gens:
         e, f, g, h = gen
@@ -210,13 +214,14 @@ def _closure(gens: Iterable[Entries], m: int) -> set[int] | frozenset[int]:
             if len(seen) > check:
                 while len(seen) > bar:
                     if whole:
-                        return _det_preimage([(p * s - q * r) % m for p, q, r, s in gens], m)
+                        return _det_preimage([(p * s - q * r) % m for p, q, r, s in gens], m, sl2)
                     if least:
                         whole = least // len(dets) * len(_unit_span(dets, m))
                         bar = whole // 2
                     else:  # D holds the distinct determinants of the generators
                         dets = {(p * s - q * r) % m for p, q, r, s in used}
-                        least = _sl2_order(m) * len(dets)
+                        sl2 = sl2 or _sl2_order(m)
+                        least = sl2 * len(dets)
                         bar = least // 2
                 if len(seen) + size > cap:
                     raise EnumerationTooLargeError(cap + 1, cap)
@@ -250,23 +255,38 @@ def _unit_table(n: int) -> bytes:
 
 def _lifts(codes: Iterable[int], m: int, n: int, dets: bytes | None = None) -> Iterator[int]:
     """Codes mod n of the matrices whose reduction mod m (m | n) has its code
-    in `codes` and whose determinant t has dets[t] (a unit, by default).
-    With m = 1 and codes {0}: all of GL2(Z/nZ)."""
+    in `codes` and whose determinant has dets[a*d - b*c mod n] (a unit, by
+    default).  With m = 1 and codes {0}: all of GL2(Z/nZ).
+
+    Whether (b, c) completes a lift depends only on a*d mod n and on b*c mod
+    n, so the pairs of each residue class (b mod m, c mod m) the codes reach
+    are bucketed once, by t = b*c mod n, as lists of b*n^2 + c*n.  The row of
+    key (a*d mod n, b mod m, c mod m) joins, in C, the buckets whose t has
+    dets[a*d - t]: it costs one table lookup per distinct t of its class, at
+    most min((n/m)^2, n), plus its length, and each (a, d) adds its offset
+    a*n^3 + d to it."""
     if dets is None:
         dets = _unit_table(n)
 
     def shifted_rows():
+        classes = {}  # (b mod m, c mod m) -> its residues t = b*c mod n, and their buckets
         rows = {}  # (a*d mod n, b mod m, c mod m) -> b*n^2 + c*n of each admissible (b, c)
         for code in codes:
             ha, hb, hc, hd = _decode(code, m)
+            if (hb, hc) not in classes:
+                by_residue = {}
+                for b in range(hb, n, m):
+                    for c in range(hc, n, m):
+                        by_residue.setdefault(b * c % n, []).append((b * n + c) * n)
+                classes[hb, hc] = list(by_residue), list(by_residue.values())
+            residues, buckets = classes[hb, hc]
             for a in range(ha, n, m):
                 for d in range(hd, n, m):
                     ad = a * d % n
                     row = rows.get((ad, hb, hc))
                     if row is None:
-                        row = rows[ad, hb, hc] = [(b * n + c) * n for b in range(hb, n, m)
-                                                  for c in range(hc, n, m)
-                                                  if dets[(ad - b * c) % n]]
+                        row = rows[ad, hb, hc] = list(chain.from_iterable(
+                            compress(buckets, [dets[(ad - t) % n] for t in residues])))
                     yield map(add, repeat(a * n ** 3 + d), row)
 
     return chain.from_iterable(shifted_rows())  # the elements pass in C, not by yield
@@ -278,7 +298,9 @@ _TRIVIAL_MOD_1 = frozenset({0})
 def _count_gl2(n: int) -> int:
     """|GL2(Z/nZ)| from the definition alone, with no factorizer or closed
     form: the sum over units u and all t of f(t)*f(t - u), f(t) = #{(x, y)
-    mod n : x*y = t}, counts each (a, b, c, d) once by a*d = t, b*c = t - u."""
+    mod n : x*y = t}, counts each (a, b, c, d) once by a*d = t, b*c = t - u.
+    That sum runs over the units or, n^4 less it, over the non-units,
+    whichever are fewer."""
     if n * n > ENUMERATION_CAP:
         raise ModMatrixError(f"counting GL2(Z/{n}) visits {n * n} pairs, "
                              f"which exceeds cap {ENUMERATION_CAP}")
@@ -286,8 +308,13 @@ def _count_gl2(n: int) -> int:
     for x in range(1, n):  # x*y for y < n, in C-level loops
         products.update(map(mod, range(0, x * n, x), repeat(n)))
     f = [products[t] for t in range(n)] * 2  # f[t - u + n] = f(t - u) for 0 <= t, u < n
-    return sum(sum(map(mul, f, f[n - u:2 * n - u]))  # n terms: map stops at the slice's end
-               for u, unit in enumerate(_unit_table(n)) if unit)
+    units = _unit_table(n)
+    # over all u the sum is (n^2)^2, so where the non-units are fewer (a prime
+    # n has only 0) their sum is taken, and subtracted from n^4
+    complement = 2 * units.count(0) < n
+    part = sum(sum(map(mul, f, f[n - u:2 * n - u]))  # n terms: map stops at the slice's end
+               for u, unit in enumerate(units) if unit != complement)
+    return n ** 4 - part if complement else part
 
 
 def _unit_span(units: Iterable[int], n: int) -> set[int]:
@@ -303,12 +330,12 @@ def _unit_span(units: Iterable[int], n: int) -> set[int]:
     return span
 
 
-def _det_preimage(dets: Iterable[int], n: int) -> frozenset[int]:
+def _det_preimage(dets: Iterable[int], n: int, sl2_order: int) -> frozenset[int]:
     """Codes of det^-1(D) in GL2(Z/n), D the subgroup of units generated by
-    `dets`: |SL2(Z/n)|*|D| elements, checked against the cap, then listed
-    by the lift scan."""
+    `dets`: sl2_order*|D| elements (sl2_order = |SL2(Z/n)|, as the closure
+    formed it), checked against the cap, then listed by the lift scan."""
     span = _unit_span(dets, n)
-    size = _sl2_order(n) * len(span)
+    size = sl2_order * len(span)
     _check_enumeration(size)
     codes = frozenset(_lifts(_TRIVIAL_MOD_1, 1, n, bytes(x in span for x in range(n))))
     if len(codes) != size:

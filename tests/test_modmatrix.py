@@ -2,7 +2,7 @@
 import dataclasses
 import math
 import pickle
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache
 from itertools import repeat
 from unittest import mock
@@ -583,42 +583,67 @@ def test_closure_matches_breadth_first_search(case):
     assert entries(subgroup_closure(gens, n)) == _bfs_closure(generators, n)
 
 
-# -- differential: the row-tabulated lift scan against the gcd scan ---------
+# -- differential: the bucketed lift scan against the per-candidate scan ----
 
-def _oracle_lifts(images, m, n):
-    """The lift scan before its rows were tabulated: one gcd per candidate."""
-    gcd = math.gcd
+def _span_table(units, n):
+    """Byte table over Z/n of the subgroup of units generated by `units`,
+    by closing {1} under multiplication: with no units, {1}, so SL2."""
+    span = {1 % n}
+    while True:
+        grown = span | {x * u % n for x in span for u in units}
+        if grown == span:
+            return bytes(x in span for x in range(n))
+        span = grown
+
+
+def _oracle_lifts(images, m, n, dets):
+    """The lift scan before its rows were bucketed: one table test per
+    candidate (a, b, c, d)."""
     return ((a, b, c, d)
             for ha, hb, hc, hd in images
             for a in range(ha, n, m)
             for d in range(hd, n, m)
             for b in range(hb, n, m)
             for c in range(hc, n, m)
-            if gcd((a * d - b * c) % n, n) == 1)
+            if dets[(a * d - b * c) % n])
 
 
 @st.composite
 def lift_cases(draw):
+    """Images mod m, m | n <= 24, and the generators of the allowed
+    determinants: None for the units (the default table), or a list of units
+    whose span D is allowed, as the closure's exit passes it; [] is SL2."""
     n = draw(st.integers(min_value=1, max_value=24))
     m = draw(st.sampled_from(_divisors(n)))
     # any subset, not only subgroups, so rows with different c starts meet
     pool = [g.entries for g in _oracle_gl2(m)]
     images = draw(st.sets(st.sampled_from(pool), max_size=6))
-    return images, m, n
+    unit = st.sampled_from([u for u in range(n) if math.gcd(u, n) == 1])
+    spanned = draw(st.none() | st.lists(unit, max_size=2))
+    return images, m, n, spanned
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(lift_cases())
-@example((frozenset({(0, 0, 0, 0)}), 1, 24))
-@example((frozenset(), 1, 24))
-@example((frozenset({(0, 0, 0, 0)}), 1, 1))
-@example((frozenset({(1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1)}), 24, 24))
-@example((frozenset({(1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 0), (2, 1, 1, 1)}), 3, 24))
+@example((frozenset({(0, 0, 0, 0)}), 1, 24, None))
+@example((frozenset(), 1, 24, None))
+@example((frozenset(), 1, 24, []))
+@example((frozenset({(0, 0, 0, 0)}), 1, 1, None))
+@example((frozenset({(1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1)}), 24, 24, None))
+@example((frozenset({(1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 0), (2, 1, 1, 1)}), 3, 24, None))
+# SL2(Z/24) from m = 1, and det^-1({1, 3, 9, 11}) in GL2(Z/16)
+@example((frozenset({(0, 0, 0, 0)}), 1, 24, []))
+@example((frozenset({(0, 0, 0, 0)}), 1, 16, [3]))
 def test_lifts_match_the_gcd_scan(case):
-    images, m, n = case
+    images, m, n, spanned = case
     codes = [encode(e, m) for e in images]
-    assert ({decode(code, n) for code in _lifts(codes, m, n)}
-            == frozenset(_oracle_lifts(images, m, n)))
+    if spanned is None:
+        dets = bytes(math.gcd(x, n) == 1 for x in range(n))
+        lifted = _lifts(codes, m, n)
+    else:
+        dets = _span_table(spanned, n)
+        lifted = _lifts(codes, m, n, dets)
+    assert {decode(code, n) for code in lifted} == frozenset(_oracle_lifts(images, m, n, dets))
 
 
 def _scan_gl2_size(n):
@@ -637,17 +662,27 @@ def _scan_gl2_size(n):
     return total
 
 
+def _unit_sum_count(n):
+    """|GL2(Z/n)| as the count summed it before it took the shorter sum: over
+    the units u alone, of the sum over t of f(t)*f(t - u)."""
+    f = Counter(x * y % n for x in range(n) for y in range(n))
+    return sum(f[t] * f[(t - u) % n]
+               for u in range(n) if math.gcd(u, n) == 1 for t in range(n))
+
+
 def test_gl2_count_from_row_lengths(monkeypatch):
     # the count holds no element, so the order may pass the enumeration cap
     # (|GL2(Z/59)| and beyond); it uses neither the factorizer nor the
-    # closed form, and is refused by its n^2 pairs alone
+    # closed form, and is refused by its n^2 pairs alone; n = 1 and the primes
+    # take the sum over the non-units, 6 and 30 over the units, 15 over its 7
+    # non-units against 8 units
     def unused(n):
         raise AssertionError("the count factored n or read the closed form")
     monkeypatch.setattr(modmatrix, "_factorize", unused)
     monkeypatch.setattr(modmatrix, "gl2_order", unused)
     for n in range(1, 85):
         size = modmatrix._count_gl2(n)
-        assert size == _scan_gl2_size(n), n
+        assert size == _scan_gl2_size(n) == _unit_sum_count(n), n
         if n <= 30:
             assert size == sum(1 for _ in _lifts([0], 1, n)), n
     monkeypatch.undo()
@@ -879,8 +914,8 @@ def _closure_and_exits(gens, n):
     real = modmatrix._det_preimage
     returned = []
 
-    def spy(dets, m):
-        returned.append(real(dets, m))
+    def spy(dets, m, sl2_order):
+        returned.append(real(dets, m, sl2_order))
         return returned[-1]
 
     with mock.patch.object(modmatrix, "_det_preimage", spy):
@@ -960,12 +995,8 @@ def determinant_cases(draw):
 @example((16, [3]))
 def test_determinant_preimage_matches_brute_force(case):
     n, dets = case
-    span = {1 % n}
-    while True:
-        grown = span | {x * u % n for x in span for u in dets}
-        if grown == span:
-            break
-        span = grown
+    span = _span_table(dets, n)
     want = {(a, b, c, d) for a in range(n) for b in range(n) for c in range(n)
-            for d in range(n) if (a * d - b * c) % n in span}
-    assert {decode(code, n) for code in modmatrix._det_preimage(dets, n)} == want
+            for d in range(n) if span[(a * d - b * c) % n]}
+    preimage = modmatrix._det_preimage(dets, n, modmatrix._sl2_order(n))
+    assert {decode(code, n) for code in preimage} == want
