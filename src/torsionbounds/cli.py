@@ -28,9 +28,9 @@ from .bounds import (
     theorem_bounds,
 )
 from .exactvalue import MAX_DIGITS
-from .modmatrix import ModMatrixError, _count_gl2, _unit_table
+from .modmatrix import ModMatrixError
 from .records import RecordParseError, check_isogeny_class_indices, parse_curve_records
-from .verify import format_report, run_verification_suite
+from .verify import b1_index_by_count, format_report, run_verification_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -247,7 +247,7 @@ def _cmd_b1_index(args) -> int:
     lines = _fields(report, "n", "index")
     if not args.verify:
         return _emit(args, report, lines)
-    brute = _count_gl2(n) // (n * sum(_unit_table(n)))  # |B1(n)| = n * (number of units)
+    brute = b1_index_by_count(n)
     report.update(enumerated=brute, verified=brute == report["index"])
     lines += _fields(report, "enumerated")
     lines.append("verified" if report["verified"] else "MISMATCH")

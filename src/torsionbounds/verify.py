@@ -3,6 +3,24 @@
 Each check is deterministic and self-contained; the suite report lists one
 line per check with pass/fail/skip status.  The same checks back the
 acceptance tests, so `verify` from the command line reproduces them.
+
+What the reference of each check shares with the code it judges:
+- gl2-order-vs-enumeration, b1-index-formula, crt-order-consistency:
+  `gl2_order` and phi*psi against `_count_gl2`, from the products mod n:
+  nothing, but crt's first half tests `gl2_order` with itself.
+- preimage-detection: `is_full_preimage` against a count of the elements
+  that are I mod m: `_lifts`, which lists K_m there and the family's
+  `full` and `preimage-b1(m)` members here.
+- preimage-index-preservation: `gl2_order` and `reduce_subgroup`, on the
+  pairs that count finds full: the family.
+- arith-multiplicativity, psi-exceeds-n: `euler_phi` and `dedekind_psi`
+  against themselves: all of it, as checks of consistency.
+- phi-psi-product-identity, b-epsilon-primorial-scan, sieve-worked-examples:
+  phi*psi, `b_epsilon` and `exponent_candidates` against `_sieve`: nothing
+  but the candidate set's modulus and ceiling.
+- lattice-index-equality: `lattice.run_scenario` against itself: all of it.
+preimage-detection and lattice-index-equality thus still share a kernel
+with what they check; an independent route for either would add code.
 """
 from __future__ import annotations
 
@@ -16,7 +34,6 @@ from .bounds import BoundContext, exponent_candidates
 from .exactvalue import _divisors
 from .modmatrix import (
     _TRIVIAL_MOD_1,
-    Mat2,
     SubgroupModN,
     _count_gl2,
     _lifts,
@@ -25,7 +42,6 @@ from .modmatrix import (
     gl2_order,
     is_full_preimage,
     reduce_subgroup,
-    subgroup_closure,
 )
 
 
@@ -47,17 +63,12 @@ class SuiteReport:
     def skip(self, name, params, detail=""):
         self.checks.append(CheckResult(name, params, "skip", detail))
 
-    @property
-    def failed(self) -> int:
-        return sum(1 for c in self.checks if c.status == "fail")
+    def _tally(self, status: str) -> int:
+        return sum(1 for c in self.checks if c.status == status)
 
-    @property
-    def passed(self) -> int:
-        return sum(1 for c in self.checks if c.status == "pass")
-
-    @property
-    def skipped(self) -> int:
-        return sum(1 for c in self.checks if c.status == "skip")
+    failed = property(lambda self: self._tally("fail"))
+    passed = property(lambda self: self._tally("pass"))
+    skipped = property(lambda self: self._tally("skip"))
 
     @property
     def ok(self) -> bool:
@@ -68,23 +79,24 @@ SETS_MAX_N = 24  # the largest modulus of the checks that hold element sets
 
 
 def subgroup_family(n: int):
-    """A deterministic family of subgroups of GL2(Z/nZ) for the index tests."""
+    """A deterministic family of subgroups of GL2(Z/nZ) for the index tests,
+    closed from generators given as entry tuples and reduced mod n."""
     modmatrix._check_enumeration(gl2_order(n))
-    out = []
-    ident = Mat2.identity(n)
-    out.append(("trivial", subgroup_closure([ident], n)))
-    out.append(("full", _scan_preimage(SubgroupModN(1, _TRIVIAL_MOD_1), n)))
+
+    def closure(gens):
+        return SubgroupModN(n, frozenset(modmatrix._closure(
+            [modmatrix._reduce(g, n) for g in gens], n)))
+
+    out = [("trivial", closure([(1, 0, 0, 1)])),
+           ("full", _scan_preimage(SubgroupModN(1, _TRIVIAL_MOD_1), n))]
     if n >= 2:
-        out.append(("b1", b1_subgroup(n)))
-        gens = [Mat2(n, 1, 1, 0, 1)]
-        gens += [Mat2(n, u, 0, 0, 1) for u in range(2, n) if math.gcd(u, n) == 1]
-        gens += [Mat2(n, 1, 0, 0, u) for u in range(2, n) if math.gcd(u, n) == 1]
-        out.append(("borel", subgroup_closure(gens, n)))
-        out.append(("sl2ish", subgroup_closure(
-            [Mat2(n, 1, 1, 0, 1), Mat2(n, 0, -1, 1, 0)], n)))
-        out.append(("cyclic-unipotent", subgroup_closure([Mat2(n, 1, 1, 0, 1)], n)))
-        out.append(("scalars", subgroup_closure(
-            [Mat2(n, u, 0, 0, u) for u in range(1, n) if math.gcd(u, n) == 1], n)))
+        units = [u for u, unit in enumerate(_unit_table(n)) if unit]  # 1 first
+        out += [("b1", b1_subgroup(n)),
+                ("borel", closure([(1, 1, 0, 1)] + [(u, 0, 0, 1) for u in units[1:]]
+                                  + [(1, 0, 0, u) for u in units[1:]])),
+                ("sl2ish", closure([(1, 1, 0, 1), (0, -1, 1, 0)])),
+                ("cyclic-unipotent", closure([(1, 1, 0, 1)])),
+                ("scalars", closure([(u, 0, 0, u) for u in units]))]
     for m in _divisors(n):
         if 2 <= m < n:
             out.append((f"preimage-b1({m})", _scan_preimage(b1_subgroup(m), n)))
@@ -94,11 +106,8 @@ def subgroup_family(n: int):
 def _scan_preimage(H: SubgroupModN, n: int) -> SubgroupModN:
     """The preimage of H in GL2(Z/n) by the determinant scan alone: unlike
     `full_preimage`, which checks its size against `gl2_order` and raises on
-    a mismatch, a wrong closed form here shows up as a failed check.
-
-    It runs the same lift scan, `_lifts`, as `full_preimage`, so the
-    family's `full` member is not an independent route to GL2(Z/n): a fault
-    in `_lifts` shapes that member and the library's preimages alike."""
+    a mismatch, a wrong closed form here shows up as a failed check.  It
+    runs `_lifts`, as `full_preimage` does, so it is not an independent route."""
     return SubgroupModN(n, frozenset(_lifts(H.codes, H.n, n)))
 
 
@@ -127,6 +136,12 @@ def _check_gl2_orders(report, max_n):
                f"mismatches at {bad}" if bad else f"checked n=1..{top}")
 
 
+def b1_index_by_count(n: int) -> int:
+    """[GL2(Z/n) : B1(n)] without the closed form: |GL2(Z/n)| from the
+    products mod n over |B1(n)|, n times the number of units."""
+    return _count_gl2(n) // (n * sum(_unit_table(n)))
+
+
 def _check_b1_index(report, max_n):
     if max_n < 2:
         report.skip("b1-index-formula", "n<=1", "B1(n) needs n >= 2")
@@ -138,7 +153,7 @@ def _check_b1_index(report, max_n):
         if pairs > modmatrix.ENUMERATION_CAP:
             break
         top = n
-        if _count_gl2(n) // (n * sum(_unit_table(n))) != euler_phi(n) * dedekind_psi(n):
+        if b1_index_by_count(n) != euler_phi(n) * dedekind_psi(n):
             bad.append(n)
     report.add("b1-index-formula", f"2<=n<=:{top}", not bad,
                f"mismatches at {bad}" if bad else "index equals phi(n)*psi(n)")
@@ -155,13 +170,21 @@ def _check_preimage_suite(report, max_n):
     for n in range(2, top + 1):
         # |K_m| = |GL2(Z/n)| / |GL2(Z/m)|, the reduction n -> m being onto
         gl2 = {m: _count_gl2(m) for m in _divisors(n)}
-        for name, G in subgroup_family(n):
-            entries = [_entries_of(code, n) for code in G.codes]
+        nn, n3 = n * n, n ** 3
+        try:  # a size check that fails in the lift scan is a violation, not an error
+            family = subgroup_family(n)
+        except modmatrix.EnumerationTooLargeError:  # the cap is checked up front
+            raise
+        except modmatrix.ModMatrixError as err:
+            detect_bad.append((n, str(err)))
+            continue
+        for name, G in family:
+            # each code ((a*n + b)*n + c)*n + d taken apart here, not by the library
+            entries = [(code // n3, code // nn % n, code // n % n, code % n) for code in G.codes]
             for m in _divisors(n):
                 claimed = is_full_preimage(G, m)
                 # independent route: G contains the kernel of the reduction
-                # n -> m iff as many of its elements are the identity mod m,
-                # each code ((a*n + b)*n + c)*n + d taken apart here
+                # n -> m iff as many of its elements are the identity mod m
                 inside = sum(1 for a, b, c, d in entries
                              if not b % m and not c % m
                              and not (a - 1) % m and not (d - 1) % m)
@@ -178,16 +201,6 @@ def _check_preimage_suite(report, max_n):
                f"violations {pres_bad}" if pres_bad else f"{checked} (G,m) pairs")
     report.add("preimage-detection", f"n<=:{top}", not detect_bad,
                f"violations {detect_bad}" if detect_bad else f"{checked} (G,m) pairs")
-
-
-def _entries_of(code: int, n: int) -> tuple[int, int, int, int]:
-    """The entries (a, b, c, d) of the code ((a*n + b)*n + c)*n + d, by a
-    division chain of its own, so the count does not rest on the library's
-    decoding."""
-    code, d = divmod(code, n)
-    code, c = divmod(code, n)
-    a, b = divmod(code, n)
-    return a, b, c, d
 
 
 def _check_crt_orders(report, max_n):
@@ -225,42 +238,24 @@ def _check_arith(report):
     report.add("psi-exceeds-n", "2<=n<=10000", not bad,
                f"failures {bad[:5]}" if bad else "psi(n) > n throughout")
 
+    jordan = _sieve(10000)[1]
     bad = []
     for n in range(1, 10001):
-        phi, psi = euler_phi(n), dedekind_psi(n)
-        prod = n * n
-        for p in {p for p, _ in _factor_pairs(n)}:
-            prod = prod // (p * p) * (p * p - 1)
-        if phi * psi != prod:
+        phi_psi = euler_phi(n) * dedekind_psi(n)
+        if phi_psi != jordan[n]:
             bad.append(n)
         # phi*psi > (6/pi^2) n^2 via the rational bound 98696/10000 < pi^2
-        if phi * psi * 98696 <= 60000 * n * n:
+        if phi_psi * 98696 <= 60000 * n * n:
             bad.append((n, "lower"))
     report.add("phi-psi-product-identity", "n<=10000", not bad,
                str(bad[:5]) if bad else "phi*psi = n^2 prod(1-1/p^2) > (6/pi^2) n^2")
-
-
-def _factor_pairs(n):
-    """(prime, exponent) pairs by a trial division of its own, so the
-    phi-psi identity check does not test the library factorizer with itself."""
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            yield p, k
-        p += 1
-    if n > 1:
-        yield n, 1
 
 
 def _check_b_epsilon(report):
     grid = [Fraction(1, 10), Fraction(1, 4), Fraction(1, 2),
             Fraction(3, 4), Fraction(9, 10)]
     top = 10000
-    phi = _phi_sieve(top)
+    phi = _sieve(top)[0]
     bad = []
     last = None
     for eps in grid:
@@ -281,16 +276,19 @@ def _check_b_epsilon(report):
                str(bad) if bad else f"witnesses confirmed for {len(grid)} epsilons")
 
 
-def _phi_sieve(top):
-    """[phi(0), ..., phi(top)] by a sieve of its own (phi(0) is 0), so the
-    b-epsilon oracle neither factors each n nor tests the library's phi
-    with itself."""
+def _sieve(top):
+    """The tables [phi(n)] and [n^2 * prod over primes p | n of (1 - 1/p^2)]
+    for n = 0..top (0 at n = 0), by a sieve of its own; the second is
+    phi(n)*psi(n).  The references read them, so they neither factor each n
+    nor test the library's phi and psi with themselves."""
     phi = list(range(top + 1))
+    jordan = [n * n for n in phi]
     for p in range(2, top + 1):
         if phi[p] == p:  # untouched by any smaller prime: p is prime
             for n in range(p, top + 1, p):
                 phi[n] -= phi[n] // p
-    return phi
+                jordan[n] -= jordan[n] // (p * p)
+    return phi, jordan
 
 
 def _check_lattice_scenarios(report):
@@ -307,18 +305,15 @@ def _check_lattice_scenarios(report):
 
 
 def _check_sieve_examples(report):
-    cases = [
-        (BoundContext(2, 1, 1), (1,)),
-        (BoundContext(6, 1, 1), (1, 2, 4)),
-    ]
+    cases = [(BoundContext(2, 1, 1), (1,)), (BoundContext(6, 1, 1), (1, 2, 4))]
     bad = []
     for ctx, expected in cases:
         cs = exponent_candidates(ctx)
         if cs.candidates != expected:
             bad.append((ctx, cs.candidates))
-        # unbounded cross-check: 4x the ceiling
-        brute = tuple(n for n in range(1, 4 * cs.ceiling + 1)
-                      if cs.modulus % (euler_phi(n) * dedekind_psi(n)) == 0)
+        # unbounded cross-check: 4x the ceiling, phi*psi from the sieve
+        phi_psi = _sieve(4 * cs.ceiling)[1]
+        brute = tuple(n for n in range(1, 4 * cs.ceiling + 1) if cs.modulus % phi_psi[n] == 0)
         if brute != expected:
             bad.append((ctx, "brute", brute))
     report.add("sieve-worked-examples", "I=2 and I=6", not bad,

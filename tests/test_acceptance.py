@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from torsionbounds.arith import b_epsilon, dedekind_psi, euler_phi
+from torsionbounds.arith import b_epsilon, dedekind_psi, euler_phi, factorize
 from torsionbounds.bounds import (
     BoundContext,
     baselines,
@@ -19,14 +19,19 @@ from torsionbounds.bounds import (
 )
 from torsionbounds.lattice import bundled_scenarios, run_scenario
 from torsionbounds.modmatrix import (
+    _TRIVIAL_MOD_1,
+    Mat2,
+    SubgroupModN,
     _count_gl2,
     b1_subgroup,
     enumerate_gl2,
+    full_preimage,
     is_full_preimage,
     reduce_subgroup,
+    subgroup_closure,
     subgroup_index,
 )
-from torsionbounds.verify import _phi_sieve, subgroup_family
+from torsionbounds.verify import _sieve, subgroup_family
 
 from dict_power_product import DictPowerProduct, assert_matches, from_library
 from entry_codes import entries
@@ -44,11 +49,46 @@ def test_b1_index_formula_up_to_30():
 
 
 def test_verify_phi_sieve_matches_euler_phi():
-    """The phi table behind verify's b-epsilon oracle, built by a sieve of
-    its own, agrees with the library's phi on the oracle's whole range."""
-    table = _phi_sieve(10000)
-    assert table[0] == 0
-    assert table[1:] == [euler_phi(n) for n in range(1, 10001)]
+    """The tables behind verify's arithmetic references, built by a sieve of
+    their own, agree with the library on the references' whole range: phi,
+    phi*psi, and n^2 * prod(1 - 1/p^2) over the library's factorization."""
+    phi, jordan = _sieve(10000)
+    assert phi[0] == jordan[0] == 0
+    assert phi[1:] == [euler_phi(n) for n in range(1, 10001)]
+    assert jordan[1:] == [euler_phi(n) * dedekind_psi(n) for n in range(1, 10001)]
+    for n in range(1, 10001):
+        prod = Fraction(n * n)
+        for p, _ in factorize(n):
+            prod *= 1 - Fraction(1, p * p)
+        assert jordan[n] == prod, n
+
+
+def _mat2_family(n):
+    """verify's subgroup family as it was built from `Mat2` generators by
+    `subgroup_closure`, kept as the oracle of the family built from entry tuples."""
+    out = [("trivial", subgroup_closure([Mat2.identity(n)], n)),
+           ("full", full_preimage(SubgroupModN(1, _TRIVIAL_MOD_1), n))]
+    if n >= 2:
+        units = [u for u in range(2, n) if math.gcd(u, n) == 1]
+        gens = [Mat2(n, 1, 1, 0, 1)] + [Mat2(n, u, 0, 0, 1) for u in units]
+        gens += [Mat2(n, 1, 0, 0, u) for u in units]
+        out += [("b1", b1_subgroup(n)),
+                ("borel", subgroup_closure(gens, n)),
+                ("sl2ish", subgroup_closure([Mat2(n, 1, 1, 0, 1), Mat2(n, 0, -1, 1, 0)], n)),
+                ("cyclic-unipotent", subgroup_closure([Mat2(n, 1, 1, 0, 1)], n)),
+                ("scalars", subgroup_closure([Mat2(n, u, 0, 0, u) for u in [1] + units], n))]
+    out += [(f"preimage-b1({m})", full_preimage(b1_subgroup(m), n))
+            for m in _divisors(n) if 2 <= m < n]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_subgroup_family_matches_the_mat2_family(n):
+    family = subgroup_family(n)
+    oracle = _mat2_family(n)
+    assert [name for name, _ in family] == [name for name, _ in oracle]
+    for (name, G), (_, H) in zip(family, oracle):
+        assert (G.n, G.codes) == (H.n, H.codes), name
 
 
 def test_preimage_suite_up_to_24():

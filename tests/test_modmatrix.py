@@ -543,10 +543,17 @@ def b1_preimages(draw):
 # all of GL2(Z/12): every kernel is listed in full
 @example((12, [Mat2(12, 1, 1, 0, 1), Mat2(12, 0, 11, 1, 0), Mat2(12, 5, 0, 0, 1),
                Mat2(12, 7, 0, 0, 1)]))
-@example(_b1_preimage_case(2, 12))
-@example(_b1_preimage_case(4, 8))
 def test_kernel_loops_match_their_earlier_versions(case):
-    n, gens = case
+    _check_kernel_loops(*case)
+
+
+# built when the test runs, so a faulty lift scan fails these, not collection
+@pytest.mark.parametrize("m, n", [(2, 12), (4, 8)])
+def test_kernel_loops_on_b1_preimages(m, n):
+    _check_kernel_loops(*_b1_preimage_case(m, n))
+
+
+def _check_kernel_loops(n, gens):
     G = subgroup_closure(gens, n)
     elems = entries(G)
     assert elems == _oracle_inverse_closure([g.entries for g in gens], n)

@@ -4,7 +4,7 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
-from torsionbounds import cli, modmatrix, verify
+from torsionbounds import modmatrix, verify
 from torsionbounds.cli import main
 from torsionbounds.records import (
     CurveRecord,
@@ -254,6 +254,24 @@ def test_verify_wrong_gl2_order_fails_the_preimage_suite(monkeypatch, capsys):
     assert "3 failed" in out
 
 
+def test_verify_reports_a_lift_scan_fault_as_a_failed_check(monkeypatch, capsys):
+    # the scan drops its last code mod 12; the size check of the closure's
+    # exit, reached by the family's sl2ish member, sees it
+    real = modmatrix._lifts
+
+    def dropping(codes, m, n, dets=None):
+        out = list(real(codes, m, n, dets))
+        return iter(out[:-1] if n == 12 else out)
+
+    for module in (modmatrix, verify):
+        monkeypatch.setattr(module, "_lifts", dropping)
+    code, out, err = run_cli(capsys, "verify", "--max-n", "12")
+    assert (code, err) == (2, "")
+    assert ("FAIL preimage-detection [n<=:12] violations [(12, 'determinant preimage "
+            "in GL2(Z/12) produced 1151 elements, expected 1152')]\n") in out
+    assert "1 failed" in out
+
+
 def test_b1_index_verify_counts_without_the_closed_form(monkeypatch, capsys):
     # --verify counts GL2(Z/5) from the products mod 5; the closed form is
     # not read
@@ -262,7 +280,7 @@ def test_b1_index_verify_counts_without_the_closed_form(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "b1-index", "--n", "5", "--verify")
     assert (code, out, err) == (0, "n 5\nindex 24\nenumerated 24\nverified\n", "")
     # a wrong count fails the verification with exit 2
-    count = cli._count_gl2
-    monkeypatch.setattr(cli, "_count_gl2", lambda n: count(n) + 20 * (n == 5))
+    count = verify._count_gl2
+    monkeypatch.setattr(verify, "_count_gl2", lambda n: count(n) + 20 * (n == 5))
     code, out, err = run_cli(capsys, "b1-index", "--n", "5", "--verify")
     assert (code, out, err) == (2, "n 5\nindex 24\nenumerated 25\nMISMATCH\n", "")
