@@ -9,115 +9,53 @@ Subpackages by topic:
 - bounds: the exponent sieve and the explicit bound constants
 - records: curve-record CSV ingestion
 - verify: the one-shot enumeration-backed verification suite
+
+`import torsionbounds` loads none of them: a submodule is imported when one
+of its names, or the submodule itself, is first used (PEP 562).
 """
-from .arith import (
-    ArithError,
-    EffectiveConstant,
-    b_epsilon,
-    dedekind_psi,
-    euler_phi,
-    factorize,
-)
-from .bounds import (
-    Baselines,
-    BoundContext,
-    BoundsError,
-    CandidateSet,
-    TheoremBounds,
-    UpperBoundValue,
-    baselines,
-    exponent_candidates,
-    sieve_modulus,
-    theorem_bounds,
-)
-from .exactvalue import PowerProduct
-from .lattice import (
-    AdicGroup,
-    IndexReport,
-    LatticeBasis,
-    LatticeError,
-    LatticeScenario,
-    ScenarioResult,
-    bundled_scenarios,
-    parse_scenarios,
-    run_scenario,
-    verify_index_equality,
-)
-from .modmatrix import (
-    ENUMERATION_CAP,
-    EnumerationTooLargeError,
-    Mat2,
-    ModMatrixError,
-    SubgroupModN,
-    b1_subgroup,
-    enumerate_gl2,
-    full_preimage,
-    gl2_order,
-    is_full_preimage,
-    level_within,
-    reduce_subgroup,
-    subgroup_closure,
-    subgroup_index,
-)
-from .records import (
-    ClassCheck,
-    CurveRecord,
-    RecordParseError,
-    check_isogeny_class_indices,
-    parse_curve_records,
-)
-from .verify import SuiteReport, format_report, run_verification_suite
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdicGroup",
-    "ArithError",
-    "Baselines",
-    "BoundContext",
-    "BoundsError",
-    "CandidateSet",
-    "ClassCheck",
-    "CurveRecord",
-    "ENUMERATION_CAP",
-    "EffectiveConstant",
-    "EnumerationTooLargeError",
-    "IndexReport",
-    "LatticeBasis",
-    "LatticeError",
-    "LatticeScenario",
-    "Mat2",
-    "ModMatrixError",
-    "PowerProduct",
-    "RecordParseError",
-    "ScenarioResult",
-    "SubgroupModN",
-    "SuiteReport",
-    "TheoremBounds",
-    "UpperBoundValue",
-    "b1_subgroup",
-    "b_epsilon",
-    "baselines",
-    "bundled_scenarios",
-    "check_isogeny_class_indices",
-    "dedekind_psi",
-    "enumerate_gl2",
-    "euler_phi",
-    "exponent_candidates",
-    "factorize",
-    "format_report",
-    "full_preimage",
-    "gl2_order",
-    "is_full_preimage",
-    "level_within",
-    "parse_curve_records",
-    "parse_scenarios",
-    "reduce_subgroup",
-    "run_scenario",
-    "run_verification_suite",
-    "sieve_modulus",
-    "subgroup_closure",
-    "subgroup_index",
-    "theorem_bounds",
-    "verify_index_equality",
-]
+
+class TorsionBoundsError(ValueError):
+    """Base of the errors the library raises on input it refuses."""
+
+
+# each public name once, under the submodule that defines it
+_EXPORTS = {
+    "arith": ("ArithError", "EffectiveConstant", "b_epsilon", "dedekind_psi",
+              "euler_phi", "factorize"),
+    "bounds": ("Baselines", "BoundContext", "BoundsError", "CandidateSet",
+               "TheoremBounds", "UpperBoundValue", "baselines", "exponent_candidates",
+               "sieve_modulus", "theorem_bounds"),
+    "exactvalue": ("PowerProduct",),
+    "lattice": ("AdicGroup", "IndexReport", "LatticeBasis", "LatticeError",
+                "LatticeScenario", "ScenarioResult", "bundled_scenarios",
+                "parse_scenarios", "run_scenario", "verify_index_equality"),
+    "modmatrix": ("ENUMERATION_CAP", "EnumerationTooLargeError", "Mat2", "ModMatrixError",
+                  "SubgroupModN", "b1_subgroup", "enumerate_gl2", "full_preimage",
+                  "gl2_order", "is_full_preimage", "level_within", "reduce_subgroup",
+                  "subgroup_closure", "subgroup_index"),
+    "records": ("ClassCheck", "CurveRecord", "RecordParseError",
+                "check_isogeny_class_indices", "parse_curve_records"),
+    "verify": ("SuiteReport", "format_report", "run_verification_suite"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(["TorsionBoundsError", *_SOURCE])
+
+
+def __getattr__(name):
+    if name in _SOURCE:
+        value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

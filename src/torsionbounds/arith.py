@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import TorsionBoundsError
 from .exactvalue import PowerProduct, Rational, _factorize, _is_prime, _log_sign
 
 FACTORIZATION_CAP = 10**12
@@ -22,7 +23,7 @@ FACTORIZATION_CAP = 10**12
 B_EXACT_MEMO_SIZE = 64
 
 
-class ArithError(ValueError):
+class ArithError(TorsionBoundsError):
     pass
 
 

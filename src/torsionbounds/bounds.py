@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import TorsionBoundsError
 from .arith import _b_exact
 from .exactvalue import MAX_DIGITS, PowerProduct, Rational, _divisors, _is_prime
 
@@ -49,12 +49,12 @@ def _parent_bound(d: int) -> int:
     return 129 * (5 ** d - 1) * (3 * d) ** 6
 
 
-# the largest degree baselines accepts, 6112: past it the parent bound, which
-# grows with d, has more than MAX_DIGITS digits (5^d alone has before 2*MAX_DIGITS)
-MAX_BASELINE_DEGREE = bisect_left(range(2 * MAX_DIGITS), 10**MAX_DIGITS, key=_parent_bound) - 1
+# the largest degree baselines accepts: past it the parent bound, which grows
+# with d, has more than MAX_DIGITS digits (tests/test_bounds.py derives it)
+MAX_BASELINE_DEGREE = 6112
 
 
-class BoundsError(ValueError):
+class BoundsError(TorsionBoundsError):
     pass
 
 

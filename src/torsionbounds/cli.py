@@ -9,28 +9,19 @@ prior explicit bounds, and `verify` the full verification suite.
 Exit codes: 0 success, 1 usage or parse error, 2 any failed verification.
 All numeric flags are exact integers or rationals ("1/2"); reports are
 byte-identical across identical invocations.
+
+Each subcommand imports the engine it runs, so a fast one does not pay for
+loading the others.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
-from . import lattice
-from .arith import ArithError, b_epsilon, dedekind_psi, euler_phi
-from .bounds import (
-    BoundContext,
-    BoundsError,
-    baselines,
-    exponent_candidates,
-    theorem_bounds,
-)
+from . import TorsionBoundsError
 from .exactvalue import MAX_DIGITS
-from .modmatrix import ModMatrixError
-from .records import RecordParseError, check_isogeny_class_indices, parse_curve_records
-from .verify import b1_index_by_count, format_report, run_verification_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -174,6 +165,9 @@ _BOUNDS_COLUMNS = ("label", "d0", "I", "d", "sieve_modulus", "candidate_max",
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import BoundContext, baselines, exponent_candidates, theorem_bounds
+    from .records import check_isogeny_class_indices, parse_curve_records
+
     if args.records == "-":
         records = parse_curve_records(sys.stdin)
     else:
@@ -221,6 +215,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_candidates(args) -> int:
+    from .bounds import BoundContext, exponent_candidates
+
     cand = exponent_candidates(BoundContext(args.index, args.base_degree, args.degree))
     report = {
         "I": args.index, "d0": args.base_degree, "d": args.degree,
@@ -232,6 +228,8 @@ def _cmd_candidates(args) -> int:
 
 
 def _cmd_b_epsilon(args) -> int:
+    from .arith import b_epsilon
+
     c = b_epsilon(args.epsilon, args.digits)
     report = {"epsilon": str(c.epsilon), "witness": c.witness,
               "value": c.decimal, "digits": c.digits}
@@ -239,6 +237,8 @@ def _cmd_b_epsilon(args) -> int:
 
 
 def _cmd_b1_index(args) -> int:
+    from .arith import dedekind_psi, euler_phi
+
     n = args.n
     if n < 2:
         print("b1-index: error: --n must be >= 2", file=sys.stderr)
@@ -247,6 +247,8 @@ def _cmd_b1_index(args) -> int:
     lines = _fields(report, "n", "index")
     if not args.verify:
         return _emit(args, report, lines)
+    from .verify import b1_index_by_count
+
     brute = b1_index_by_count(n)
     report.update(enumerated=brute, verified=brute == report["index"])
     lines += _fields(report, "enumerated")
@@ -255,6 +257,8 @@ def _cmd_b1_index(args) -> int:
 
 
 def _cmd_lattice_check(args) -> int:
+    from . import lattice
+
     if args.scenario_file:
         with open(args.scenario_file, encoding="utf-8") as fh:
             scenarios = lattice.parse_scenarios(fh.read())
@@ -291,6 +295,8 @@ def _cmd_lattice_check(args) -> int:
 
 
 def _cmd_baselines(args) -> int:
+    from .bounds import baselines
+
     base = baselines(args.degree, args.digits)
     report = {"d": base.d, **_baseline_fields(base), "bn_applicable": base.bn_applicable}
     lines = _fields(report, "d", "parent")
@@ -302,6 +308,10 @@ def _cmd_baselines(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from dataclasses import asdict
+
+    from .verify import format_report, run_verification_suite
+
     suite = run_verification_suite(args.max_n)
     report = {**asdict(suite), "passed": suite.passed, "failed": suite.failed,
               "skipped": suite.skipped, "ok": suite.ok}
@@ -328,8 +338,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (ArithError, BoundsError, ModMatrixError, RecordParseError,
-            lattice.LatticeError, OSError, UnicodeDecodeError) as exc:
+    except (TorsionBoundsError, OSError, UnicodeDecodeError) as exc:
         print(f"torsionbounds: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

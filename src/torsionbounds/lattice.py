@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from . import modmatrix
+from . import TorsionBoundsError, modmatrix
 from .exactvalue import MAX_DIGITS, PRIME_TEST_LIMIT, _factorize, _is_prime
 from .modmatrix import (
     EnumerationTooLargeError,
@@ -55,7 +55,7 @@ RatMat = tuple[Fraction, Fraction, Fraction, Fraction]
 MAX_PRECISION = 64
 
 
-class LatticeError(ValueError):
+class LatticeError(TorsionBoundsError):
     pass
 
 

@@ -56,6 +56,7 @@ from itertools import chain, compress, repeat
 from operator import add, floordiv, mod, mul
 from typing import Iterable, Iterator
 
+from . import TorsionBoundsError
 from .exactvalue import _divisors, _factorize
 
 # the most group elements any one enumeration may hold
@@ -64,7 +65,7 @@ ENUMERATION_CAP = 10**7
 Entries = tuple[int, int, int, int]
 
 
-class ModMatrixError(ValueError):
+class ModMatrixError(TorsionBoundsError):
     pass
 
 

@@ -12,11 +12,13 @@ import io
 from dataclasses import dataclass
 from typing import Iterable
 
+from . import TorsionBoundsError
+
 HEADER = ("label", "base_degree", "adelic_index")
 OPTIONAL = ("isogeny_class",)
 
 
-class RecordParseError(ValueError):
+class RecordParseError(TorsionBoundsError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line

@@ -2,6 +2,7 @@
 import json
 import math
 import time
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -492,6 +493,16 @@ def test_bourdon_najman_baseline():
 def test_baselines_reject_bad_degree():
     with pytest.raises(BoundsError):
         baselines(0)
+
+
+def test_baseline_limit_is_the_last_degree_with_a_printable_parent_bound():
+    # the parent bound 129 (5^d - 1) (3d)^6 grows with d, and 5^d alone has
+    # more than MAX_DIGITS digits before d = 2 * MAX_DIGITS
+    def parent(d):
+        return 129 * (5 ** d - 1) * (3 * d) ** 6
+    limit = bisect_left(range(2 * exactvalue.MAX_DIGITS), 10 ** exactvalue.MAX_DIGITS,
+                        key=parent) - 1
+    assert limit == MAX_BASELINE_DEGREE == 6112
 
 
 def test_parent_baseline_fits_in_a_printable_int_up_to_the_limit():

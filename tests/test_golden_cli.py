@@ -9,6 +9,7 @@ own, before the change it guards: add it to CASES and run
 change, rewrite the record the same way and review its diff.
 """
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -173,6 +174,14 @@ def test_cli_matches_golden(name):
 
 def test_every_case_has_a_record_and_every_record_a_case():
     assert sorted(_records()) == sorted(CASES)
+
+
+def test_walltime_script_reads_every_case():
+    path = Path(__file__).parents[1] / "tools" / "walltime.py"
+    spec = importlib.util.spec_from_file_location("walltime", path)
+    walltime = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(walltime)
+    assert walltime.golden_cases() == CASES
 
 
 if __name__ == "__main__":
