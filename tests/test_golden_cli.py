@@ -145,6 +145,12 @@ CASES = {
     "b1-index-101": ["b1-index", "--n", "101", "--verify"],
     "lattice-check-full-image-l31": ["lattice-check", "--scenario-file",
                                      "full_image_l31.txt"],
+    "lattice-check-full-image-l7-k64-tsd": ["lattice-check", "--scenario-file",
+                                            "full_image_l7_k64_tsd.txt"],
+    "lattice-check-full-image-l7-k64-dts": ["lattice-check", "--scenario-file",
+                                            "full_image_l7_k64_dts.txt"],
+    "lattice-check-kernel-1e9-k20": ["lattice-check", "--scenario-file",
+                                     "kernel_1e9_k20.txt"],
 }
 
 
