@@ -49,9 +49,10 @@ from .modmatrix import (
 
 # row-major 2x2; a scenario file's integer entries are ints
 RatMat = tuple[Fraction, Fraction, Fraction, Fraction]
-# all of GL2(Z_l) at k = 64 takes 0.60-1.47 s per lattice for l = 2, 3, 5, 7
-# with the unipotent generators listed first, 0.07-0.14 s with the diagonal
-# units first, conjugation included (in-process, 2-vCPU Xeon)
+# all of GL2(Z_l) at k = 64 takes 0.2-4.4 ms per lattice for l = 2, 3, 5, 7
+# in every order of its generators, and a group whose layers never fill,
+# such as the upper triangular group at l = 5 or 7, about 0.2 s,
+# conjugation included (in-process, 2-vCPU Xeon)
 MAX_PRECISION = 64
 
 
@@ -221,10 +222,16 @@ def subgroup_orders(gens: Sequence[Entries], l: int, k: int) -> list[int]:
     G cap K_1: it is G cap K_1.
 
     Layer j is an F_l-echelon basis of (G cap K_j) K_{j+1} / K_{j+1}, a
-    subspace of K_j/K_{j+1} = M2(F_l); G cap K_1 has l**(basis size)
-    elements (an induced polycyclic sequence), and G mod l^j has
-    |image mod l| * l**(d_1 + ... + d_(j-1)), d_i the size of layer i.
-    Relators are formed and sifted only until every layer is full.
+    subspace of K_j/K_{j+1} = M2(F_l); G cap K_1 has l**(d_1 + ... +
+    d_(k-1)) elements (an induced polycyclic sequence), d_i the size of
+    layer i, and G mod l^j has |image mod l| * l**(d_1 + ... + d_(j-1)).
+    Once layer j is full, G contains K_j (j >= 1 at odd l, j >= 2 at
+    l = 2: see `_LayeredBasis`), so d_i = 4 for every i >= j, whatever the
+    sift stored there: the sizes are read from `layer_sizes`, not from the
+    layers.  The basis is built shallowest depth first, so that this
+    happens before any deeper product is formed, and the last layer is
+    kept as vectors mod l.  Relators are sifted only until the basis spans
+    K_1.
     """
     top = l ** k
     raw = list(dict.fromkeys(gens))
@@ -266,71 +273,167 @@ def subgroup_orders(gens: Sequence[Entries], l: int, k: int) -> list[int]:
                  (c * e + d * g) % top, (c * f + d * h) % top) for a, b, c, d in H]})
             candidates.extend([_mul(x, s, top) for s in used])
     sifter.close([(g, _inv(g, top)) for g in raw if _reduce(g, l) != ident])
-    sizes = [len(sifter.layers[j]) for j in range(1, k)]
+    sizes = sifter.layer_sizes()
     return [len(lift) * l ** sum(sizes[:j]) for j in range(k)]
 
 
 class _LayeredBasis:
     """Elements of K_1 in GL2(Z/l^k), sifted into an F_l-echelon basis per
-    filtration layer and closed under l-th powers and commutators.
+    filtration layer and closed under l-th powers, commutators and
+    conjugation by given generators.
 
     For j >= 1, (I + l^j A)(I + l^j B) = I + l^j (A + B) mod l^(j+1), so
     K_j/K_{j+1} is additive and the leading term (x - I)/l^j mod l of an
-    element of depth j is linear in it; no case is special for l = 2.  Once
-    layers j..k-1 are all full (four elements each), each of them cancels
-    any leading vector, so every element of K_j sifts to I: `_sift`
-    answers for it without a product.
+    element of depth j is linear in it.  Each layer keeps, per basis
+    element, its leading vector as found, the inverse of its pivot entry
+    mod l, and the inverse powers of the element used so far.
+
+    Full layers propagate.  (I + l^j A)^l = I + l^(j+1) A mod l^(j+2) for
+    j >= 1 at odd l and for j >= 2 at l = 2, so once layer j is full (four
+    elements) the l-th powers of its elements fill layer j+1, and so on:
+    the group contains K_j, `full_from` falls to j, and every element of
+    K_(full_from) sifts to I without a product.  Modulo K_(full_from) the
+    shallower layers are an induced polycyclic sequence, so the group's
+    part in K_1 has l**(d_1 + ... + d_(j-1)) * |K_j| elements, j =
+    full_from.  At l = 2 and j = 1 the square is I + 4(A + A^2) mod 8, and
+    a full layer 1 proves nothing (T. and V. Dokchitser's groups onto
+    GL2(Z/4) but not onto GL2(Z/8) have one): there `full_from` falls to 1
+    only from 2.
+
+    Shallowest work first.  The work an element x of depth j brings is
+    its l-th power (depth j+1 or deeper), its commutators with the
+    elements of each depth i (depth i+j or deeper) and its conjugates
+    (depth j).  `close` does that work one depth d at a time, shallowest
+    first; every product it forms lies at depth d or deeper, so once it
+    reaches d, layers 1..d-1 are final, and the powers and commutators of
+    depth d are read off them (the layers are the buckets; no task list
+    and no heap).  Shallow layers thus fill first, the rule above fires
+    before any deep product is formed, and no depth at or past `full_from`
+    is reached.  `add` sifts a relator at once through layer 1, so that
+    `full` stops the relator scan as soon as the relators fill that layer,
+    and queues what is left of it at its depth: the deeper layers are still
+    empty then, and a relator sifted into them at once would insert a new
+    element at every depth it reached (all of GL2(Z_7) at k = 64 from
+    `0,-1;1,0`, `1,1;0,1` and diag(3, 1) did, 51 elements for 17 layers).
+
+    The last layer, k-1, is a vector space.  Its elements are I + l^(k-1) A
+    with A mod l, every power or commutator of one lies in K_k = 1, and the
+    conjugate by g is I + l^(k-1) gAg^-1 with g mod l.  So that layer keeps
+    leading vectors only; elimination there is vector arithmetic, its
+    conjugation is a product mod l, and nothing mod l^k is formed for it.
     """
 
     def __init__(self, l: int, k: int):
         self.l = l
         self.m = l ** k
+        self.last = k - 1
         self.depth = {l ** j: j for j in range(1, k)}
-        # layer j -> [(pivot, leading vector, {c: x^-c} for each c used)]
+        # layer j -> [(pivot, leading vector, pivot entry^-1 mod l,
+        # {c: x^-c} for each c used, or None in the last layer)]
         self.layers: dict[int, list] = {j: [] for j in range(1, k)}
-        self.elements: list[tuple] = []  # (element, inverse, depth), every layer
-        # the least j with layers j..k-1 all full: the basis spans K_j
+        # depth j < k-1 -> [(x, x^-1)] for the basis elements of layer j
+        self.elements: dict[int, list] = {j: [] for j in range(1, k - 1)}
+        # the least j with K_j in the group: layers j..k-1 count as full
         self.full_from = k
+        # depth j -> what is left of relators that reached depth j
+        self.queued: dict[int, list] = {j: [] for j in range(1, k)}
 
     @property
     def full(self) -> bool:
         """Whether the basis spans all of K_1."""
         return self.full_from == 1
 
+    def layer_sizes(self) -> list[int]:
+        """d_j for j = 1..k-1, four for every layer from `full_from` on."""
+        return [4 if j >= self.full_from else len(self.layers[j])
+                for j in range(1, self.last + 1)]
+
     def add(self, x) -> None:
-        """Sift x into the basis; close the basis under what it adds."""
-        work = [x]
-        while work:
-            found = self._sift(work.pop())
-            if found is not None:
-                work.extend(self._insert(*found))
+        """Sift x through layer 1; queue what is left of it deeper."""
+        found = self._sift(x, 1)
+        if found is not None:
+            self._insert(*found)
 
     def close(self, conjugators) -> None:
-        """Close the basis under x -> g x g^-1 for each (g, g^-1) given: sift
-        the conjugates of every basis element, those it adds included."""
-        m, i = self.m, 0
-        while i < len(self.elements) and not self.full:
-            x = self.elements[i][0]
-            i += 1
-            for g, g_inv in conjugators:
-                self.add(_mul(_mul(g, x, m), g_inv, m))
+        """Close the basis under l-th powers, commutators and x -> g x g^-1
+        for each (g, g^-1) given, one depth at a time, shallowest first.
 
-    def _sift(self, x):
+        At depth d the layers above d are final: the work of depth d is
+        the queued relators, the l-th powers of layer d-1, the commutators
+        of layers i and d-i, and the conjugates of layer d, those that this
+        work adds included.  No depth at or past `full_from` is reached, so
+        no product that deep is formed.  That cutoff pays for its code:
+        with every power and commutator formed, the bench's lattice
+        workload ran 13-18% fewer ops/s and its p90 rose from 0.26-0.28 to
+        0.34-0.36 ms (8-s runs, seeds 41-44, 2-vCPU Xeon VM, Python 3.11).
+        """
+        l, m, last = self.l, self.m, self.last
+        conjugators_mod_l = [(_reduce(g, l), _reduce(g_inv, l))
+                             for g, g_inv in conjugators]
+        sift, insert = self._sift, self._insert
+        for d in range(1, last + 1):
+            for y in self._products(d):
+                if d >= self.full_from:
+                    return
+                found = sift(y, last)
+                if found is not None:
+                    insert(*found)
+            layer, i = self.layers[d], 0
+            while i < len(layer) and d < self.full_from:
+                if d == last:
+                    v = layer[i][1]
+                    for g, g_inv in conjugators_mod_l:
+                        w = self._sift_vector(_mul(_mul(g, v, l), g_inv, l))
+                        if w is not None:
+                            insert(None, d, w)
+                else:
+                    x = self.elements[d][i][0]
+                    for g, g_inv in conjugators:
+                        found = sift(_mul(_mul(g, x, m), g_inv, m), last)
+                        if found is not None:
+                            insert(*found)
+                i += 1
+
+    def _products(self, d: int):
+        """The relators queued at depth d, the l-th powers of layer d-1 and
+        the commutators of layers i and d-i, formed one at a time."""
+        l, m, elements = self.l, self.m, self.elements
+        yield from self.queued[d]
+        if d == 1:
+            return
+        for x, _ in elements[d - 1]:
+            yield _pow(x, l, m)
+        for i in range(1, d // 2 + 1):
+            xs, ys = elements[i], elements[d - i]
+            for a, (x, x_inv) in enumerate(xs):
+                for y, y_inv in ys[a + 1:] if xs is ys else ys:
+                    yield _mul(_mul(x, y, m), _mul(x_inv, y_inv, m), m)
+
+    def _sift(self, x, limit: int):
         """(x', j, v): the part of x no basis element cancels, its depth j and
-        leading vector v; None when the basis expresses x."""
-        l, m = self.l, self.m
+        leading vector v (x' is None in the last layer).  None when the
+        basis expresses x, or when x reaches a depth past `limit`, where it
+        is queued."""
+        l, m, depth, last = self.l, self.m, self.depth, self.last
         while True:
             g = math.gcd(x[0] - 1, x[1], x[2], x[3] - 1, m)
             if g == m:
                 return None
-            j = self.depth[g]
+            j = depth[g]
             if j >= self.full_from:
+                return None
+            if j > limit:
+                self.queued[j].append(x)
                 return None
             v = [(x[0] - 1) // g % l, x[1] // g % l, x[2] // g % l,
                  (x[3] - 1) // g % l]
-            for piv, lead, inv_pows in self.layers[j]:
+            if j == last:
+                v = self._sift_vector(v)
+                return None if v is None else (None, j, v)
+            for piv, lead, piv_inv, inv_pows in self.layers[j]:
                 c = v[piv]
                 if c:
+                    c = c * piv_inv % l
                     if c not in inv_pows:
                         inv_pows[c] = _pow(inv_pows[1], c, m)
                     x = _mul(x, inv_pows[c], m)
@@ -338,31 +441,33 @@ class _LayeredBasis:
             if any(v):
                 return x, j, v
 
-    def _insert(self, x, j: int, v: list[int]) -> list:
-        """Add x (depth j, leading vector v) to layer j, scaled to pivot 1;
-        return its l-th power and its commutators with the basis elements.
+    def _sift_vector(self, v):
+        """What of a leading vector v of the last layer its basis does not
+        span; None when it spans v."""
+        l = self.l
+        for piv, lead, piv_inv, _ in self.layers[self.last]:
+            c = v[piv]
+            if c:
+                c = c * piv_inv % l
+                v = [(a - c * b) % l for a, b in zip(v, lead)]
+        return v if any(v) else None
 
-        x^l lies in K_(j+1) and the commutator with an element of depth i in
-        K_(i+j), and an element of K_(full_from) sifts to I, so a product
-        that deep is not formed.  The cutoff pays for its code: with every
-        power and commutator formed, the bench's lattice workload ran
-        13-18% fewer ops/s and its p90 rose from 0.26-0.28 to 0.34-0.36 ms
-        (8-s runs, seeds 41-44, 2-vCPU Xeon VM, Python 3.11)."""
-        l, m = self.l, self.m
+    def _insert(self, x, j: int, v) -> None:
+        """Add x (depth j, leading vector v; x is None in the last layer) to
+        layer j, and lower `full_from` if layer j is now full."""
+        l, layer = self.l, self.layers[j]
         piv = next(i for i, a in enumerate(v) if a)
-        scale = pow(v[piv], -1, l)
-        x = _pow(x, scale, m)
-        lead = [a * scale % l for a in v]
-        x_inv = _inv(x, m)
-        self.layers[j].append((piv, lead, {1: x_inv}))
-        while self.full_from > 1 and len(self.layers[self.full_from - 1]) == 4:
-            self.full_from -= 1
-        full = self.full_from
-        out = [_pow(x, l, m)] if j + 1 < full else []
-        out.extend(_mul(_mul(x, y, m), _mul(x_inv, y_inv, m), m)
-                   for y, y_inv, i in self.elements if i + j < full)
-        self.elements.append((x, x_inv, j))
-        return out
+        if x is None:
+            layer.append((piv, v, pow(v[piv], -1, l), None))
+        else:
+            x_inv = _inv(x, self.m)
+            layer.append((piv, v, pow(v[piv], -1, l), {1: x_inv}))
+            self.elements[j].append((x, x_inv))
+        if len(layer) == 4:
+            if j > 1 or l > 2:
+                self.full_from = min(self.full_from, j)
+            if self.full_from == 2 and len(self.layers[1]) == 4:
+                self.full_from = 1
 
 
 def _pow(x, e: int, m: int):

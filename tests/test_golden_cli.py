@@ -24,7 +24,9 @@ from torsionbounds.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 EXPECTED = GOLDEN / "expected.json"
 # wall seconds any one case may take in-process; the slowest, lattice-check
-# of all of GL2 at l = 31, takes about 1 s on a 2-vCPU Xeon
+# of all of GL2 at l = 31, takes about 2 s on a 2-vCPU Xeon (all of GL2 at
+# l = 7 and precision 64, generators t, s, d, took 4.5-6 s before the sift
+# let full layers propagate, and takes milliseconds now)
 BUDGET_S = 10
 
 CASES = {
@@ -151,6 +153,8 @@ CASES = {
                                             "full_image_l7_k64_dts.txt"],
     "lattice-check-kernel-1e9-k20": ["lattice-check", "--scenario-file",
                                      "kernel_1e9_k20.txt"],
+    "lattice-check-kernel-1e9-k60": ["lattice-check", "--scenario-file",
+                                     "kernel_1e9_k60.txt"],
 }
 
 

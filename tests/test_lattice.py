@@ -455,16 +455,124 @@ def test_layered_order_matches_closure(l, k):
         assert subgroup_orders(gens, l, k) == brute
 
 
-def _coset_bfs_orders(gens, l, k):
+class _ReferenceBasis:
+    """The layered sift as it stood before full layers propagated, kept as
+    an oracle that shares no code with `lattice._LayeredBasis`: `add` sifts
+    an element and, depth first, its l-th power and its commutators with the
+    basis; each new element is powered to pivot 1; `full_from` falls only
+    while the deepest layers are full; `close` conjugates every element."""
+
+    def __init__(self, l, k):
+        self.l = l
+        self.m = l ** k
+        self.depth = {l ** j: j for j in range(1, k)}
+        self.layers = {j: [] for j in range(1, k)}
+        self.elements = []
+        self.full_from = k
+
+    @property
+    def full(self):
+        return self.full_from == 1
+
+    def add(self, x):
+        work = [x]
+        while work:
+            found = self._sift(work.pop())
+            if found is not None:
+                work.extend(self._insert(*found))
+
+    def close(self, conjugators):
+        m, i = self.m, 0
+        while i < len(self.elements) and not self.full:
+            x = self.elements[i][0]
+            i += 1
+            for g, g_inv in conjugators:
+                self.add(_mul(_mul(g, x, m), g_inv, m))
+
+    def orders(self, image_order):
+        """|G mod l^j| for j = 1..k, from the order of the image mod l."""
+        sizes = [len(self.layers[j]) for j in self.layers]
+        return [image_order * self.l ** sum(sizes[:j]) for j in range(len(sizes) + 1)]
+
+    def _sift(self, x):
+        l, m = self.l, self.m
+        while True:
+            g = math.gcd(x[0] - 1, x[1], x[2], x[3] - 1, m)
+            if g == m:
+                return None
+            j = self.depth[g]
+            if j >= self.full_from:
+                return None
+            v = [(x[0] - 1) // g % l, x[1] // g % l, x[2] // g % l,
+                 (x[3] - 1) // g % l]
+            for piv, lead, inv_pows in self.layers[j]:
+                c = v[piv]
+                if c:
+                    if c not in inv_pows:
+                        inv_pows[c] = _reference_pow(inv_pows[1], c, m)
+                    x = _mul(x, inv_pows[c], m)
+                    v = [(a - c * b) % l for a, b in zip(v, lead)]
+            if any(v):
+                return x, j, v
+
+    def _insert(self, x, j, v):
+        l, m = self.l, self.m
+        piv = next(i for i, a in enumerate(v) if a)
+        scale = pow(v[piv], -1, l)
+        x = _reference_pow(x, scale, m)
+        lead = [a * scale % l for a in v]
+        x_inv = _inv(x, m)
+        self.layers[j].append((piv, lead, {1: x_inv}))
+        while self.full_from > 1 and len(self.layers[self.full_from - 1]) == 4:
+            self.full_from -= 1
+        full = self.full_from
+        out = [_reference_pow(x, l, m)] if j + 1 < full else []
+        out.extend(_mul(_mul(x, y, m), _mul(x_inv, y_inv, m), m)
+                   for y, y_inv, i in self.elements if i + j < full)
+        self.elements.append((x, x_inv, j))
+        return out
+
+
+def _reference_pow(x, e, m):
+    out = (1, 0, 0, 1)
+    for _ in range(e):
+        out = _mul(out, x, m)
+    return out
+
+
+class _AllProductsBasis(_ReferenceBasis):
+    """The reference sift before the depth cutoff: `_insert` forms the l-th
+    power of each new element and its commutator with every basis element,
+    however deep, and leaves the sift to discard the deep ones."""
+
+    def _insert(self, x, j, v):
+        l, m = self.l, self.m
+        piv = next(i for i, a in enumerate(v) if a)
+        scale = pow(v[piv], -1, l)
+        x = _reference_pow(x, scale, m)
+        lead = [a * scale % l for a in v]
+        x_inv = _inv(x, m)
+        out = [_reference_pow(x, l, m)]
+        out.extend(_mul(_mul(x, y, m), _mul(x_inv, y_inv, m), m)
+                   for y, y_inv, _ in self.elements)
+        self.layers[j].append((piv, lead, {1: x_inv}))
+        self.elements.append((x, x_inv, j))
+        while self.full_from > 1 and len(self.layers[self.full_from - 1]) == 4:
+            self.full_from -= 1
+        return out
+
+
+def _coset_bfs_orders(gens, l, k, basis=_ReferenceBasis):
     """`subgroup_orders` by the earlier algorithm, kept as an oracle: a
     breadth-first coset scan multiplies every element of the image mod l
     (kept as a lift mod l^k, with its inverse) by every generator, and sifts
-    all of its |image| * r Schreier generators, which generate G cap K_1."""
+    all of its |image| * r Schreier generators, which generate G cap K_1,
+    into `basis` (by default the reference sift)."""
     top = l ** k
     raw = list(dict.fromkeys(gens))
     cap = modmatrix.ENUMERATION_CAP
     ident = (1, 0, 0, 1)
-    sifter = lattice._LayeredBasis(l, k)
+    sifter = basis(l, k)
     reps = {_reduce(ident, l): (ident, ident)}
     queue = deque([ident])
     while queue:
@@ -481,8 +589,7 @@ def _coset_bfs_orders(gens, l, k):
             elif not sifter.full:
                 # Schreier generator rep*g*rep(rep*g)^-1, in K_1
                 sifter.add(_mul(prod, known[1], top))
-    sizes = [len(sifter.layers[j]) for j in range(1, k)]
-    return [len(reps) * l ** sum(sizes[:j]) for j in range(k)]
+    return sifter.orders(len(reps))
 
 
 @st.composite
@@ -527,9 +634,32 @@ def relator_generators(draw, max_k=None):
 @example((2, 3, [(1, 1, 0, 1), (0, 7, 1, 0), (3, 0, 0, 1), (5, 0, 0, 1)]))
 # k = 1: the closure mod l alone
 @example((5, 1, [(1, 1, 0, 1), (2, 0, 0, 1), (1, 1, 0, 1)]))
+# onto GL2(Z/4) but not GL2(Z/8): layer 1 is full, layer 2 is not
+@example((2, 4, [(0, 3, 7, 7), (1, 5, 6, 3)]))
 def test_relator_orders_match_coset_bfs(case):
     l, k, gens = case
     assert subgroup_orders(gens, l, k) == _coset_bfs_orders(gens, l, k)
+
+
+def test_full_first_layer_at_l2_does_not_fill_the_kernel():
+    """At l = 2 a full layer 1 does not fill layer 2: (I + 2A)^2 = I + 4(A +
+    A^2) mod 8.  T. and V. Dokchitser's group (Math. Z. 272, 2012) maps onto
+    GL2(Z/4) and has index 2 mod 8."""
+    gens = [(0, 3, 7, 7), (1, 5, 6, 3)]
+    assert [len(_closure([_reduce(g, 2 ** j) for g in gens], 2 ** j))
+            for j in (1, 2, 3)] == [6, 96, 768]
+    assert subgroup_orders(gens, 2, 3) == [6, 96, 768]
+    for k in range(4, 9):
+        assert subgroup_orders(gens, 2, k) == _coset_bfs_orders(gens, 2, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relator_generators(max_k=8), st.data())
+def test_orders_ignore_generator_order_and_repeats(case, data):
+    l, k, gens = case
+    repeats = data.draw(st.lists(st.sampled_from(gens), max_size=3))
+    shuffled = data.draw(st.permutations(gens + repeats))
+    assert subgroup_orders(shuffled, l, k) == subgroup_orders(gens, l, k)
 
 
 def test_borel_sifts_fewer_relators_than_its_image(monkeypatch):
@@ -551,44 +681,6 @@ def test_borel_sifts_fewer_relators_than_its_image(monkeypatch):
     assert calls < 252
 
 
-class _AllProductsBasis(lattice._LayeredBasis):
-    """The sift before the depth cutoff, kept as an oracle: `_insert` forms
-    the l-th power of each new element and its commutator with every basis
-    element, however deep, and leaves the sift to discard the deep ones."""
-
-    def _insert(self, x, j, v):
-        l, m = self.l, self.m
-        piv = next(i for i, a in enumerate(v) if a)
-        scale = pow(v[piv], -1, l)
-        x = lattice._pow(x, scale, m)
-        lead = [a * scale % l for a in v]
-        x_inv = _inv(x, m)
-        out = [lattice._pow(x, l, m)]
-        out.extend(_mul(_mul(x, y, m), _mul(x_inv, y_inv, m), m)
-                   for y, y_inv, _ in self.elements)
-        self.layers[j].append((piv, lead, {1: x_inv}))
-        self.elements.append((x, x_inv, j))
-        while self.full_from > 1 and len(self.layers[self.full_from - 1]) == 4:
-            self.full_from -= 1
-        return out
-
-
-def _sift_states(sifter_class, gens, l, k):
-    """The orders of <gens> mod l^j for j = 1..k with `sifter_class` as the
-    sifter, and the layers, elements and full_from it ends with."""
-    made = []
-
-    class Recorded(sifter_class):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lattice, "_LayeredBasis", Recorded)
-        orders = subgroup_orders(gens, l, k)
-    return orders, [(s.layers, s.elements, s.full_from) for s in made]
-
-
 @settings(max_examples=200, deadline=None)
 @given(relator_generators(max_k=6))
 # all of GL2(Z/2^6) and the Borel mod 3^6: the last layers fill from the
@@ -596,11 +688,10 @@ def _sift_states(sifter_class, gens, l, k):
 @example((2, 6, [(1, 1, 0, 1), (0, 63, 1, 0), (3, 0, 0, 1), (5, 0, 0, 1)]))
 @example((3, 6, [(1, 1, 0, 1), (1, 0, 3, 1), (2, 0, 0, 1), (1, 0, 0, 2)]))
 def test_depth_cutoff_matches_all_products(case):
-    """Every product the cutoff skips sifts to I, so the basis is the same,
-    element for element, layer by layer."""
+    """Every product the cutoff skips sifts to I, so the orders are those of
+    a reference sift that forms every power and commutator."""
     l, k, gens = case
-    assert _sift_states(lattice._LayeredBasis, gens, l, k) \
-        == _sift_states(_AllProductsBasis, gens, l, k)
+    assert subgroup_orders(gens, l, k) == _coset_bfs_orders(gens, l, k, _AllProductsBasis)
 
 
 def _filtration_oracle(gens, l, k):

@@ -20,7 +20,9 @@ Each case runs twice over, from two private copies of the package:
 Per case and mode: one warm-up, then RUNS timed runs (one if the warm-up
 took over SLOW_S), reported as best and median.  Two calibrations put the
 figures of two machines or two moments side by side: a bare `python -c
-pass`, and a fixed pure-Python loop timed in this process.
+pass`, and a fixed pure-Python loop timed in this process.  Last, the
+tier-1 suite runs once (TIER1, from the root of the checkout against its
+`src/`), and its wall time, exit code and summary line are recorded.
 """
 import ast
 import json
@@ -40,6 +42,8 @@ RUNS = 5
 SLOW_S = 2.0
 # the console script's own body
 ENTRY = "import sys; from torsionbounds.cli import main; sys.exit(main())"
+# the tier-1 suite, as ROADMAP.md and the CI run it
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def golden_cases() -> dict[str, list[str]]:
@@ -69,6 +73,18 @@ def measure(cmd: list[str], env: dict) -> tuple[dict, int]:
     warm_up, code = timed(cmd, env)
     times = [timed(cmd, env)[0] for _ in range(1 if warm_up > SLOW_S else RUNS)]
     return summary(times), code
+
+
+def tier1() -> dict:
+    """One timed run of the tier-1 suite against this checkout's `src/`."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src") + (f":{path}" if path else "")}
+    start = time.perf_counter()
+    run = subprocess.run([sys.executable, *TIER1], env=env, cwd=ROOT,
+                         stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    lines = run.stdout.strip().splitlines()
+    return {"wall_s": round(time.perf_counter() - start, 2), "exit": run.returncode,
+            "summary": lines[-1] if lines else ""}
 
 
 def loop_s() -> float:
@@ -126,6 +142,9 @@ def main(argv: list[str]) -> int:
             report["cases"][name] = entry
             print(f"{name}: no_pyc {entry['no_pyc']['best_s']:.3f} s, "
                   f"pyc {entry['pyc']['best_s']:.3f} s", file=sys.stderr)
+    report["tier1"] = tier1()
+    print(f"tier-1: {report['tier1']['summary']} ({report['tier1']['wall_s']:.1f} s)",
+          file=sys.stderr)
     out = ROOT / f"BENCH_cli_{label}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(out)
