@@ -155,6 +155,13 @@ CASES = {
                                      "kernel_1e9_k20.txt"],
     "lattice-check-kernel-1e9-k60": ["lattice-check", "--scenario-file",
                                      "kernel_1e9_k60.txt"],
+    "lattice-check-repeated-precision": ["lattice-check", "--scenario-file",
+                                         "repeated_precision.txt"],
+    "lattice-check-dokchitser-l2": ["lattice-check", "--scenario-file",
+                                    "dokchitser_l2.txt"],
+    "lattice-check-gamma0-4": ["lattice-check", "--scenario-file", "gamma0_4.txt"],
+    "lattice-check-unipotent-l2": ["lattice-check", "--scenario-file",
+                                   "unipotent_l2.txt"],
 }
 
 
