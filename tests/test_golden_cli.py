@@ -163,6 +163,8 @@ CASES = {
     "lattice-check-gamma0-4": ["lattice-check", "--scenario-file", "gamma0_4.txt"],
     "lattice-check-unipotent-l2": ["lattice-check", "--scenario-file",
                                    "unipotent_l2.txt"],
+    "lattice-check-never-fill-k64": ["lattice-check", "--scenario-file",
+                                     "never_fill_k64.txt"],
 }
 
 
