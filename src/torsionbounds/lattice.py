@@ -51,8 +51,8 @@ from .modmatrix import (
 RatMat = tuple[Fraction, Fraction, Fraction, Fraction]
 # all of GL2(Z_l) at k = 64 takes 0.2-4.4 ms per lattice for l = 2, 3, 5, 7
 # in every order of its generators, and a group whose layers never fill,
-# such as the upper triangular group at l = 5 or 7, about 0.2 s,
-# conjugation included (in-process, 2-vCPU Xeon)
+# such as the upper triangular group at l = 5 or 7, 0.2-0.25 s (median of
+# 7 runs), conjugation included (in-process, 2-vCPU Xeon)
 MAX_PRECISION = 64
 
 
@@ -237,11 +237,10 @@ def subgroup_orders(gens: Sequence[Entries], l: int, k: int) -> list[int]:
     l = 2: see `_LayeredBasis`), so d_i = 4 for every i >= j, whatever the
     sift stored there: the sizes are read from `layer_sizes`, not from the
     layers.  The basis is built shallowest depth first, so that this
-    happens before any deeper product is formed, and the last layer is
-    kept as vectors mod l.  Relators are sifted only until the basis spans
-    K_1, and a basis that spans it is not closed: no conjugator inverse is
-    formed (about 6% of the median op of the bench's lattice workload,
-    timed in-process).
+    happens before any deeper product is formed.  Relators are sifted only
+    until the basis spans K_1, and a basis that spans it is not closed: no
+    conjugator inverse is formed (about 6% of the median op of the bench's
+    lattice workload, timed in-process).
     """
     top = l ** k
     raw = list(dict.fromkeys(gens))
@@ -295,9 +294,10 @@ class _LayeredBasis:
 
     For j >= 1, (I + l^j A)(I + l^j B) = I + l^j (A + B) mod l^(j+1), so
     K_j/K_{j+1} is additive and the leading term (x - I)/l^j mod l of an
-    element of depth j is linear in it.  Each layer keeps, per basis
-    element, its leading vector as found, the inverse of its pivot entry
-    mod l, and the inverse powers of the element used so far.
+    element of depth j is linear in it.  Each layer keeps one record per
+    basis element x: x itself, its pivot, its leading vector as found, the
+    inverse of its pivot entry mod l, and the inverse powers of x used so
+    far.
 
     Full layers propagate.  (I + l^j A)^l = I + l^(j+1) A mod l^(j+2) for
     j >= 1 at odd l and for j >= 2 at l = 2, so once layer j is full (four
@@ -326,12 +326,6 @@ class _LayeredBasis:
     empty then, and a relator sifted into them at once would insert a new
     element at every depth it reached (all of GL2(Z_7) at k = 64 from
     `0,-1;1,0`, `1,1;0,1` and diag(3, 1) did, 51 elements for 17 layers).
-
-    The last layer, k-1, is a vector space.  Its elements are I + l^(k-1) A
-    with A mod l, every power or commutator of one lies in K_k = 1, and the
-    conjugate by g is I + l^(k-1) gAg^-1 with g mod l.  So that layer keeps
-    leading vectors only; elimination there is vector arithmetic, its
-    conjugation is a product mod l, and nothing mod l^k is formed for it.
     """
 
     def __init__(self, l: int, k: int):
@@ -339,11 +333,9 @@ class _LayeredBasis:
         self.m = l ** k
         self.last = k - 1
         self.depth = {l ** j: j for j in range(1, k)}
-        # layer j -> [(pivot, leading vector, pivot entry^-1 mod l,
-        # {c: x^-c} for each c used, or None in the last layer)]
+        # layer j -> [(x, pivot, leading vector, pivot entry^-1 mod l,
+        # {c: x^-c} for each c used, [1] being x^-1)]
         self.layers: dict[int, list] = {j: [] for j in range(1, k)}
-        # depth j < k-1 -> [(x, x^-1)] for the basis elements of layer j
-        self.elements: dict[int, list] = {j: [] for j in range(1, k - 1)}
         # the least j with K_j in the group: layers j..k-1 count as full
         self.full_from = k
         # depth j -> what is left of relators that reached depth j
@@ -378,9 +370,7 @@ class _LayeredBasis:
         workload ran 13-18% fewer ops/s and its p90 rose from 0.26-0.28 to
         0.34-0.36 ms (8-s runs, seeds 41-44, 2-vCPU Xeon VM, Python 3.11).
         """
-        l, m, last = self.l, self.m, self.last
-        conjugators_mod_l = [(_reduce(g, l), _reduce(g_inv, l))
-                             for g, g_inv in conjugators]
+        m, last = self.m, self.last
         sift, insert = self._sift, self._insert
         for d in range(1, last + 1):
             for y in self._products(d):
@@ -391,41 +381,33 @@ class _LayeredBasis:
                     insert(*found)
             layer, i = self.layers[d], 0
             while i < len(layer) and d < self.full_from:
-                if d == last:
-                    v = layer[i][1]
-                    for g, g_inv in conjugators_mod_l:
-                        w = self._sift_vector(_mul(_mul(g, v, l), g_inv, l))
-                        if w is not None:
-                            insert(None, d, w)
-                else:
-                    x = self.elements[d][i][0]
-                    for g, g_inv in conjugators:
-                        found = sift(_mul(_mul(g, x, m), g_inv, m), last)
-                        if found is not None:
-                            insert(*found)
+                x = layer[i][0]
+                for g, g_inv in conjugators:
+                    found = sift(_mul(_mul(g, x, m), g_inv, m), last)
+                    if found is not None:
+                        insert(*found)
                 i += 1
 
     def _products(self, d: int):
         """The relators queued at depth d, the l-th powers of layer d-1 and
         the commutators of layers i and d-i, formed one at a time."""
-        l, m, elements = self.l, self.m, self.elements
+        l, m, layers = self.l, self.m, self.layers
         yield from self.queued[d]
         if d == 1:
             return
-        for x, _ in elements[d - 1]:
+        for x, _, _, _, _ in layers[d - 1]:
             yield _pow(x, l, m)
         for i in range(1, d // 2 + 1):
-            xs, ys = elements[i], elements[d - i]
-            for a, (x, x_inv) in enumerate(xs):
-                for y, y_inv in ys[a + 1:] if xs is ys else ys:
-                    yield _mul(_mul(x, y, m), _mul(x_inv, y_inv, m), m)
+            xs, ys = layers[i], layers[d - i]
+            for a, (x, _, _, _, x_invs) in enumerate(xs):
+                for y, _, _, _, y_invs in ys[a + 1:] if xs is ys else ys:
+                    yield _mul(_mul(x, y, m), _mul(x_invs[1], y_invs[1], m), m)
 
     def _sift(self, x, limit: int):
         """(x', j, v): the part of x no basis element cancels, its depth j and
-        leading vector v (x' is None in the last layer).  None when the
-        basis expresses x, or when x reaches a depth past `limit`, where it
-        is queued."""
-        l, m, depth, last = self.l, self.m, self.depth, self.last
+        leading vector v.  None when the basis expresses x, or when x
+        reaches a depth past `limit`, where it is queued."""
+        l, m, depth = self.l, self.m, self.depth
         while True:
             g = math.gcd(x[0] - 1, x[1], x[2], x[3] - 1, m)
             if g == m:
@@ -438,10 +420,7 @@ class _LayeredBasis:
                 return None
             v = [(x[0] - 1) // g % l, x[1] // g % l, x[2] // g % l,
                  (x[3] - 1) // g % l]
-            if j == last:
-                v = self._sift_vector(v)
-                return None if v is None else (None, j, v)
-            for piv, lead, piv_inv, inv_pows in self.layers[j]:
+            for _, piv, lead, piv_inv, inv_pows in self.layers[j]:
                 c = v[piv]
                 if c:
                     c = c * piv_inv % l
@@ -452,28 +431,12 @@ class _LayeredBasis:
             if any(v):
                 return x, j, v
 
-    def _sift_vector(self, v):
-        """What of a leading vector v of the last layer its basis does not
-        span; None when it spans v."""
-        l = self.l
-        for piv, lead, piv_inv, _ in self.layers[self.last]:
-            c = v[piv]
-            if c:
-                c = c * piv_inv % l
-                v = [(a - c * b) % l for a, b in zip(v, lead)]
-        return v if any(v) else None
-
     def _insert(self, x, j: int, v) -> None:
-        """Add x (depth j, leading vector v; x is None in the last layer) to
-        layer j, and lower `full_from` if layer j is now full."""
+        """Add x (depth j, leading vector v) to layer j, and lower
+        `full_from` if layer j is now full."""
         l, layer = self.l, self.layers[j]
         piv = next(i for i, a in enumerate(v) if a)
-        if x is None:
-            layer.append((piv, v, pow(v[piv], -1, l), None))
-        else:
-            x_inv = _inv(x, self.m)
-            layer.append((piv, v, pow(v[piv], -1, l), {1: x_inv}))
-            self.elements[j].append((x, x_inv))
+        layer.append((x, piv, v, pow(v[piv], -1, l), {1: _inv(x, self.m)}))
         if len(layer) == 4:
             if j > 1 or l > 2:
                 self.full_from = min(self.full_from, j)

@@ -671,17 +671,20 @@ def _coset_bfs_orders(gens, l, k, basis=_ReferenceBasis):
 def relator_generators(draw, max_k=None):
     """(l, k, gens) with 1-5 generators mod l^k: generic ones, ones in K_1
     (I + l*A), ones redundant mod l but not = I there (x*y*(I + l*A) for
-    earlier generators x, y), duplicates and the identity.  k is at most
-    max_k, or 4 for l = 2 and 3 otherwise."""
+    earlier generators x, y), duplicates and the identity.  Sometimes every
+    generator is upper triangular, so that no layer of the sift fills.  k
+    is at most max_k, or 4 for l = 2 and 3 otherwise."""
     l = draw(st.sampled_from([2, 3, 5, 7]))
     k = draw(st.integers(min_value=1, max_value=max_k or (4 if l == 2 else 3)))
     m = l ** k
     entry = st.integers(min_value=0, max_value=m - 1)
-    unit_det = st.tuples(entry, entry, entry, entry).filter(
+    lower = st.just(0) if draw(st.booleans()) else entry
+    unit_det = st.tuples(entry, entry, lower, entry).filter(
         lambda e: (e[0] * e[3] - e[1] * e[2]) % l != 0)
 
     def kernel():
-        return tuple((i + l * draw(entry)) % m for i in (1, 0, 0, 1))
+        return tuple((i + l * draw(s)) % m
+                     for i, s in zip((1, 0, 0, 1), (entry, entry, lower, entry)))
 
     gens = []
     kinds = ["generic", "kernel", "redundant", "duplicate", "identity"]
@@ -760,6 +763,12 @@ def test_borel_sifts_fewer_relators_than_its_image(monkeypatch):
 # commutators and powers just above them
 @example((2, 6, [(1, 1, 0, 1), (0, 63, 1, 0), (3, 0, 0, 1), (5, 0, 0, 1)]))
 @example((3, 6, [(1, 1, 0, 1), (1, 0, 3, 1), (2, 0, 0, 1), (1, 0, 0, 2)]))
+# the upper triangular groups at l = 5 and 7: no layer fills, and every
+# layer, the last included, holds three elements
+@example((5, 2, [(2, 0, 0, 1), (1, 0, 0, 2), (1, 1, 0, 1)]))
+@example((5, 6, [(2, 0, 0, 1), (1, 0, 0, 2), (1, 1, 0, 1)]))
+@example((7, 2, [(3, 0, 0, 1), (1, 0, 0, 3), (1, 1, 0, 1)]))
+@example((7, 6, [(3, 0, 0, 1), (1, 0, 0, 3), (1, 1, 0, 1)]))
 def test_depth_cutoff_matches_all_products(case):
     """Every product the cutoff skips sifts to I, so the orders are those of
     a reference sift that forms every power and commutator."""
