@@ -165,6 +165,10 @@ CASES = {
                                    "unipotent_l2.txt"],
     "lattice-check-never-fill-k64": ["lattice-check", "--scenario-file",
                                      "never_fill_k64.txt"],
+    "baselines-d6111-digits-1": ["baselines", "--degree", "6111", "--digits", "1"],
+    "baselines-d6111-digits-2-json": ["baselines", "--degree", "6111", "--digits", "2",
+                                      "--format", "json"],
+    "candidates-base-degree-16": ["candidates", "--index", "1", "--base-degree", "16"],
 }
 
 
