@@ -264,34 +264,26 @@ def _cmd_lattice_check(args) -> int:
             scenarios = lattice.parse_scenarios(fh.read())
     else:
         scenarios = lattice.bundled_scenarios()
-    rows = []
+    rows, lines, verdicts = [], [], []
     for sc in scenarios:
         res = lattice.run_scenario(sc)
         for r in res.reports:  # refused before any output: str() would not print it
-            if max(r.index_T, r.index_Tprime) >= 10 ** MAX_DIGITS:
+            if max(r.index_T, r.index_Tprime) >= lattice._ENTRY_LIMIT:
                 raise lattice.LatticeError(f"scenario {sc.ident} precision {r.precision}: "
                                            f"index has more than {MAX_DIGITS} digits")
-        rows.append({
-            "ident": sc.ident,
-            "prime": sc.prime,
-            "reports": [{"precision": r.precision, "index_T": r.index_T,
-                         "index_Tprime": r.index_Tprime} for r in res.reports],
-            "all_equal": res.all_equal,
-            "stable": res.stable,
-        })
-    ok = all(row["all_equal"] and row["stable"] for row in rows)
-    report = {"scenarios": rows, "ok": ok}
-
-    lines = []
-    for row in rows:
-        pairs = " ".join(f"k={r['precision']}:{r['index_T']}/{r['index_Tprime']}"
-                         for r in row["reports"])
-        verdict = ("FAIL" if not row["all_equal"]
-                   else "UNSTABLE" if not row["stable"] else "pass")
-        lines.append(f"{row['ident']} {pairs} {verdict}")
+        reports = [{"precision": r.precision, "index_T": r.index_T,
+                    "index_Tprime": r.index_Tprime} for r in res.reports]
+        rows.append({"ident": sc.ident, "prime": sc.prime, "reports": reports,
+                     "all_equal": res.all_equal, "stable": res.stable})
+        pairs = " ".join(f"k={r.precision}:{r.index_T}/{r.index_Tprime}"
+                         for r in res.reports)
+        lines.append(f"{sc.ident} {pairs} {res.verdict}")
+        verdicts.append(res.verdict)
+    ok = all(v == "pass" for v in verdicts)
     lines.append(f"{'all equal and stable' if ok else 'FAILURES PRESENT'} "
                  f"({len(rows)} scenarios)")
-    return _emit(args, report, lines, EXIT_OK if ok else EXIT_FAILED)
+    return _emit(args, {"scenarios": rows, "ok": ok}, lines,
+                 EXIT_OK if ok else EXIT_FAILED)
 
 
 def _cmd_baselines(args) -> int:

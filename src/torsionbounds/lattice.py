@@ -538,6 +538,13 @@ class ScenarioResult:
                 settled = True
         return True
 
+    @property
+    def verdict(self) -> str:
+        """The scenario's verdict word, the one place the rule is written:
+        FAIL when an index pair differs, else UNSTABLE when the indices move
+        after two consecutive precisions agreed, else pass."""
+        return "FAIL" if not self.all_equal else "UNSTABLE" if not self.stable else "pass"
+
 
 def run_scenario(sc: LatticeScenario) -> ScenarioResult:
     return ScenarioResult(tuple(
@@ -556,55 +563,32 @@ def _primitive_root_sq(l: int) -> int:
     raise AssertionError(f"no primitive root mod {l}**2")
 
 
-def _unit_gens(l: int) -> list[int]:
-    # generate (Z/l^j)^x for every j: {3, 5} works for l = 2,
-    # a primitive root mod l^2 works for odd l
-    return [3, 5] if l == 2 else [_primitive_root_sq(l)]
-
-
-def _congruence_group(l: int, s: int, t: int) -> AdicGroup:
-    """Diagonal units with b == 0 mod l**t and c == 0 mod l**s; t = 0 is
-    the Borel group of lower-left depth s."""
-    units = _unit_gens(l)
-    gens = [rat_mat((u, 0, 0, 1)) for u in units] + \
-        [rat_mat((1, 0, 0, u)) for u in units] + \
-        [rat_mat((1, l ** t, 0, 1)), rat_mat((1, 0, l ** s, 1))]
-    return AdicGroup(l, tuple(gens))
-
-
-def _unipotent_group(l: int, level: int) -> AdicGroup:
-    """Preimage of the unipotent upper-triangular group mod `level`."""
-    gens = []
-    for pos in range(4):
-        e = [1, 0, 0, 1]
-        e[pos] += level
-        gens.append(rat_mat(e))
-    # the four elementary matrices alone miss half of the mod-2 kernel
-    gens += [rat_mat((1, level, level, 1)), rat_mat((1, 1, 0, 1))]
-    return AdicGroup(l, tuple(gens))
-
-
 # lattice change -> (a, e): sigma = diag(l**a, l**(a+e)), which multiplies
 # the second basis vector by l**e relative to the first
 _LATTICE_CHANGES = {"diag_1_l": (0, 1), "scalar_l": (1, 0), "diag_1_lsq": (0, 2)}
 
 
-def _compatible_group(l: int, gtype: str, stype: str) -> AdicGroup:
-    """A group of the requested type stabilizing both the standard lattice
-    and its sigma-transform, with matching index shadows at every precision.
+def _bundled_generators(l: int, gtype: str, e: int) -> list[Entries]:
+    """Generators of a group of type gtype that stabilizes the standard
+    lattice and its transform by diag(1, l**e), up to a scalar.
 
-    Conjugation by diag(1, l**e) deepens the upper-right congruence by e and
-    shallows the lower-left one by e, so the depths are chosen to transpose
-    into each other.
+    borel and split_cartan: diagonal units, with c == 0 mod l**s and
+    b == 0 mod l**t.  Conjugation by diag(1, l**e) deepens the upper-right
+    congruence by e and shallows the lower-left one by e, so the depths
+    transpose into each other.  {3, 5} generates (Z/2^j)^x for every j,
+    and a primitive root mod l**2 generates (Z/l^j)^x for odd l.
+    unipotent: the preimage of the unipotent upper-triangular group mod
+    m = l**max(1, e); the four elementary matrices alone miss half of the
+    mod-2 kernel, hence I + m(E12 + E21).
     """
-    e = _LATTICE_CHANGES[stype][1]
-    if gtype == "borel":
-        return _congruence_group(l, max(1, e), 0)
-    if gtype == "split_cartan":
-        return _congruence_group(l, 1 + e, 1)
     if gtype == "unipotent":
-        return _unipotent_group(l, l ** max(1, e))
-    raise LatticeError(f"unknown group type {gtype!r}")
+        m = l ** max(1, e)
+        return [(1 + m, 0, 0, 1), (1, m, 0, 1), (1, 0, m, 1), (1, 0, 0, 1 + m),
+                (1, m, m, 1), (1, 1, 0, 1)]
+    s, t = (max(1, e), 0) if gtype == "borel" else (1 + e, 1)
+    units = [3, 5] if l == 2 else [_primitive_root_sq(l)]
+    return [(u, 0, 0, 1) for u in units] + [(1, 0, 0, u) for u in units] + \
+        [(1, l ** t, 0, 1), (1, 0, l ** s, 1)]
 
 
 def bundled_scenarios(primes: Sequence[int] = (2, 3, 5),
@@ -616,9 +600,10 @@ def bundled_scenarios(primes: Sequence[int] = (2, 3, 5),
         for stype, (a, e) in _LATTICE_CHANGES.items():
             t2 = std.transformed(rat_mat((l ** a, 0, 0, l ** (a + e))))
             for gtype in ("borel", "split_cartan", "unipotent"):
+                gens = tuple(map(rat_mat, _bundled_generators(l, gtype, e)))
                 out.append(LatticeScenario(
                     ident=f"{gtype}-l{l}-{stype}",
-                    group=_compatible_group(l, gtype, stype),
+                    group=AdicGroup(l, gens),
                     lattice=std,
                     lattice2=t2,
                     precisions=tuple(precisions),

@@ -302,16 +302,12 @@ LATTICE_CLOSURE_MAX = 81
 
 
 def _check_lattice_scenarios(report):
-    bad = []
     closed = 0
     scenarios = lattice.bundled_scenarios()
     probes = _lattice_probes()
     results = [(sc, lattice.run_scenario(sc)) for sc in scenarios + probes]
-    for sc, res in results[:len(scenarios)]:
-        if not res.all_equal:
-            bad.append((sc.ident, "unequal indices"))
-        if not res.stable:
-            bad.append((sc.ident, "unstable precision"))
+    bad = [(sc.ident, res.verdict) for sc, res in results[:len(scenarios)]
+           if res.verdict != "pass"]
     for sc, res in results:
         for name, T in (("T", sc.lattice), ("T'", sc.lattice2)):
             for r in res.reports:
@@ -348,9 +344,9 @@ def _lattice_probes():
 
 def _conjugate_mod(g, B, n):
     """B^-1 g B over the rationals, reduced mod n (an l-integral matrix, B a
-    basis g stabilizes)."""
+    basis g stabilizes; a scenario file's integer entries are ints)."""
     a, b, c, d = B
-    det = a * d - b * c
+    det = Fraction(a * d - b * c)
     x = lattice.rat_mul(lattice.rat_mul((d / det, -b / det, -c / det, a / det), g), B)
     return tuple(q.numerator * pow(q.denominator, -1, n) % n for q in x)
 

@@ -3,11 +3,13 @@ import math
 import tracemalloc
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from torsionbounds import lattice, modmatrix, verify
+from torsionbounds.cli import EXIT_FAILED, EXIT_OK, main
 from torsionbounds.exactvalue import PRIME_TEST_LIMIT
 from torsionbounds.lattice import (
     MAX_PRECISION,
@@ -418,7 +420,7 @@ def test_integer_conjugates_match_rat_mul_oracle(case):
 # -- images and indices -----------------------------------------------------
 
 def borel_group(l):
-    return lattice._congruence_group(l, 1, 0)
+    return _oracle_borel_group(l, depth=1)
 
 
 def lattice_index(G, T, k):
@@ -989,6 +991,35 @@ def test_verify_judges_each_lattice_index_by_closure(monkeypatch):
         ("dokchitser-l2", name, k, 1, 2) for name in ("T", "T'") for k in (3, 4)])
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_cli_verdict_words_are_the_scenario_verdicts(capsys):
+    seen = set()
+    for name in ("scenario", "repeated_precision", "dokchitser_l2", "gamma0_4",
+                 "unipotent_l2"):
+        path = GOLDEN / f"{name}.txt"
+        verdicts = [run_scenario(sc).verdict
+                    for sc in parse_scenarios(path.read_text(encoding="utf-8"))]
+        code = main(["lattice-check", "--scenario-file", str(path)])
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        assert [line.split()[-1] for line in lines] == verdicts
+        assert code == (EXIT_OK if set(verdicts) == {"pass"} else EXIT_FAILED)
+        seen.update(verdicts)
+    assert seen == {"pass", "FAIL", "UNSTABLE"}
+
+
+def test_verify_names_an_unstable_bundled_scenario(monkeypatch):
+    scenarios = parse_scenarios((GOLDEN / "repeated_precision.txt").read_text(
+        encoding="utf-8"))
+    monkeypatch.setattr(lattice, "bundled_scenarios", lambda: scenarios)
+    report = verify.SuiteReport()
+    verify._check_lattice_scenarios(report)
+    check = report.checks[-1]
+    assert (check.name, check.status) == ("lattice-index-equality", "fail")
+    assert check.detail == str([("repeated-precision", "UNSTABLE")])
+
+
 def test_second_lattice_failure_comes_before_any_sift(monkeypatch):
     T = LatticeBasis.standard(2)
     T2 = T.transformed(rat_mat((1, 0, 0, 2)))
@@ -1067,8 +1098,9 @@ def test_primitive_root_sq_at_a_large_prime():
 # kept as an oracle for the generators and lattices of every scenario
 
 def _oracle_diag_unit_gens(l):
-    return [rat_mat((u, 0, 0, 1)) for u in lattice._unit_gens(l)] + \
-           [rat_mat((1, 0, 0, u)) for u in lattice._unit_gens(l)]
+    units = [3, 5] if l == 2 else [lattice._primitive_root_sq(l)]
+    return [rat_mat((u, 0, 0, 1)) for u in units] + \
+           [rat_mat((1, 0, 0, u)) for u in units]
 
 
 def _oracle_kernel_gens(l, level):
